@@ -10,22 +10,21 @@ pairs link negatively at desk scale.
 
 from .census import (
     ExtremalFamily,
-    IdentityReport,
     PairReport,
     RangeSummary,
     TripleSummary,
-    check_identities,
     enumerate_admissible,
     extremal_families,
     extremal_orbits,
     extremality_crosscheck,
     has_admissible_cut,
-    reports_to_csv,
+    summarize,
     verify_pairs,
     verify_range,
     verify_triple,
 )
-from .crossing import Cut, crossing_number, enumerate_cuts, is_admissible_cut, self_crossing, word_crossing
+from .crossing import Cut, enumerate_cuts, is_admissible_cut, word_crossing
+from .identities import IdentityReport, check_identities
 from .kneading import (
     KneadingData,
     TemplateDomainError,
@@ -38,8 +37,6 @@ from .kneading import (
 )
 from .linking import (
     HopfLinkingVector,
-    Rational,
-    delta,
     fiber_linking,
     homology_order,
     q_form,
@@ -54,7 +51,6 @@ from .words import (
     all_shifts,
     canonicalize,
     compare,
-    letter_counts,
     shift,
 )
 
@@ -70,7 +66,6 @@ __all__ = [
     "PairReport",
     "PeriodicSequence",
     "RangeSummary",
-    "Rational",
     "TemplateDomainError",
     "Triple",
     "TripleSummary",
@@ -78,8 +73,6 @@ __all__ = [
     "canonicalize",
     "check_identities",
     "compare",
-    "crossing_number",
-    "delta",
     "enumerate_admissible",
     "enumerate_cuts",
     "extremal_families",
@@ -92,15 +85,13 @@ __all__ = [
     "is_admissible_cut",
     "kneading",
     "kneading_unbounded",
-    "letter_counts",
     "lorenz_kneading",
     "max_block_constraints",
     "q_form",
     "qprime_form",
     "qprime_matrix",
-    "reports_to_csv",
-    "self_crossing",
     "shift",
+    "summarize",
     "surgery_linking",
     "template_linking",
     "verify_pairs",

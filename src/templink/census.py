@@ -10,15 +10,14 @@ parameter ranges, exactly and in parallel.
 
 from __future__ import annotations
 
-import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .crossing import enumerate_cuts, is_admissible_cut, word_crossing
+from .crossing import enumerate_cuts, is_admissible_cut
 from .kneading import (
     KneadingData,
     TemplateDomainError,
@@ -27,11 +26,8 @@ from .kneading import (
     kneading,
     satisfies_block_constraints,
 )
-from .identities import CATALOG, Identity
-from .linking import delta, q_form
-from .words import CyclicWord, canonicalize
-
-CSV_FIELDS = ("word1", "word2", "cr", "na1", "nb1", "na2", "nb2", "lk_num", "lk_den", "negative")
+from .linking import q_form
+from .words import CyclicWord
 
 
 @dataclass(frozen=True)
@@ -52,6 +48,7 @@ class PairReport:
         return self.lk < 0
 
     def as_dict(self) -> dict:
+        """The report's one field list, shared by every output format."""
         return {
             "word1": self.word1,
             "word2": self.word2,
@@ -65,15 +62,6 @@ class PairReport:
             "negative": self.negative,
         }
 
-    def as_csv_row(self) -> str:
-        d = self.as_dict()
-        return ",".join(str(d[f]).lower() if f == "negative" else str(d[f]) for f in CSV_FIELDS)
-
-
-def reports_to_csv(reports: list[PairReport]) -> str:
-    lines = [",".join(CSV_FIELDS)]
-    lines.extend(r.as_csv_row() for r in reports)
-    return "\n".join(lines) + "\n"
 
 
 def lyndon_words(max_len: int) -> list[str]:
@@ -249,7 +237,7 @@ def verify_pairs(
     texts = [w.word for w in words]
     ranks = _shift_rank_arrays(texts)
     counts = [w.letter_counts() for w in words]
-    d = delta(t)
+    d = t.delta
     reports = []
     for i in range(len(words)):
         start = i if include_self else i + 1
@@ -289,6 +277,43 @@ class TripleSummary:
     def ok(self) -> bool:
         return not self.violations
 
+    def as_dict(self) -> dict:
+        """The summary's one field list, shared by every output format."""
+        return {
+            "p": self.p,
+            "q": self.q,
+            "r": self.r,
+            "words": self.n_words,
+            "pairs": self.n_pairs,
+            "violations": len(self.violations),
+            "worst": str(self.worst),
+            "worst_word1": self.worst_pair[0],
+            "worst_word2": self.worst_pair[1],
+            "elapsed_s": self.elapsed_s,
+        }
+
+
+def summarize(
+    t: Triple, n_words: int, reports: list[PairReport], elapsed_s: float
+) -> TripleSummary:
+    """Reduce one triple's pair reports to its verdict: violations and the worst pair.
+
+    With no pairs the worst value is 0 and the worst pair is empty.
+    """
+    violations = tuple(r for r in reports if not r.negative)
+    worst = max(reports, key=lambda r: r.lk, default=None)
+    return TripleSummary(
+        p=t.p,
+        q=t.q,
+        r=t.r,
+        n_words=n_words,
+        n_pairs=len(reports),
+        violations=violations,
+        worst=Fraction(0) if worst is None else worst.lk,
+        worst_pair=("", "") if worst is None else (worst.word1, worst.word2),
+        elapsed_s=elapsed_s,
+    )
+
 
 @dataclass(frozen=True)
 class RangeSummary:
@@ -306,16 +331,17 @@ class RangeSummary:
         return sum(len(s.violations) for s in self.triples)
 
     @property
-    def worst(self) -> tuple[Fraction, tuple[str, str], tuple[int, int, int]] | None:
-        best = None
-        for s in self.triples:
-            if s.n_pairs and (best is None or s.worst > best[0]):
-                best = (s.worst, s.worst_pair, (s.p, s.q, s.r))
-        return best
-
-    @property
     def ok(self) -> bool:
         return self.total_violations == 0
+
+    def as_dict(self) -> dict:
+        """The range's one field list: per-triple summaries and the totals."""
+        return {
+            "triples": [s.as_dict() for s in self.triples],
+            "total_pairs": self.total_pairs,
+            "total_violations": self.total_violations,
+            "elapsed_s": self.elapsed_s,
+        }
 
 
 def range_triples(
@@ -342,27 +368,7 @@ def verify_triple(t: Triple, include_self: bool = True) -> TripleSummary:
     start = time.perf_counter()
     words = extremal_orbits(t)
     reports = verify_pairs(t, words, include_self=include_self)
-    violations = tuple(r for r in reports if not r.negative)
-    if reports:
-        worst_report = max(reports, key=lambda r: r.lk)
-        worst, worst_pair = worst_report.lk, (worst_report.word1, worst_report.word2)
-    else:
-        worst, worst_pair = Fraction(0), ("", "")
-    return TripleSummary(
-        p=t.p,
-        q=t.q,
-        r=t.r,
-        n_words=len(words),
-        n_pairs=len(reports),
-        violations=violations,
-        worst=worst,
-        worst_pair=worst_pair,
-        elapsed_s=time.perf_counter() - start,
-    )
-
-
-def _verify_triple_args(args: tuple[int, int, int]) -> TripleSummary:
-    return verify_triple(Triple(*args))
+    return summarize(t, len(words), reports, time.perf_counter() - start)
 
 
 def verify_range(
@@ -379,191 +385,12 @@ def verify_range(
     """
     start = time.perf_counter()
     triples = range_triples(p_max, q_max, r_max, include_p2=include_p2)
-    args = [(t.p, t.q, t.r) for t in triples]
     if jobs is not None and jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if jobs == 1 or len(args) <= 1:
-        summaries = [_verify_triple_args(a) for a in args]
+    if jobs == 1 or len(triples) <= 1:
+        summaries = [verify_triple(t) for t in triples]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            summaries = list(pool.map(_verify_triple_args, args))
+            summaries = list(pool.map(verify_triple, triples))
     summaries.sort(key=lambda s: (s.p, s.q, s.r))
     return RangeSummary(triples=tuple(summaries), elapsed_s=time.perf_counter() - start)
-
-
-@dataclass(frozen=True)
-class IdentityResult:
-    """One closed-form comparison: exact pipeline value vs catalog value.
-
-    Values are delta * lk, computed through the crossing-plus-form pipeline
-    on one side and the cataloged polynomial on the other.
-    """
-
-    name: str
-    label: str
-    pipeline: Fraction
-    closed_form: Fraction
-
-    @property
-    def match(self) -> bool:
-        return self.pipeline == self.closed_form
-
-
-@dataclass
-class IdentityReport:
-    """Outcome of the closed-form and inequality checks for one triple.
-
-    Crossing closed forms, the refined crossing lower bound and the sampled
-    superadditivity instances are hard requirements (``ok``); the identity
-    comparisons are informational and mismatching variants are listed in
-    ``disagreements`` rather than failing the report.
-    """
-
-    triple: tuple[int, int, int]
-    fig_checked: int = 0
-    fig_failures: list[str] = field(default_factory=list)
-    bound_checked: int = 0
-    bound_failures: list[str] = field(default_factory=list)
-    superadd_checked: int = 0
-    superadd_failures: list[str] = field(default_factory=list)
-    identities: list[IdentityResult] = field(default_factory=list)
-
-    @property
-    def disagreements(self) -> list[IdentityResult]:
-        return [r for r in self.identities if not r.match]
-
-    @property
-    def ok(self) -> bool:
-        return not (self.fig_failures or self.bound_failures or self.superadd_failures)
-
-
-def _pipeline_delta_lk(t: Triple, w1: str, w2: str) -> Fraction:
-    cr = word_crossing(w1, w2)
-    na1, nb1 = w1.count("a"), w1.count("b")
-    na2, nb2 = w2.count("a"), w2.count("b")
-    return Fraction(-cr, 2) * delta(t) + q_form(t, (na1, nb1), (na2, nb2))
-
-
-def _check_staircase_forms(t: Triple, bound: int, report: IdentityReport) -> None:
-    # cr(a^i b^j, a^i' b^j') = 2(i+j) for i<i', j<j'; 2(i+j'-1) for i<=i', j>=j'
-    for i in range(1, bound + 1):
-        for j in range(1, bound + 1):
-            w1 = "a" * i + "b" * j
-            for i2 in range(i, bound + 1):
-                for j2 in range(1, bound + 1):
-                    w2 = "a" * i2 + "b" * j2
-                    if i < i2 and j < j2:
-                        expected = 2 * (i + j)
-                    elif i <= i2 and j >= j2 and (i, j) != (i2, j2):
-                        expected = 2 * (i + j2 - 1)
-                    else:
-                        continue
-                    report.fig_checked += 1
-                    got = word_crossing(w1, w2)
-                    if got != expected:
-                        report.fig_failures.append(
-                            f"cr({w1},{w2}) = {got}, closed form {expected}"
-                        )
-
-
-def _repeat_block_words(t: Triple) -> list[tuple[int, int, int, str]]:
-    """(k, i, j, word) for the primitive words (a^(p-1)b)^k a^i b^j in range."""
-    p, q, r = t.p, t.q, t.r
-    P = "a" * (p - 1) + "b"
-    out = []
-    for k in range((r - 2) // 2 + 1):
-        for i in range(1, p):
-            for j in range(1, q):
-                if (i, j) == (p - 1, 1) and k >= 1:
-                    continue  # (a^(p-1)b)^(k+1) is a power, not an orbit code
-                out.append((k, i, j, P * k + "a" * i + "b" * j))
-    return out
-
-
-def _check_refined_bound(t: Triple, report: IdentityReport) -> None:
-    # cr((a^(p-1)b)^k a^i b^j, (a^(p-1)b)^k' a^i' b^j') >=
-    #   k k' cr(P,P) + k cr(P, s') + k' cr(P, s) + cr(s, s') + 2 min(k, k')
-    P = "a" * (t.p - 1) + "b"
-    words = _repeat_block_words(t)
-    cr_pp = word_crossing(P, P)
-    cr_p = {}
-    for _, i, j, _w in words:
-        s = "a" * i + "b" * j
-        if (i, j) not in cr_p:
-            cr_p[(i, j)] = word_crossing(P, s)
-    for k, i, j, w1 in words:
-        s1 = "a" * i + "b" * j
-        for k2, i2, j2, w2 in words:
-            s2 = "a" * i2 + "b" * j2
-            lower = (
-                k * k2 * cr_pp
-                + k * cr_p[(i2, j2)]
-                + k2 * cr_p[(i, j)]
-                + word_crossing(s1, s2)
-                + 2 * min(k, k2)
-            )
-            report.bound_checked += 1
-            got = word_crossing(w1, w2)
-            if got < lower:
-                report.bound_failures.append(
-                    f"cr({w1},{w2}) = {got} < refined lower bound {lower}"
-                )
-
-
-def superadditivity_instances(
-    samples: int, seed: int = 0, max_word_len: int = 14
-) -> list[tuple[str, str, str]]:
-    """Seeded random (u, v, probe) cut instances for the superadditivity check."""
-    rng = random.Random(seed)
-    out: list[tuple[str, str, str]] = []
-    while len(out) < samples:
-        n = rng.randint(4, max_word_len)
-        raw = "".join(rng.choice("ab") for _ in range(n))
-        if "a" not in raw or "b" not in raw:
-            continue
-        root, _ = canonicalize(raw)
-        cuts = enumerate_cuts(root)
-        rng.shuffle(cuts)
-        for cut in cuts[:3]:
-            probe = "".join(rng.choice("ab") for _ in range(rng.randint(1, 10)))
-            out.append((cut.u, cut.v, probe))
-            if len(out) >= samples:
-                break
-    return out
-
-
-def _check_superadditivity(samples: int, seed: int, report: IdentityReport) -> None:
-    for u, v, x in superadditivity_instances(samples, seed=seed):
-        report.superadd_checked += 1
-        whole = word_crossing(u + v, x)
-        parts = word_crossing(u, x) + word_crossing(v, x)
-        if whole < parts:
-            report.superadd_failures.append(
-                f"cr({u + v},{x}) = {whole} < cr({u},{x}) + cr({v},{x}) = {parts}"
-            )
-
-
-def check_identities(
-    t: Triple,
-    staircase_bound: int = 6,
-    superadd_samples: int = 50,
-    seed: int = 0,
-    catalog: list[Identity] | None = None,
-) -> IdentityReport:
-    """Exhaustive crossing closed forms, the refined lower bound, sampled
-    superadditivity, and the closed-form identity catalog, for one triple."""
-    report = IdentityReport(triple=(t.p, t.q, t.r))
-    _check_staircase_forms(t, staircase_bound, report)
-    _check_refined_bound(t, report)
-    _check_superadditivity(superadd_samples, seed, report)
-    for ident in catalog if catalog is not None else CATALOG:
-        for label, w1, w2, value in ident.instances(t):
-            report.identities.append(
-                IdentityResult(
-                    name=ident.name,
-                    label=label,
-                    pipeline=_pipeline_delta_lk(t, w1, w2),
-                    closed_form=value,
-                )
-            )
-    return report

@@ -7,22 +7,18 @@ verification finds a non-negative pair, 2 on usage or domain errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import census
-from .crossing import enumerate_cuts, self_crossing, crossing_number
+from .crossing import enumerate_cuts, word_crossing
 from .kneading import Triple, is_admissible, kneading
 from .linking import homology_order, template_linking
 from .words import CyclicWord, canonicalize
 
 EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
-
-
-def _fmt_rational(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _parse_word(text: str) -> CyclicWord:
@@ -42,43 +38,42 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _pair_reports_payload(t: Triple, reports, elapsed_s: float) -> dict:
-    worst = max((r.lk for r in reports), default=Fraction(0))
-    return {
-        "p": t.p,
-        "q": t.q,
-        "r": t.r,
-        "elapsed_s": elapsed_s,
-        "pairs": len(reports),
-        "violations": sum(not r.negative for r in reports),
-        "worst": _fmt_rational(worst),
-        "reports": [r.as_dict() for r in reports],
-    }
+def _cell(value) -> str:
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-def _render_pair_reports(t: Triple, reports, fmt: str, elapsed_s: float = 0.0) -> str:
-    if fmt == "csv":
-        return census.reports_to_csv(reports)
+def _render(rows: list[dict], fmt: str, doc=None) -> str:
+    """The one output path: records as CSV, aligned text or JSON.
+
+    CSV and text show ``rows``, one record per line under a header; text drops
+    the header of a one-column list and appends the scalar fields of ``doc``.
+    JSON shows ``doc``, which defaults to the rows.
+    """
     if fmt == "json":
-        return json.dumps(_pair_reports_payload(t, reports, elapsed_s), indent=2) + "\n"
-    lines = [f"{'word1':<20} {'word2':<20} {'cr':>4} {'lk':>10} negative"]
-    for r in reports:
-        lines.append(
-            f"{r.word1:<20} {r.word2:<20} {r.cr:>4} {_fmt_rational(r.lk):>10} {str(r.negative).lower()}"
-        )
-    return "\n".join(lines) + "\n"
+        return json.dumps(rows if doc is None else doc, indent=2) + "\n"
+    table = [list(rows[0])] if rows else []
+    table += [[_cell(v) for v in row.values()] for row in rows]
+    if fmt == "csv":
+        return "".join(",".join(line) + "\n" for line in table)
+    if table and len(table[0]) == 1:
+        table = table[1:]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in table]
+    if isinstance(doc, dict):
+        lines += [f"{k}: {_cell(v)}" for k, v in doc.items() if not isinstance(v, list)]
+    return "".join(line + "\n" for line in lines)
 
 
 def _cmd_lk(args) -> int:
     t = _triple(args)
     w1, w2 = _parse_word(args.word1), _parse_word(args.word2)
-    print(_fmt_rational(template_linking(t, w1, w2)))
+    print(template_linking(t, w1, w2))
     return EXIT_OK
 
 
 def _cmd_cr(args) -> int:
     w1, w2 = _parse_word(args.word1), _parse_word(args.word2)
-    print(self_crossing(w1) if w1 == w2 else crossing_number(w1, w2))
+    print(word_crossing(w1.word, w2.word))
     return EXIT_OK
 
 
@@ -90,41 +85,27 @@ def _cmd_admissible(args) -> int:
     return EXIT_OK
 
 
-def _word_list_output(words, fmt: str, out) -> None:
-    if fmt == "json":
-        _emit(json.dumps([w.word for w in words], indent=2) + "\n", out)
-    elif fmt == "csv":
-        _emit("word\n" + "".join(f"{w.word}\n" for w in words), out)
-    else:
-        _emit("".join(f"{w.word}\n" for w in words), out)
+def _emit_words(words: list[CyclicWord], args) -> int:
+    texts = [w.word for w in words]
+    _emit(_render([{"word": w} for w in texts], args.format, texts), args.out)
+    return EXIT_OK
 
 
 def _cmd_enumerate(args) -> int:
-    words = census.enumerate_admissible(_triple(args), args.max_len)
-    _word_list_output(words, args.format, args.out)
-    return EXIT_OK
+    return _emit_words(census.enumerate_admissible(_triple(args), args.max_len), args)
 
 
 def _cmd_extremal(args) -> int:
-    words = census.extremal_orbits(_triple(args))
-    _word_list_output(words, args.format, args.out)
-    return EXIT_OK
+    return _emit_words(census.extremal_orbits(_triple(args)), args)
 
 
 def _cmd_cuts(args) -> int:
-    w = _parse_word(args.word)
-    cuts = enumerate_cuts(w)
-    if args.format == "json":
-        _emit(
-            json.dumps(
-                [{"u": c.u, "v": c.v, "rotation": c.rotation, "split": c.split} for c in cuts],
-                indent=2,
-            )
-            + "\n",
-            args.out,
-        )
+    cuts = enumerate_cuts(_parse_word(args.word))
+    if args.format == "text":
+        text = "".join(f"{c.u}|{c.v} (rotation {c.rotation}, split {c.split})\n" for c in cuts)
     else:
-        _emit("".join(f"{c.u}|{c.v} (rotation {c.rotation}, split {c.split})\n" for c in cuts), args.out)
+        text = _render([dataclasses.asdict(c) for c in cuts], args.format)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -143,75 +124,25 @@ def _cmd_homology(args) -> int:
 def _verify_single(args) -> int:
     t = _triple(args)
     if args.words:
-        words = [_parse_word(w) for w in args.words]
-        seen: list[CyclicWord] = []
-        for w in words:
-            if w not in seen:
-                seen.append(w)
-        words = seen
+        words = list(dict.fromkeys(_parse_word(w) for w in args.words))
     else:
         words = census.extremal_orbits(t)
     start = time.perf_counter()
     reports = census.verify_pairs(t, words, include_self=args.self)
-    elapsed = time.perf_counter() - start
-    _emit(_render_pair_reports(t, reports, args.format, elapsed_s=elapsed), args.out)
-    bad = [r for r in reports if not r.negative]
-    if bad:
-        for r in bad:
-            print(
-                f"violation: lk({r.word1},{r.word2}) = {_fmt_rational(r.lk)} >= 0",
-                file=sys.stderr,
-            )
-        return EXIT_VIOLATION
-    return EXIT_OK
+    summary = census.summarize(t, len(words), reports, time.perf_counter() - start)
+    rows = [r.as_dict() for r in reports]
+    _emit(_render(rows, args.format, {**summary.as_dict(), "reports": rows}), args.out)
+    for r in summary.violations:
+        print(f"violation: lk({r.word1},{r.word2}) = {r.lk} >= 0", file=sys.stderr)
+    return EXIT_OK if summary.ok else EXIT_VIOLATION
 
 
 def _verify_over_range(args) -> int:
     summary = census.verify_range(
         args.p_max, args.q_max, args.r_max, include_p2=not args.no_p2, jobs=args.jobs
     )
-    if args.format == "json":
-        payload = {
-            "triples": [
-                {
-                    "p": s.p,
-                    "q": s.q,
-                    "r": s.r,
-                    "words": s.n_words,
-                    "pairs": s.n_pairs,
-                    "violations": len(s.violations),
-                    "worst": _fmt_rational(s.worst),
-                    "worst_pair": list(s.worst_pair),
-                    "elapsed_s": s.elapsed_s,
-                }
-                for s in summary.triples
-            ],
-            "total_pairs": summary.total_pairs,
-            "total_violations": summary.total_violations,
-            "elapsed_s": summary.elapsed_s,
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        lines = ["p,q,r,words,pairs,violations,worst_num,worst_den,elapsed_s"]
-        for s in summary.triples:
-            lines.append(
-                f"{s.p},{s.q},{s.r},{s.n_words},{s.n_pairs},{len(s.violations)},"
-                f"{s.worst.numerator},{s.worst.denominator},{s.elapsed_s:.3f}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = []
-        for s in summary.triples:
-            lines.append(
-                f"({s.p},{s.q},{s.r}): {s.n_words} orbits, {s.n_pairs} pairs, "
-                f"{len(s.violations)} violations, worst lk = {_fmt_rational(s.worst)} "
-                f"[{s.worst_pair[0]}, {s.worst_pair[1]}] ({s.elapsed_s:.2f}s)"
-            )
-        lines.append(
-            f"total: {summary.total_pairs} pairs, {summary.total_violations} violations "
-            f"in {summary.elapsed_s:.2f}s"
-        )
-        _emit("\n".join(lines) + "\n", args.out)
+    doc = summary.as_dict()
+    _emit(_render(doc["triples"], args.format, doc), args.out)
     return EXIT_OK if summary.ok else EXIT_VIOLATION
 
 
@@ -225,9 +156,13 @@ def _cmd_verify(args) -> int:
             raise ValueError("range mode needs --p-max, --q-max and --r-max")
         if args.words:
             raise ValueError("explicit words only make sense with a single triple")
+        if not args.self:
+            raise ValueError("--no-self only makes sense with a single triple")
         return _verify_over_range(args)
     if args.q is None or args.r is None:
         raise ValueError("single-triple mode needs --p, --q and --r")
+    if args.no_p2:
+        raise ValueError("--no-p2 only makes sense in range mode")
     return _verify_single(args)
 
 
@@ -290,7 +225,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q-max", type=int, default=None)
     sp.add_argument("--r-max", type=int, default=None)
     sp.add_argument("--no-p2", action="store_true", help="skip the p = 2 families in range mode")
-    sp.add_argument("--self", action=argparse.BooleanOptionalAction, default=True)
+    sp.add_argument(
+        "--self",
+        action=argparse.BooleanOptionalAction,
+        default=True,
+        help="include self-pairs (single-triple mode)",
+    )
     sp.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
     sp.add_argument("words", nargs="*", help="explicit orbit words (single-triple mode)")
     _add_output_flags(sp)

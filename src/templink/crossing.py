@@ -55,26 +55,6 @@ def word_crossing(v: str, x: str) -> int:
     return count
 
 
-def crossing_number(w: CyclicWord, w2: CyclicWord) -> int:
-    """Crossing number of two distinct orbits of the Lorenz template.
-
-    For a pair of equal orbits use :func:`self_crossing`; requesting the
-    crossing of a word with itself here is a contract violation.
-    """
-    if w == w2:
-        raise ValueError(f"equal cyclic words {w.word!r}: use self_crossing")
-    return word_crossing(w.word, w2.word)
-
-
-def self_crossing(w: CyclicWord) -> int:
-    """Twice the number of double points of the orbit coded by w.
-
-    Counts ordered pairs of distinct shifts whose relative order swaps after
-    one step; always even.
-    """
-    return word_crossing(w.word, w.word)
-
-
 @dataclass(frozen=True)
 class Cut:
     """A splitting of a cyclic word into factors u (ending in a) and v (ending in b).

@@ -2,8 +2,10 @@
 
 Each catalog entry produces instances ``(label, word1, word2, closed_form)``
 for a given parameter triple, the value being delta * lk of the two orbit
-words; the checker in :mod:`templink.census` re-derives it through the exact
-crossing-plus-form pipeline and records agreement.
+words; :func:`check_identities` re-derives it through the exact
+crossing-plus-form pipeline and records agreement, next to hard checks of
+crossing closed forms, a refined crossing lower bound and sampled
+superadditivity under cuts.
 
 Some quantities are recorded in two circulating variants that differ by sign
 or coefficient slips; both are kept and the checker reports, never assumes,
@@ -12,11 +14,15 @@ which variant the exact pipeline confirms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import random
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
+from .crossing import enumerate_cuts, word_crossing
 from .kneading import Triple
+from .linking import q_form
+from .words import canonicalize
 
 # Instance of one identity: label, the two words, the closed-form value.
 Instance = tuple[str, str, str, Fraction]
@@ -222,3 +228,181 @@ CATALOG: list[Identity] = [
     ),
     Identity("mixed_pair_closed_form", _mixed_pair),
 ]
+
+
+@dataclass(frozen=True)
+class IdentityResult:
+    """One closed-form comparison: exact pipeline value vs catalog value.
+
+    Values are delta * lk, computed through the crossing-plus-form pipeline
+    on one side and the cataloged polynomial on the other.
+    """
+
+    name: str
+    label: str
+    pipeline: Fraction
+    closed_form: Fraction
+
+    @property
+    def match(self) -> bool:
+        return self.pipeline == self.closed_form
+
+
+@dataclass
+class IdentityReport:
+    """Outcome of the closed-form and inequality checks for one triple.
+
+    Crossing closed forms, the refined crossing lower bound and the sampled
+    superadditivity instances are hard requirements (``ok``); the identity
+    comparisons are informational and mismatching variants are listed in
+    ``disagreements`` rather than failing the report.
+    """
+
+    triple: tuple[int, int, int]
+    fig_checked: int = 0
+    fig_failures: list[str] = field(default_factory=list)
+    bound_checked: int = 0
+    bound_failures: list[str] = field(default_factory=list)
+    superadd_checked: int = 0
+    superadd_failures: list[str] = field(default_factory=list)
+    identities: list[IdentityResult] = field(default_factory=list)
+
+    @property
+    def disagreements(self) -> list[IdentityResult]:
+        return [r for r in self.identities if not r.match]
+
+    @property
+    def ok(self) -> bool:
+        return not (self.fig_failures or self.bound_failures or self.superadd_failures)
+
+
+def _pipeline_delta_lk(t: Triple, w1: str, w2: str) -> Fraction:
+    cr = word_crossing(w1, w2)
+    na1, nb1 = w1.count("a"), w1.count("b")
+    na2, nb2 = w2.count("a"), w2.count("b")
+    return Fraction(-cr, 2) * t.delta + q_form(t, (na1, nb1), (na2, nb2))
+
+
+def _check_staircase_forms(t: Triple, bound: int, report: IdentityReport) -> None:
+    # cr(a^i b^j, a^i' b^j') = 2(i+j) for i<i', j<j'; 2(i+j'-1) for i<=i', j>=j'
+    for i in range(1, bound + 1):
+        for j in range(1, bound + 1):
+            w1 = "a" * i + "b" * j
+            for i2 in range(i, bound + 1):
+                for j2 in range(1, bound + 1):
+                    w2 = "a" * i2 + "b" * j2
+                    if i < i2 and j < j2:
+                        expected = 2 * (i + j)
+                    elif i <= i2 and j >= j2 and (i, j) != (i2, j2):
+                        expected = 2 * (i + j2 - 1)
+                    else:
+                        continue
+                    report.fig_checked += 1
+                    got = word_crossing(w1, w2)
+                    if got != expected:
+                        report.fig_failures.append(
+                            f"cr({w1},{w2}) = {got}, closed form {expected}"
+                        )
+
+
+def _repeat_block_words(t: Triple) -> list[tuple[int, int, int, str]]:
+    """(k, i, j, word) for the primitive words (a^(p-1)b)^k a^i b^j in range."""
+    p, q, r = t.p, t.q, t.r
+    P = "a" * (p - 1) + "b"
+    out = []
+    for k in range((r - 2) // 2 + 1):
+        for i in range(1, p):
+            for j in range(1, q):
+                if (i, j) == (p - 1, 1) and k >= 1:
+                    continue  # (a^(p-1)b)^(k+1) is a power, not an orbit code
+                out.append((k, i, j, P * k + "a" * i + "b" * j))
+    return out
+
+
+def _check_refined_bound(t: Triple, report: IdentityReport) -> None:
+    # cr((a^(p-1)b)^k a^i b^j, (a^(p-1)b)^k' a^i' b^j') >=
+    #   k k' cr(P,P) + k cr(P, s') + k' cr(P, s) + cr(s, s') + 2 min(k, k')
+    P = "a" * (t.p - 1) + "b"
+    words = _repeat_block_words(t)
+    cr_pp = word_crossing(P, P)
+    cr_p = {}
+    for _, i, j, _w in words:
+        s = "a" * i + "b" * j
+        if (i, j) not in cr_p:
+            cr_p[(i, j)] = word_crossing(P, s)
+    for k, i, j, w1 in words:
+        s1 = "a" * i + "b" * j
+        for k2, i2, j2, w2 in words:
+            s2 = "a" * i2 + "b" * j2
+            lower = (
+                k * k2 * cr_pp
+                + k * cr_p[(i2, j2)]
+                + k2 * cr_p[(i, j)]
+                + word_crossing(s1, s2)
+                + 2 * min(k, k2)
+            )
+            report.bound_checked += 1
+            got = word_crossing(w1, w2)
+            if got < lower:
+                report.bound_failures.append(
+                    f"cr({w1},{w2}) = {got} < refined lower bound {lower}"
+                )
+
+
+def superadditivity_instances(
+    samples: int, seed: int = 0, max_word_len: int = 14
+) -> list[tuple[str, str, str]]:
+    """Seeded random (u, v, probe) cut instances for the superadditivity check."""
+    rng = random.Random(seed)
+    out: list[tuple[str, str, str]] = []
+    while len(out) < samples:
+        n = rng.randint(4, max_word_len)
+        raw = "".join(rng.choice("ab") for _ in range(n))
+        if "a" not in raw or "b" not in raw:
+            continue
+        root, _ = canonicalize(raw)
+        cuts = enumerate_cuts(root)
+        rng.shuffle(cuts)
+        for cut in cuts[:3]:
+            probe = "".join(rng.choice("ab") for _ in range(rng.randint(1, 10)))
+            out.append((cut.u, cut.v, probe))
+            if len(out) >= samples:
+                break
+    return out
+
+
+def _check_superadditivity(samples: int, seed: int, report: IdentityReport) -> None:
+    for u, v, x in superadditivity_instances(samples, seed=seed):
+        report.superadd_checked += 1
+        whole = word_crossing(u + v, x)
+        parts = word_crossing(u, x) + word_crossing(v, x)
+        if whole < parts:
+            report.superadd_failures.append(
+                f"cr({u + v},{x}) = {whole} < cr({u},{x}) + cr({v},{x}) = {parts}"
+            )
+
+
+def check_identities(
+    t: Triple,
+    staircase_bound: int = 6,
+    superadd_samples: int = 50,
+    seed: int = 0,
+    catalog: list[Identity] | None = None,
+) -> IdentityReport:
+    """Exhaustive crossing closed forms, the refined lower bound, sampled
+    superadditivity, and the closed-form identity catalog, for one triple."""
+    report = IdentityReport(triple=(t.p, t.q, t.r))
+    _check_staircase_forms(t, staircase_bound, report)
+    _check_refined_bound(t, report)
+    _check_superadditivity(superadd_samples, seed, report)
+    for ident in catalog if catalog is not None else CATALOG:
+        for label, w1, w2, value in ident.instances(t):
+            report.identities.append(
+                IdentityResult(
+                    name=ident.name,
+                    label=label,
+                    pipeline=_pipeline_delta_lk(t, w1, w2),
+                    closed_form=value,
+                )
+            )
+    return report

@@ -14,20 +14,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .crossing import crossing_number, self_crossing
+from .crossing import word_crossing
 from .kneading import Triple
 from .words import CyclicWord
 
-# Exact rational type used throughout; denominators always divide delta.
-Rational = Fraction
-
 # Linking numbers of a link with the three Hopf components, as integers.
 HopfLinkingVector = tuple[int, int, int]
-
-
-def delta(t: Triple) -> int:
-    """Order of the first homology group: pqr - pq - qr - pr (>= 1)."""
-    return t.delta
 
 
 def q_form(t: Triple, uv: tuple[int, int], uv2: tuple[int, int]) -> int:
@@ -55,17 +47,17 @@ def qprime_form(t: Triple, x: HopfLinkingVector, y: HopfLinkingVector) -> int:
 
 
 def surgery_linking(
-    t: Triple, lk_s3: Rational | int, x: HopfLinkingVector, y: HopfLinkingVector
-) -> Rational:
+    t: Triple, lk_s3: Fraction | int, x: HopfLinkingVector, y: HopfLinkingVector
+) -> Fraction:
     """Linking number after surgery: lk_s3 + Q'(x, y) / delta, exactly.
 
     ``x`` and ``y`` are the linking vectors of the two links with the Hopf
     components before surgery.
     """
-    return Fraction(lk_s3) + Fraction(qprime_form(t, x, y), delta(t))
+    return Fraction(lk_s3) + Fraction(qprime_form(t, x, y), t.delta)
 
 
-def template_linking(t: Triple, w: CyclicWord, w2: CyclicWord) -> Rational:
+def template_linking(t: Triple, w: CyclicWord, w2: CyclicWord) -> Fraction:
     """Exact linking number of two template orbits: -cr/2 + Q(counts, counts')/delta.
 
     All template crossings are negative, and an orbit with letter counts
@@ -75,15 +67,13 @@ def template_linking(t: Triple, w: CyclicWord, w2: CyclicWord) -> Rational:
     evaluates any pair of formal Lorenz orbits, and only admissible pairs
     are guaranteed to link negatively.
     """
-    cr = self_crossing(w) if w == w2 else crossing_number(w, w2)
-    return Fraction(-cr, 2) + Fraction(
-        q_form(t, w.letter_counts(), w2.letter_counts()), delta(t)
-    )
+    cr = word_crossing(w.word, w2.word)
+    return Fraction(-cr, 2) + Fraction(q_form(t, w.letter_counts(), w2.letter_counts()), t.delta)
 
 
-def fiber_linking(t: Triple) -> Rational:
+def fiber_linking(t: Triple) -> Fraction:
     """Linking number of two generic fibers: -1/chi = pqr / delta."""
-    return Fraction(t.p * t.q * t.r, delta(t))
+    return Fraction(t.p * t.q * t.r, t.delta)
 
 
 def homology_order(cone_orders: list[int] | tuple[int, ...]) -> int:

@@ -80,6 +80,7 @@ class CyclicWord:
         return self.word[k:] + self.word[:k]
 
     def letter_counts(self) -> tuple[int, int]:
+        """Occurrences of (a, b) in one period."""
         return self.word.count("a"), self.word.count("b")
 
 
@@ -146,18 +147,6 @@ class PeriodicSequence:
         reps = tail_len // len(self.period) + 1
         return self.preperiod + (self.period * reps)[:tail_len]
 
-    def __lt__(self, other: "PeriodicSequence") -> bool:
-        return compare(self, other) == LESS
-
-    def __le__(self, other: "PeriodicSequence") -> bool:
-        return compare(self, other) != GREATER
-
-    def __gt__(self, other: "PeriodicSequence") -> bool:
-        return compare(self, other) == GREATER
-
-    def __ge__(self, other: "PeriodicSequence") -> bool:
-        return compare(self, other) != LESS
-
 
 def compare(s: PeriodicSequence, t: PeriodicSequence) -> int:
     """Lexicographic comparison (a < b); returns -1, 0 or 1.
@@ -190,7 +179,3 @@ def all_shifts(w: CyclicWord) -> list[PeriodicSequence]:
     """
     return [PeriodicSequence("", w.rotation(k)) for k in range(len(w))]
 
-
-def letter_counts(w: CyclicWord) -> tuple[int, int]:
-    """Occurrences of (a, b) in one period of the primitive word."""
-    return w.letter_counts()

@@ -14,17 +14,15 @@ from fractions import Fraction
 import pytest
 
 from templink.census import (
-    check_identities,
     enumerate_admissible,
     extremality_crosscheck,
-    superadditivity_instances,
     verify_pairs,
     verify_range,
 )
 from templink.crossing import word_crossing
+from templink.identities import check_identities, superadditivity_instances
 from templink.kneading import Triple, is_admissible, kneading
 from templink.linking import (
-    delta,
     homology_order,
     qprime_matrix,
     surgery_linking,
@@ -57,7 +55,7 @@ def test_criterion_1_scalar_linking_closed_form():
             for j in range(1, t.q):
                 w2 = CyclicWord("a" * i + "b" * j)
                 lk = template_linking(t, w1, w2)
-                assert delta(t) * lk == t.q * i - t.p * j, (t, i, j)
+                assert t.delta * lk == t.q * i - t.p * j, (t, i, j)
                 checked += 1
     _report(1, True, f"({checked} exact identities)")
 
@@ -85,14 +83,14 @@ def test_criterion_3_fiber_identity_and_matrix_inverse():
     triples = hyperbolic_triples(2, 50, 50, 50)
     for t in triples:
         assert surgery_linking(t, 1, (1, 1, 1), (1, 1, 1)) == Fraction(
-            t.p * t.q * t.r, delta(t)
+            t.p * t.q * t.r, t.delta
         )
         m = qprime_matrix(t)
         s = [[1 - t.p, 1, 1], [1, 1 - t.q, 1], [1, 1, 1 - t.r]]
         for i in range(3):
             for j in range(3):
                 entry = sum(m[i][k] * s[k][j] for k in range(3))
-                assert entry == (-delta(t) if i == j else 0)
+                assert entry == (-t.delta if i == j else 0)
     _report(3, True, f"({len(triples)} triples, r <= 50)")
 
 
@@ -157,7 +155,7 @@ def test_criterion_9_homology_orders():
     assert homology_order([2, 3, 5]) == 1
     assert homology_order([2, 3, 7]) == 1
     for t in hyperbolic_triples(2, 50, 50, 50):
-        assert homology_order([t.p, t.q, t.r]) == delta(t)
+        assert homology_order([t.p, t.q, t.r]) == t.delta
     _report(9, True)
 
 

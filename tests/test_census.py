@@ -13,11 +13,11 @@ from templink.census import (
     extremality_crosscheck,
     lyndon_words,
     range_triples,
-    reports_to_csv,
     verify_pairs,
     verify_range,
     verify_triple,
 )
+from templink.cli import run
 from templink.kneading import TemplateDomainError, Triple
 from templink.words import CyclicWord, canonicalize
 
@@ -151,11 +151,11 @@ def test_linking_subadditive_under_admissible_cuts():
                 assert lk_w <= template_linking(t, u, x) + template_linking(t, v, x)
 
 
-def test_csv_schema():
+def test_csv_schema(capsys):
     t = Triple(3, 3, 4)
     reports = verify_pairs(t, [CyclicWord("ab"), CyclicWord("aabb")])
-    text = reports_to_csv(reports)
-    lines = text.strip().splitlines()
+    assert run(["verify", "--p", "3", "--q", "3", "--r", "4", "--format", "csv", "ab", "aabb"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "word1,word2,cr,na1,nb1,na2,nb2,lk_num,lk_den,negative"
     assert lines[1].split(",")[:2] == ["ab", "ab"]
     row = dict(zip(lines[0].split(","), lines[2].split(",")))

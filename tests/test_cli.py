@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -95,6 +97,9 @@ def test_usage_and_domain_errors_exit_2(capsys):
     assert run(["lk", "--p", "2", "--q", "2", "--r", "9", "ab", "ab"]) == 2
     assert run(["table", "--p", "2", "--q", "5", "--r", "4"]) == 2
     assert run(["verify", "--p", "3", "--q", "3"]) == 2
+    range_args = ["verify", "--p-max", "3", "--q-max", "3", "--r-max", "5", "--jobs", "1"]
+    assert run([*range_args, "--no-self"]) == 2
+    assert run(["verify", "--p", "3", "--q", "3", "--r", "4", "--no-p2"]) == 2
     assert run(["nonsense"]) == 2
     capsys.readouterr()
 
@@ -108,3 +113,24 @@ def test_json_reports_stable(capsys):
     first.pop("elapsed_s", None)
     second.pop("elapsed_s", None)
     assert first == second
+
+
+def test_range_output_independent_of_jobs(capsys):
+    args = ["verify", "--p-max", "3", "--q-max", "4", "--r-max", "5"]
+    outputs = {}
+    for fmt in ("json", "csv"):
+        for jobs in ("1", "2"):
+            assert run([*args, "--jobs", jobs, "--format", fmt]) == 0
+            outputs[fmt, jobs] = capsys.readouterr().out
+    docs = [json.loads(outputs["json", jobs]) for jobs in ("1", "2")]
+    for doc in docs:
+        doc.pop("elapsed_s")
+        for triple in doc["triples"]:
+            triple.pop("elapsed_s")
+    assert docs[0] == docs[1] and docs[0]["triples"]
+    tables = [list(csv.reader(io.StringIO(outputs["csv", jobs]))) for jobs in ("1", "2")]
+    header = tables[0][0]
+    timing = header.index("elapsed_s")
+    strip = lambda table: [row[:timing] + row[timing + 1 :] for row in table]
+    assert strip(tables[0]) == strip(tables[1])
+    assert all(list(triple) == header for triple in json.loads(outputs["json", "1"])["triples"])

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from templink.census import check_identities, superadditivity_instances
 from templink.crossing import word_crossing
+from templink.identities import check_identities, superadditivity_instances
 from templink.kneading import Triple
 
 

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from templink.crossing import word_crossing
 from templink.kneading import Triple
 from templink.linking import (
-    delta,
     fiber_linking,
     homology_order,
     q_form,
@@ -24,9 +24,9 @@ triples = st.sampled_from([Triple(3, 3, 4), Triple(2, 3, 7), Triple(4, 5, 6), Tr
 
 
 def test_delta_examples():
-    assert delta(Triple(2, 3, 7)) == 1
-    assert delta(Triple(3, 3, 4)) == 3
-    assert delta(Triple(2, 5, 7)) == 11
+    assert Triple(2, 3, 7).delta == 1
+    assert Triple(3, 3, 4).delta == 3
+    assert Triple(2, 5, 7).delta == 11
 
 
 def test_q_form_examples():
@@ -101,7 +101,7 @@ def test_scalar_linking_identity(pqr):
         for j in range(1, t.q):
             w2 = CyclicWord("a" * i + "b" * j)
             lk = template_linking(t, w1, w2)
-            assert lk * delta(t) == t.q * i - t.p * j
+            assert lk * t.delta == t.q * i - t.p * j
 
 
 def test_template_linking_symmetry_and_surgery_consistency():
@@ -111,9 +111,7 @@ def test_template_linking_symmetry_and_surgery_consistency():
         for w2 in ws:
             lk = template_linking(t, w1, w2)
             assert lk == template_linking(t, w2, w1)
-            from templink.crossing import crossing_number, self_crossing
-
-            cr = self_crossing(w1) if w1 == w2 else crossing_number(w1, w2)
+            cr = word_crossing(w1.word, w2.word)
             na1, nb1 = w1.letter_counts()
             na2, nb2 = w2.letter_counts()
             assert lk == surgery_linking(
@@ -127,9 +125,9 @@ def test_denominator_divides_delta():
     for w1 in ws:
         for w2 in ws:
             lk = template_linking(t, w1, w2)
-            assert (2 * delta(t) * lk).denominator == 1
+            assert (2 * t.delta * lk).denominator == 1
             if w1 != w2:
-                assert (delta(t) * lk).denominator == 1
+                assert (t.delta * lk).denominator == 1
 
 
 def test_fiber_linking():

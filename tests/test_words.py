@@ -11,7 +11,6 @@ from templink.words import (
     all_shifts,
     canonicalize,
     compare,
-    letter_counts,
     shift,
 )
 
@@ -98,9 +97,9 @@ def test_all_shifts_examples():
 
 
 def test_letter_counts():
-    assert letter_counts(CyclicWord("aab")) == (2, 1)
-    assert letter_counts(CyclicWord("ab")) == (1, 1)
-    assert letter_counts(CyclicWord("aababb")) == (3, 3)
+    assert CyclicWord("aab").letter_counts() == (2, 1)
+    assert CyclicWord("ab").letter_counts() == (1, 1)
+    assert CyclicWord("aababb").letter_counts() == (3, 3)
 
 
 @given(primitive_words)
