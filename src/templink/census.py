@@ -45,7 +45,7 @@ class PairReport:
 
     @property
     def negative(self) -> bool:
-        return self.lk < 0
+        return self.lk.numerator < 0
 
     def as_dict(self) -> dict:
         """The report's one field list, shared by every output format."""
@@ -214,12 +214,6 @@ def _shift_rank_arrays(words: list[str]) -> list[np.ndarray]:
     return ranks
 
 
-def _crossing_from_ranks(r1: np.ndarray, r2: np.ndarray) -> int:
-    s = np.sign(r1[:, None] - r2[None, :])
-    s_next = np.sign(np.roll(r1, -1)[:, None] - np.roll(r2, -1)[None, :])
-    return int((s != s_next).sum())
-
-
 def verify_pairs(
     t: Triple, words: list[CyclicWord], include_self: bool = True
 ) -> list[PairReport]:
@@ -229,6 +223,13 @@ def verify_pairs(
     The words are not required to be admissible, so non-admissible controls
     can be fed through the same pipeline; each report carries a negativity
     verdict.
+
+    Crossing numbers count order swaps on the branch line (Birman-Williams,
+    Topology 1983): shifts ``a`` and ``b`` swap when their order differs
+    from the order of their successors.  One global ranking of every shift
+    of every word decides both orders, and each row word ``i`` gets one
+    ``L_i x (shifts of words j >= i)`` tile, summed per word block, so no
+    array is ever indexed by shifts on both axes.
     """
     if len(set(words)) != len(words):
         raise ValueError("word list contains duplicates")
@@ -236,14 +237,24 @@ def verify_pairs(
         return []
     texts = [w.word for w in words]
     ranks = _shift_rank_arrays(texts)
+    rank = np.concatenate(ranks)
+    nxt = np.concatenate([np.roll(r, -1) for r in ranks])
+    starts = np.cumsum([0] + [len(w) for w in texts])
     counts = [w.letter_counts() for w in words]
     d = t.delta
+    # No fixed-width bound is needed: cr <= L_i * L_j leaves numpy as int64
+    # and becomes a Python int in .tolist(); all lk arithmetic is in Python ints.
     reports = []
     for i in range(len(words)):
-        start = i if include_self else i + 1
-        for j in range(start, len(words)):
-            cr = _crossing_from_ranks(ranks[i], ranks[j])
-            lk = Fraction(-cr, 2) + Fraction(q_form(t, counts[i], counts[j]), d)
+        j0 = i if include_self else i + 1
+        if j0 == len(words):
+            break
+        rows = slice(starts[i], starts[i + 1])
+        cols = slice(starts[j0], None)
+        tile = (rank[rows, None] < rank[None, cols]) != (nxt[rows, None] < nxt[None, cols])
+        row_cr = np.add.reduceat(tile.sum(axis=0), starts[j0:-1] - starts[j0]).tolist()
+        for j, cr in enumerate(row_cr, start=j0):
+            lk = Fraction(2 * q_form(t, counts[i], counts[j]) - d * cr, 2 * d)
             reports.append(
                 PairReport(
                     word1=texts[i],
@@ -298,10 +309,14 @@ def summarize(
 ) -> TripleSummary:
     """Reduce one triple's pair reports to its verdict: violations and the worst pair.
 
-    With no pairs the worst value is 0 and the worst pair is empty.
+    The reports must come from :func:`verify_pairs` on ``t``.  With no pairs
+    the worst value is 0 and the worst pair is empty.
     """
     violations = tuple(r for r in reports if not r.negative)
-    worst = max(reports, key=lambda r: r.lk, default=None)
+    # every lk of the triple has a denominator dividing 2*delta, so lk * 2*delta
+    # is an exact integer key; max keeps the first maximal report
+    two_d = 2 * t.delta
+    worst = max(reports, key=lambda r: r.lk.numerator * (two_d // r.lk.denominator), default=None)
     return TripleSummary(
         p=t.p,
         q=t.q,

@@ -163,6 +163,8 @@ def _cmd_verify(args) -> int:
         raise ValueError("single-triple mode needs --p, --q and --r")
     if args.no_p2:
         raise ValueError("--no-p2 only makes sense in range mode")
+    if args.jobs is not None:
+        raise ValueError("--jobs only makes sense in range mode")
     return _verify_single(args)
 
 
@@ -231,7 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="include self-pairs (single-triple mode)",
     )
-    sp.add_argument("--jobs", type=int, default=None, help="worker processes (default: all cores)")
+    sp.add_argument(
+        "--jobs", type=int, default=None, help="worker processes in range mode (default: all cores)"
+    )
     sp.add_argument("words", nargs="*", help="explicit orbit words (single-triple mode)")
     _add_output_flags(sp)
     sp.set_defaults(func=_cmd_verify)

@@ -1,17 +1,13 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  Criterion 5 (the extended
-verification range) is gated behind TEMPLINK_SLOW=1.  Criterion 10 asserts
+Run with ``pytest tests/test_acceptance.py -v -s``.  Criterion 10 asserts
 that the closed-form extremal families coincide with the independent
 admissible-and-cutless characterization; under the kneading table as printed
 the two genuinely disagree for most triples (see the repository notes), and
 the test reports the exact discrepancy rather than weakening the check.
 """
 
-import os
 from fractions import Fraction
-
-import pytest
 
 from templink.census import (
     enumerate_admissible,
@@ -107,8 +103,6 @@ def test_criterion_4_verification_run():
     _report(4, ok, detail)
 
 
-@pytest.mark.slow
-@pytest.mark.skipif(not os.environ.get("TEMPLINK_SLOW"), reason="set TEMPLINK_SLOW=1")
 def test_criterion_5_extended_run():
     summary = verify_range(6, 8, 10, jobs=None)
     _report(

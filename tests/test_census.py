@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import oracle_crossing
 from templink.census import (
@@ -13,12 +15,14 @@ from templink.census import (
     extremality_crosscheck,
     lyndon_words,
     range_triples,
+    summarize,
     verify_pairs,
     verify_range,
     verify_triple,
 )
 from templink.cli import run
 from templink.kneading import TemplateDomainError, Triple
+from templink.linking import q_form
 from templink.words import CyclicWord, canonicalize
 
 
@@ -127,6 +131,42 @@ def test_pair_engine_matches_definition_oracle():
     reports = verify_pairs(t, words, include_self=True)
     for r in reports:
         assert r.cr == oracle_crossing(r.word1, r.word2)
+
+
+primitive_words = st.text(alphabet="ab", min_size=1, max_size=10).map(
+    lambda raw: canonicalize(raw)[0]
+)
+
+
+@given(
+    st.sampled_from([Triple(3, 3, 4), Triple(2, 3, 7), Triple(4, 5, 6)]),
+    st.lists(primitive_words, min_size=1, max_size=7, unique=True),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_pair_kernel_matches_oracle_and_exact_formula(t, words, include_self):
+    reports = verify_pairs(t, words, include_self=include_self)
+    n = len(words)
+    expected_order = [
+        (words[i].word, words[j].word)
+        for i in range(n)
+        for j in range(i if include_self else i + 1, n)
+    ]
+    assert [(r.word1, r.word2) for r in reports] == expected_order
+    assert len(reports) == (n * (n + 1) if include_self else n * (n - 1)) // 2
+    for r in reports:
+        assert r.cr == oracle_crossing(r.word1, r.word2)
+        q = q_form(t, (r.na1, r.nb1), (r.na2, r.nb2))
+        assert r.lk == Fraction(-r.cr, 2) + Fraction(q, t.delta)
+        assert r.negative == (r.lk < 0)
+    summary = summarize(t, n, reports, 0.0)
+    if reports:
+        worst = max(r.lk for r in reports)
+        first = next(r for r in reports if r.lk == worst)
+        assert summary.worst == worst
+        assert summary.worst_pair == (first.word1, first.word2)
+    else:
+        assert summary.worst == 0 and summary.worst_pair == ("", "")
 
 
 def test_linking_subadditive_under_admissible_cuts():

@@ -100,6 +100,7 @@ def test_usage_and_domain_errors_exit_2(capsys):
     range_args = ["verify", "--p-max", "3", "--q-max", "3", "--r-max", "5", "--jobs", "1"]
     assert run([*range_args, "--no-self"]) == 2
     assert run(["verify", "--p", "3", "--q", "3", "--r", "4", "--no-p2"]) == 2
+    assert run(["verify", "--p", "3", "--q", "3", "--r", "4", "--jobs", "0"]) == 2
     assert run(["nonsense"]) == 2
     capsys.readouterr()
 
