@@ -11,6 +11,7 @@ parameter ranges, exactly and in parallel.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +28,11 @@ from .kneading import (
     satisfies_block_constraints,
 )
 from .linking import q_form
-from .words import CyclicWord
+from .words import CyclicWord, shift_prefixes
+
+# Most Lyndon words a census may generate and screen: admits max_len = 24
+# (1,465,020 words) and refuses 25 (2,807,196) before anything is generated.
+MAX_CENSUS_WORDS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -70,34 +75,59 @@ def lyndon_words(max_len: int) -> list[str]:
     Lyndon words are exactly the canonical forms of primitive cyclic words.
     """
     out: list[str] = []
-    w = [-1]
+    w = ["a"]
     while w:
-        w[-1] += 1
-        out.append("".join("ab"[c] for c in w))
+        out.append("".join(w))
         m = len(w)
         while len(w) < max_len:
             w.append(w[len(w) - m])
-        while w and w[-1] == 1:
+        while w and w[-1] == "b":
             w.pop()
+        if w:
+            w[-1] = "b"
     return out
+
+
+def lyndon_totals(max_len: int) -> Iterator[int]:
+    """Running counts of Lyndon words over {a, b} of length <= 1, 2, ..., max_len.
+
+    Each of the 2^n words of length n is a power of exactly one Lyndon word,
+    whose length d divides n (the necklace formula 2^n = sum_{d | n} d L(d)).
+    """
+    per_len = [0]
+    total = 0
+    for n in range(1, max_len + 1):
+        per_len.append((2**n - sum(d * per_len[d] for d in range(1, n) if n % d == 0)) // n)
+        total += per_len[n]
+        yield total
 
 
 def enumerate_admissible(t: Triple, max_len: int) -> list[CyclicWord]:
     """All admissible primitive cyclic words of length <= max_len, canonical.
 
-    Candidates are pruned by the block constraints before the full kneading
-    comparison.  Single-letter words are never admissible.
+    Lyndon words are already primitive least rotations, so the block
+    constraints screen the raw strings and only the survivors become
+    ``CyclicWord``s for the full kneading comparison.  Single-letter words
+    are never admissible.  A ``max_len`` whose census would exceed
+    ``MAX_CENSUS_WORDS`` Lyndon words is refused before any is generated.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
+    # the totals only grow, so stopping at the first one over the limit keeps
+    # an absurd max_len as cheap to refuse as 25
+    if any(total > MAX_CENSUS_WORDS for total in lyndon_totals(max_len)):
+        raise ValueError(
+            f"max_len {max_len} exceeds the census limit of {MAX_CENSUS_WORDS:,} Lyndon words"
+        )
     k = kneading(t)
     out = []
     for word in lyndon_words(max_len):
         if "a" not in word or "b" not in word:
             continue
-        w = CyclicWord(word)
-        if satisfies_block_constraints(w, t) and is_admissible(w, k):
-            out.append(w)
+        if satisfies_block_constraints(word, t):
+            w = CyclicWord(word)
+            if is_admissible(w, k):
+                out.append(w)
     out.sort(key=lambda w: (len(w), w.word))
     return out
 
@@ -202,11 +232,11 @@ def _shift_rank_arrays(words: list[str]) -> list[np.ndarray]:
     because the horizon 2*max_len exceeds the agreement bound of any pair.
     """
     horizon = 2 * max(len(w) for w in words)
-    entries = []
-    for wi, w in enumerate(words):
-        reps = w * (horizon // len(w) + 2)
-        for i in range(len(w)):
-            entries.append((reps[i : i + horizon], wi, i))
+    entries = [
+        (prefix, wi, i)
+        for wi, w in enumerate(words)
+        for i, prefix in enumerate(shift_prefixes(w, horizon))
+    ]
     entries.sort(key=lambda e: e[0])
     ranks = [np.empty(len(w), dtype=np.int64) for w in words]
     for rank, (_, wi, i) in enumerate(entries):

@@ -16,12 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kneading import KneadingData, is_admissible
-from .words import CyclicWord, PeriodicSequence, canonicalize, compare
-
-
-def _shift_strings(word: str, horizon: int) -> list[str]:
-    reps = word * (horizon // len(word) + 2)
-    return [reps[i : i + horizon] for i in range(len(word))]
+from .words import CyclicWord, canonicalize, shift_prefixes
 
 
 def _sign(x: int) -> int:
@@ -41,8 +36,8 @@ def word_crossing(v: str, x: str) -> int:
     n, m = len(v), len(x)
     # Two sequences of periods n and m that agree on n + m letters coincide.
     horizon = n + m
-    sv = _shift_strings(v, horizon)
-    sx = _shift_strings(x, horizon)
+    sv = shift_prefixes(v, horizon)
+    sx = shift_prefixes(x, horizon)
     rank = {s: i for i, s in enumerate(sorted(set(sv) | set(sx)))}
     rv = [rank[s] for s in sv]
     rx = [rank[s] for s in sx]
@@ -70,15 +65,24 @@ class Cut:
     split: int
 
 
-def _is_valid_cut(u: str, v: str) -> bool:
-    su = PeriodicSequence("", u)
-    sv = PeriodicSequence("", v)
-    if compare(su, sv) >= 0:
+def _is_valid_cut(u: str, v: str, horizon: int) -> bool:
+    """True iff ``u^inf < v^inf`` and no shift of either lies strictly between.
+
+    Every sequence compared is periodic with period ``len(u)`` or ``len(v)``,
+    so by Fine-Wilf two of them that agree on ``len(u) + len(v)`` letters
+    are equal.  Prefixes of ``horizon >= len(u) + len(v)`` letters therefore
+    compare as plain strings exactly as the infinite sequences do.  Shifts
+    are sliced one at a time, because most invalid candidates are refuted
+    by the first shift tried.
+    """
+    reps_u = u * (horizon // len(u) + 2)
+    reps_v = v * (horizon // len(v) + 2)
+    lo, hi = reps_u[:horizon], reps_v[:horizon]
+    if lo >= hi:
         return False
-    for factor in (u, v):
-        for i in range(len(factor)):
-            s = PeriodicSequence("", factor[i:] + factor[:i])
-            if compare(su, s) < 0 and compare(s, sv) < 0:
+    for reps, period in ((reps_u, len(u)), (reps_v, len(v))):
+        for i in range(1, period):
+            if lo < reps[i : i + horizon] < hi:
                 return False
     return True
 
@@ -88,7 +92,8 @@ def enumerate_cuts(w: CyclicWord) -> list[Cut]:
 
     Factors need not be primitive (e.g. the cut aa|bb of aabb) nor code
     template orbits; admissibility is a separate question, see
-    :func:`is_admissible_cut`.
+    :func:`is_admissible_cut`.  The factors of every split add up to
+    ``len(w)`` letters, so one horizon of ``len(w)`` serves every candidate.
     """
     s = w.word
     n = len(s)
@@ -101,7 +106,7 @@ def enumerate_cuts(w: CyclicWord) -> list[Cut]:
             if rot[split - 1] != "a":
                 continue
             u, v = rot[:split], rot[split:]
-            if _is_valid_cut(u, v):
+            if _is_valid_cut(u, v, n):
                 cuts.append(Cut(u=u, v=v, rotation=k, split=split))
     return cuts
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import CyclicWord, PeriodicSequence, all_shifts, compare
+from .words import CyclicWord, PeriodicSequence, compare, shift_prefixes
 
 
 class TemplateDomainError(ValueError):
@@ -126,13 +126,21 @@ def is_admissible(w: CyclicWord, k: KneadingData) -> bool:
     Shifts starting with ``a`` must satisfy u_L <= s <= u_R, shifts starting
     with ``b`` must satisfy v_L <= s <= v_R (bounds inclusive: the template
     contains its boundary orbits).  Rotation-invariant by construction.
+
+    A shift (period ``len(w)``) and a bound (``preperiod . period^inf``)
+    that agree on ``len(w) + len(preperiod) + len(period)`` letters agree
+    everywhere (past the preperiod both are periodic, and Fine-Wilf applies),
+    so prefixes at ``len(w)`` plus the longest such bound length compare as
+    plain strings exactly as the sequences do, equality included.
     """
-    for s in all_shifts(w):
-        if s.head == "a":
-            lo, hi = k.u_L, k.u_R
-        else:
-            lo, hi = k.v_L, k.v_R
-        if compare(lo, s) > 0 or compare(s, hi) > 0:
+    bounds = (k.u_L, k.u_R, k.v_L, k.v_R)
+    horizon = len(w) + max([len(b.preperiod) + len(b.period) for b in bounds])
+    u_L, u_R, v_L, v_R = [b.prefix(horizon) for b in bounds]
+    for s in shift_prefixes(w.word, horizon):
+        if s[0] == "a":
+            if not u_L <= s <= u_R:
+                return False
+        elif not v_L <= s <= v_R:
             return False
     return True
 
@@ -182,14 +190,14 @@ def _max_cyclic_run(items: list, target) -> int:
     return best
 
 
-def satisfies_block_constraints(w: CyclicWord, t: Triple) -> bool:
+def satisfies_block_constraints(word: str, t: Triple) -> bool:
     """Necessary admissibility conditions from :func:`max_block_constraints`.
 
+    ``word`` is any rotation of a cyclic word; the test is rotation-invariant.
     Single-letter words fail (their unique run is unbounded), and so do the
     pure syllable words a^(p-1) b and a b^(q-1), whose infinite codes repeat
     one syllable forever.
     """
-    word = w.word
     if "a" not in word or "b" not in word:
         return False
     max_a, max_b, max_rep = max_block_constraints(t)

@@ -22,9 +22,9 @@ LESS, EQUAL, GREATER = -1, 0, 1
 
 
 def _check_letters(s: str, what: str = "word") -> None:
-    for ch in s:
-        if ch not in ALPHABET:
-            raise ValueError(f"{what} may only contain letters 'a' and 'b', got {ch!r}")
+    if s.strip(ALPHABET):
+        ch = next(ch for ch in s if ch not in ALPHABET)
+        raise ValueError(f"{what} may only contain letters 'a' and 'b', got {ch!r}")
 
 
 def least_rotation(s: str) -> str:
@@ -146,6 +146,20 @@ class PeriodicSequence:
             return self.preperiod[:n]
         reps = tail_len // len(self.period) + 1
         return self.preperiod + (self.period * reps)[:tail_len]
+
+
+def shift_prefixes(word: str, horizon: int) -> list[str]:
+    """The first ``horizon`` letters of each shift of ``word^inf``, in phase order.
+
+    Comparing these prefixes as plain strings decides the order of the
+    infinite shifts whenever ``horizon`` reaches the Fine-Wilf bound of the
+    sequences compared: two sequences with periods m and n that agree on
+    m + n letters are equal, so prefixes of that length differ exactly when
+    the sequences do, and they differ at the same first letter.  Each
+    caller states the horizon it needs and why.
+    """
+    reps = word * (horizon // len(word) + 2)
+    return [reps[i : i + horizon] for i in range(len(word))]
 
 
 def compare(s: PeriodicSequence, t: PeriodicSequence) -> int:

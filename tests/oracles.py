@@ -37,3 +37,26 @@ def oracle_admissible(word: str, k) -> bool:
         if not ok:
             return False
     return True
+
+
+def oracle_cuts(word: str) -> list[tuple[str, str, int, int]]:
+    """Every cut of the cyclic word, as (u, v, rotation, split), by definition.
+
+    Tries every rotation and split point: ``u`` must end in a, ``v`` in b,
+    ``u^inf < v^inf``, and no shift of either factor may lie strictly between.
+    """
+    out = []
+    n = len(word)
+    for k in range(n):
+        rot = word[k:] + word[:k]
+        for split in range(1, n):
+            u, v = rot[:split], rot[split:]
+            if u[-1] != "a" or v[-1] != "b":
+                continue
+            su, sv = PeriodicSequence("", u), PeriodicSequence("", v)
+            if compare(su, sv) >= 0:
+                continue
+            shifts = shift_sequences(u) + shift_sequences(v)
+            if not any(compare(su, s) < 0 and compare(s, sv) < 0 for s in shifts):
+                out.append((u, v, k, split))
+    return out

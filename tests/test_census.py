@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 
 from oracles import oracle_crossing
 from templink.census import (
+    MAX_CENSUS_WORDS,
     PairReport,
     enumerate_admissible,
     extremal_families,
     extremal_orbits,
     extremality_crosscheck,
+    lyndon_totals,
     lyndon_words,
     range_triples,
     summarize,
@@ -45,6 +47,23 @@ def test_enumerate_admissible_small():
     assert [w.word for w in enumerate_admissible(t, 3)] == ["ab"]
     with pytest.raises(ValueError):
         enumerate_admissible(t, 0)
+
+
+def test_lyndon_totals_match_generator():
+    assert list(lyndon_totals(12)) == [len(lyndon_words(n)) for n in range(1, 13)]
+
+
+def test_oversized_census_refused_before_generating(monkeypatch):
+    import templink.census as census
+
+    def never(max_len):
+        raise AssertionError("generated words for an oversized census")
+
+    monkeypatch.setattr(census, "lyndon_words", never)
+    assert list(lyndon_totals(24))[-1] <= MAX_CENSUS_WORDS < list(lyndon_totals(25))[-1]
+    for max_len in (25, 64, 10**6):
+        with pytest.raises(ValueError, match="census limit"):
+            enumerate_admissible(Triple(3, 3, 4), max_len)
 
 
 def test_enumerate_admissible_monotone_in_length():

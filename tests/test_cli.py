@@ -102,6 +102,7 @@ def test_usage_and_domain_errors_exit_2(capsys):
     assert run(["verify", "--p", "3", "--q", "3", "--r", "4", "--no-p2"]) == 2
     assert run(["verify", "--p", "3", "--q", "3", "--r", "4", "--jobs", "0"]) == 2
     assert run(["nonsense"]) == 2
+    assert run(["enumerate", "--p", "3", "--q", "3", "--r", "4", "--max-len", "64"]) == 2
     capsys.readouterr()
 
 

@@ -3,7 +3,9 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_crossing
+import dataclasses
+
+from oracles import oracle_crossing, oracle_cuts
 from templink.crossing import Cut, enumerate_cuts, is_admissible_cut, word_crossing
 from templink.kneading import Triple, kneading, lorenz_kneading
 from templink.words import CyclicWord, canonicalize
@@ -85,6 +87,28 @@ def test_cut_invariants_hold_for_enumerated_cuts():
                 for i in range(len(factor)):
                     s = PeriodicSequence("", factor[i:] + factor[:i])
                     assert not (compare(su, s) < 0 and compare(s, sv) < 0)
+
+
+def _cut_tuples(w: CyclicWord) -> list[tuple]:
+    return [dataclasses.astuple(c) for c in enumerate_cuts(w)]
+
+
+@given(st.text(alphabet="ab", min_size=2, max_size=14))
+@settings(max_examples=200)
+def test_enumerated_cuts_match_oracle(raw):
+    if "a" not in raw or "b" not in raw:
+        return
+    w = canonicalize(raw)[0]
+    assert _cut_tuples(w) == oracle_cuts(w.word)
+
+
+def test_cuts_match_oracle_with_non_primitive_factors():
+    # each word has a cut with a factor that is a proper power: aa|bb, baba|b, ...
+    for word in ("aabb", "aaabbb", "ababb", "aabaabbb", "abababbb"):
+        w = CyclicWord(word)
+        cuts = _cut_tuples(w)
+        assert cuts == oracle_cuts(word)
+        assert any(canonicalize(u)[1] > 1 or canonicalize(v)[1] > 1 for u, v, _, _ in cuts)
 
 
 def test_admissible_cut_examples():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_admissible
@@ -99,15 +99,38 @@ def test_boundary_periods_admissible(pqr):
     assert is_admissible(canonicalize(k.v_R.period)[0], k)
 
 
-@given(st.text(alphabet="ab", min_size=1, max_size=10))
-def test_admissibility_matches_oracle_and_rotation_invariant(word):
+# Every bound shape: p >= 3 with odd and even r, p = 2 (v_R has a nonempty
+# preperiod) with odd and even r, the open template and the Lorenz bounds.
+KNEADINGS = [
+    kneading(Triple(3, 3, 4)),
+    kneading(Triple(3, 4, 7)),
+    kneading(Triple(4, 5, 6)),
+    kneading(Triple(2, 5, 7)),
+    kneading(Triple(2, 5, 6)),
+    kneading(Triple(2, 7, 9)),
+    kneading_unbounded(3, 4),
+    kneading_unbounded(2, 3),
+    lorenz_kneading(),
+]
+
+
+@given(st.text(alphabet="ab", min_size=1, max_size=12), st.sampled_from(KNEADINGS))
+@settings(max_examples=300)
+def test_admissibility_matches_oracle_and_rotation_invariant(word, k):
     root, _ = canonicalize(word)
-    k = kneading(Triple(3, 3, 4))
     got = is_admissible(root, k)
     assert got == oracle_admissible(root.word, k)
     for i in range(len(root.word)):
         rot = root.word[i:] + root.word[:i]
         assert oracle_admissible(rot, k) == got
+
+
+@pytest.mark.parametrize("k", KNEADINGS)
+def test_admissibility_matches_oracle_on_all_short_words(k):
+    from templink.census import lyndon_words
+
+    for word in lyndon_words(10):
+        assert is_admissible(CyclicWord(word), k) == oracle_admissible(word, k)
 
 
 def test_max_block_constraints_values():
@@ -128,7 +151,7 @@ def test_block_constraints_necessary():
     k = kneading(t)
     # single letters and pure syllable words fail
     for w in ("a", "b", "aab", "abb"):
-        assert not satisfies_block_constraints(canonicalize(w)[0], t)
+        assert not satisfies_block_constraints(canonicalize(w)[0].word, t)
     # every admissible word satisfies the constraints
     from templink.census import lyndon_words
 
@@ -137,7 +160,7 @@ def test_block_constraints_necessary():
             continue
         w = CyclicWord(word)
         if is_admissible(w, k):
-            assert satisfies_block_constraints(w, t)
+            assert satisfies_block_constraints(w.word, t)
 
 
 def test_no_p_run_in_admissible_words():

@@ -12,6 +12,7 @@ from templink.words import (
     canonicalize,
     compare,
     shift,
+    shift_prefixes,
 )
 
 words = st.text(alphabet="ab", min_size=1, max_size=12)
@@ -35,6 +36,23 @@ def test_canonicalize_rejects_empty_and_bad_letters():
         canonicalize("")
     with pytest.raises(ValueError):
         canonicalize("abc")
+
+
+def test_bad_letter_named_in_error():
+    for raw, bad in (("abc", "c"), ("xab", "x"), ("aXb", "X"), ("ab\n", "\n")):
+        with pytest.raises(ValueError) as excinfo:
+            CyclicWord(raw)
+        assert str(excinfo.value) == f"word may only contain letters 'a' and 'b', got {bad!r}"
+    with pytest.raises(ValueError, match="^period may only contain"):
+        PeriodicSequence("", "abz")
+
+
+@given(words, st.integers(min_value=1, max_value=30))
+def test_shift_prefixes_are_prefixes_of_shifts(word, horizon):
+    got = shift_prefixes(word, horizon)
+    assert got == [
+        PeriodicSequence("", word[i:] + word[:i]).prefix(horizon) for i in range(len(word))
+    ]
 
 
 def test_cyclic_word_rejects_powers():
