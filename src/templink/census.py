@@ -15,6 +15,8 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +37,13 @@ from .words import CyclicWord, shift_prefixes
 MAX_CENSUS_WORDS = 2_000_000
 
 
-@dataclass(frozen=True)
-class PairReport:
-    """One verified orbit pair: crossing number, letter counts, exact linking."""
+class PairReport(NamedTuple):
+    """One verified orbit pair: crossing number, letter counts, exact linking.
+
+    The linking number is kept as the integer ``lk2d = lk * two_delta =
+    2*Q - delta*cr`` over ``two_delta = 2*delta``; ``lk`` builds the
+    ``Fraction`` only when it is read.
+    """
 
     word1: str
     word2: str
@@ -46,14 +52,20 @@ class PairReport:
     nb1: int
     na2: int
     nb2: int
-    lk: Fraction
+    lk2d: int
+    two_delta: int
+
+    @property
+    def lk(self) -> Fraction:
+        return Fraction(self.lk2d, self.two_delta)
 
     @property
     def negative(self) -> bool:
-        return self.lk.numerator < 0
+        return self.lk2d < 0
 
     def as_dict(self) -> dict:
         """The report's one field list, shared by every output format."""
+        lk = self.lk
         return {
             "word1": self.word1,
             "word2": self.word2,
@@ -62,11 +74,10 @@ class PairReport:
             "nb1": self.nb1,
             "na2": self.na2,
             "nb2": self.nb2,
-            "lk_num": self.lk.numerator,
-            "lk_den": self.lk.denominator,
+            "lk_num": lk.numerator,
+            "lk_den": lk.denominator,
             "negative": self.negative,
         }
-
 
 
 def lyndon_words(max_len: int) -> list[str]:
@@ -224,24 +235,18 @@ def extremality_crosscheck(
     return family, independent
 
 
-def _shift_rank_arrays(words: list[str]) -> list[np.ndarray]:
-    """Global branch-line ranks of every shift of every word.
+def _shift_ranks(words: list[str]) -> np.ndarray:
+    """Global branch-line ranks of every shift of every word, words concatenated.
 
     One joint sort replaces per-pair comparisons: the sign of a rank
     difference equals the lexicographic comparison of the two shifted codes,
     because the horizon 2*max_len exceeds the agreement bound of any pair.
     """
     horizon = 2 * max(len(w) for w in words)
-    entries = [
-        (prefix, wi, i)
-        for wi, w in enumerate(words)
-        for i, prefix in enumerate(shift_prefixes(w, horizon))
-    ]
-    entries.sort(key=lambda e: e[0])
-    ranks = [np.empty(len(w), dtype=np.int64) for w in words]
-    for rank, (_, wi, i) in enumerate(entries):
-        ranks[wi][i] = rank
-    return ranks
+    prefixes = [s for w in words for s in shift_prefixes(w, horizon)]
+    rank = np.empty(len(prefixes), dtype=np.int64)
+    rank[sorted(range(len(prefixes)), key=prefixes.__getitem__)] = np.arange(len(prefixes))
+    return rank
 
 
 def verify_pairs(
@@ -266,14 +271,18 @@ def verify_pairs(
     if not words:
         return []
     texts = [w.word for w in words]
-    ranks = _shift_rank_arrays(texts)
-    rank = np.concatenate(ranks)
-    nxt = np.concatenate([np.roll(r, -1) for r in ranks])
+    rank = _shift_ranks(texts)
     starts = np.cumsum([0] + [len(w) for w in texts])
+    # each shift's successor is the next one in its word, wrapping at the word's end
+    succ = np.arange(1, len(rank) + 1)
+    succ[starts[1:] - 1] = starts[:-1]
+    nxt = rank[succ]
     counts = [w.letter_counts() for w in words]
     d = t.delta
+    two_d = 2 * d
     # No fixed-width bound is needed: cr <= L_i * L_j leaves numpy as int64
-    # and becomes a Python int in .tolist(); all lk arithmetic is in Python ints.
+    # and becomes a Python int in .tolist(); lk * 2*delta = 2*Q - delta*cr is
+    # computed in Python ints.
     reports = []
     for i in range(len(words)):
         j0 = i if include_self else i + 1
@@ -283,20 +292,16 @@ def verify_pairs(
         cols = slice(starts[j0], None)
         tile = (rank[rows, None] < rank[None, cols]) != (nxt[rows, None] < nxt[None, cols])
         row_cr = np.add.reduceat(tile.sum(axis=0), starts[j0:-1] - starts[j0]).tolist()
-        for j, cr in enumerate(row_cr, start=j0):
-            lk = Fraction(2 * q_form(t, counts[i], counts[j]) - d * cr, 2 * d)
-            reports.append(
+        w1, c1 = texts[i], counts[i]
+        na1, nb1 = c1
+        reports.extend(
+            [
                 PairReport(
-                    word1=texts[i],
-                    word2=texts[j],
-                    cr=cr,
-                    na1=counts[i][0],
-                    nb1=counts[i][1],
-                    na2=counts[j][0],
-                    nb2=counts[j][1],
-                    lk=lk,
+                    w1, w2, cr, na1, nb1, c2[0], c2[1], 2 * q_form(t, c1, c2) - d * cr, two_d
                 )
-            )
+                for w2, c2, cr in zip(texts[j0:], counts[j0:], row_cr)
+            ]
+        )
     return reports
 
 
@@ -342,11 +347,9 @@ def summarize(
     The reports must come from :func:`verify_pairs` on ``t``.  With no pairs
     the worst value is 0 and the worst pair is empty.
     """
-    violations = tuple(r for r in reports if not r.negative)
-    # every lk of the triple has a denominator dividing 2*delta, so lk * 2*delta
-    # is an exact integer key; max keeps the first maximal report
-    two_d = 2 * t.delta
-    worst = max(reports, key=lambda r: r.lk.numerator * (two_d // r.lk.denominator), default=None)
+    violations = tuple(r for r in reports if r.lk2d >= 0)
+    # lk2d = lk * 2*delta is an exact integer key; max keeps the first maximal report
+    worst = max(reports, key=attrgetter("lk2d"), default=None)
     return TripleSummary(
         p=t.p,
         q=t.q,

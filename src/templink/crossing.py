@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kneading import KneadingData, is_admissible
-from .words import CyclicWord, canonicalize, shift_prefixes
+from .words import CyclicWord, shift_prefixes
 
 
 def _sign(x: int) -> int:
@@ -112,9 +112,9 @@ def enumerate_cuts(w: CyclicWord) -> list[Cut]:
 
 
 def is_admissible_cut(c: Cut, k: KneadingData) -> bool:
-    """True iff both factors code orbits of the template with kneading data k."""
-    for factor in (c.u, c.v):
-        root, _ = canonicalize(factor)
-        if not is_admissible(root, k):
-            return False
-    return True
+    """True iff both factors code orbits of the template with kneading data k.
+
+    A factor may be a rotation or a power of its orbit's code; admissibility
+    is the same for each, so the factors are tested as they stand.
+    """
+    return is_admissible(c.u, k) and is_admissible(c.v, k)

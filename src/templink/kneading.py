@@ -120,12 +120,15 @@ def lorenz_kneading() -> KneadingData:
     return _pack(PeriodicSequence("", "a"), PeriodicSequence("", "b"))
 
 
-def is_admissible(w: CyclicWord, k: KneadingData) -> bool:
+def is_admissible(w: CyclicWord | str, k: KneadingData) -> bool:
     """True iff every shift of ``w^inf`` lies between the kneading bounds.
 
     Shifts starting with ``a`` must satisfy u_L <= s <= u_R, shifts starting
     with ``b`` must satisfy v_L <= s <= v_R (bounds inclusive: the template
-    contains its boundary orbits).  Rotation-invariant by construction.
+    contains its boundary orbits).  The word is read as ``str(w)``, so ``w``
+    may be a ``CyclicWord`` or any nonempty string over {a, b}: every
+    rotation and every power of a word has the same shifts, so the answer
+    is the same for each of them.
 
     A shift (period ``len(w)``) and a bound (``preperiod . period^inf``)
     that agree on ``len(w) + len(preperiod) + len(period)`` letters agree
@@ -134,9 +137,10 @@ def is_admissible(w: CyclicWord, k: KneadingData) -> bool:
     plain strings exactly as the sequences do, equality included.
     """
     bounds = (k.u_L, k.u_R, k.v_L, k.v_R)
-    horizon = len(w) + max([len(b.preperiod) + len(b.period) for b in bounds])
+    word = str(w)
+    horizon = len(word) + max([len(b.preperiod) + len(b.period) for b in bounds])
     u_L, u_R, v_L, v_R = [b.prefix(horizon) for b in bounds]
-    for s in shift_prefixes(w.word, horizon):
+    for s in shift_prefixes(word, horizon):
         if s[0] == "a":
             if not u_L <= s <= u_R:
                 return False

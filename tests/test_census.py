@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -132,6 +133,38 @@ def test_verify_pairs_positive_control():
     assert reports[0].lk == 1 and not reports[0].negative
 
 
+
+def test_pair_report_is_immutable_and_summary_pickles():
+    t = Triple(3, 3, 4)
+    reports = verify_pairs(t, [CyclicWord("aab")])
+    with pytest.raises(AttributeError):
+        reports[0].cr = 0
+    # process-pool results of verify_range(jobs > 1) travel this way
+    summary = pickle.loads(pickle.dumps(summarize(t, 1, reports, 0.0)))
+    assert summary.violations == tuple(reports) and summary.violations[0].lk == 1
+
+
+def test_fraction_built_only_when_lk_is_read(monkeypatch):
+    import templink.census as census
+
+    built = []
+
+    def counting_fraction(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(census, "Fraction", counting_fraction)
+    s = verify_triple(Triple(4, 5, 6))
+    assert s.ok and s.n_pairs > 1
+    assert len(built) == 1 and s.worst == Fraction(*built[0])  # the worst value only
+    built.clear()
+    t = Triple(3, 3, 4)
+    reports = verify_pairs(t, [CyclicWord("aab")])
+    assert built == []
+    summary = summarize(t, 1, reports, 0.0)
+    assert len(built) == 1 and summary.worst == 1  # the worst value only
+    assert summary.violations[0].lk == 1 and len(built) == 2
+
 def test_verify_pairs_rejects_duplicates():
     t = Triple(3, 3, 4)
     with pytest.raises(ValueError):
@@ -177,6 +210,7 @@ def test_pair_kernel_matches_oracle_and_exact_formula(t, words, include_self):
         assert r.cr == oracle_crossing(r.word1, r.word2)
         q = q_form(t, (r.na1, r.nb1), (r.na2, r.nb2))
         assert r.lk == Fraction(-r.cr, 2) + Fraction(q, t.delta)
+        assert r.lk2d == r.lk * r.two_delta and r.two_delta == 2 * t.delta
         assert r.negative == (r.lk < 0)
     summary = summarize(t, n, reports, 0.0)
     if reports:

@@ -92,6 +92,45 @@ def test_verify_csv_output_to_file(tmp_path, capsys):
     assert len(lines) == 29
 
 
+# `verify --p 3 --q 3 --r 4 --format csv`, verbatim: the report serialization pinned line for line
+GOLDEN_334_CSV = [
+    "word1,word2,cr,na1,nb1,na2,nb2,lk_num,lk_den,negative",
+    "ab,ab,2,1,1,1,1,-1,3,true",
+    "ab,aabb,4,1,1,2,2,-2,3,true",
+    "ab,aabab,4,1,1,3,2,-1,3,true",
+    "ab,ababb,4,1,1,2,3,-1,3,true",
+    "ab,aababb,6,1,1,3,3,-1,1,true",
+    "ab,aabaabb,6,1,1,4,3,-2,3,true",
+    "ab,aabbabb,6,1,1,3,4,-2,3,true",
+    "aabb,aabb,6,2,2,2,2,-1,3,true",
+    "aabb,aabab,8,2,2,3,2,-2,3,true",
+    "aabb,ababb,8,2,2,2,3,-2,3,true",
+    "aabb,aababb,10,2,2,3,3,-1,1,true",
+    "aabb,aabaabb,10,2,2,4,3,-1,3,true",
+    "aabb,aabbabb,10,2,2,3,4,-1,3,true",
+    "aabab,aabab,12,3,2,3,2,-1,3,true",
+    "aabab,ababb,8,3,2,2,3,-4,3,true",
+    "aabab,aababb,12,3,2,3,3,-1,1,true",
+    "aabab,aabaabb,16,3,2,4,3,-2,3,true",
+    "aabab,aabbabb,12,3,2,3,4,-5,3,true",
+    "ababb,ababb,12,2,3,2,3,-1,3,true",
+    "ababb,aababb,12,2,3,3,3,-1,1,true",
+    "ababb,aabaabb,12,2,3,4,3,-5,3,true",
+    "ababb,aabbabb,16,2,3,3,4,-2,3,true",
+    "aababb,aababb,14,3,3,3,3,-1,1,true",
+    "aababb,aabaabb,16,3,3,4,3,-1,1,true",
+    "aababb,aabbabb,16,3,3,3,4,-1,1,true",
+    "aabaabb,aabaabb,20,4,3,4,3,-1,3,true",
+    "aabaabb,aabbabb,16,4,3,3,4,-4,3,true",
+    "aabbabb,aabbabb,20,3,4,3,4,-1,3,true",
+]
+
+
+def test_verify_csv_golden_output(capsys):
+    assert run(["verify", "--p", "3", "--q", "3", "--r", "4", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == GOLDEN_334_CSV
+
+
 def test_usage_and_domain_errors_exit_2(capsys):
     assert run(["lk", "--p", "3", "--q", "3", "--r", "4", "ab", "ac"]) == 2
     assert run(["lk", "--p", "2", "--q", "2", "--r", "9", "ab", "ab"]) == 2

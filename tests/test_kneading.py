@@ -133,6 +133,15 @@ def test_admissibility_matches_oracle_on_all_short_words(k):
         assert is_admissible(CyclicWord(word), k) == oracle_admissible(word, k)
 
 
+
+@pytest.mark.parametrize("k", KNEADINGS)
+def test_admissibility_of_raw_strings_matches_canonical_root(k):
+    # a str is read as it stands: any rotation or power of a word answers as its root
+    for n in range(1, 11):
+        for bits in range(2**n):
+            word = "".join("ab"[(bits >> i) & 1] for i in range(n))
+            assert is_admissible(word, k) == is_admissible(canonicalize(word)[0], k), word
+
 def test_max_block_constraints_values():
     assert max_block_constraints(Triple(3, 3, 4)) == (2, 2, 1)
     assert max_block_constraints(Triple(2, 5, 7)) == (1, 4, 2)
