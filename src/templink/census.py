@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .crossing import enumerate_cuts, is_admissible_cut
+from .crossing import is_admissible_cut, iter_cuts
 from .kneading import (
     KneadingData,
     TemplateDomainError,
@@ -218,7 +218,7 @@ def extremal_orbits(t: Triple) -> list[CyclicWord]:
 
 
 def has_admissible_cut(w: CyclicWord, k: KneadingData) -> bool:
-    return any(is_admissible_cut(c, k) for c in enumerate_cuts(w))
+    return any(is_admissible_cut(c, k) for c in iter_cuts(w))
 
 
 def extremality_crosscheck(

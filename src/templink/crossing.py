@@ -13,6 +13,7 @@ pairs of distinct shifts of ``w``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .kneading import KneadingData, is_admissible
@@ -87,17 +88,17 @@ def _is_valid_cut(u: str, v: str, horizon: int) -> bool:
     return True
 
 
-def enumerate_cuts(w: CyclicWord) -> list[Cut]:
-    """All cuts of ``w``, over every rotation and split point.
+def iter_cuts(w: CyclicWord) -> Iterator[Cut]:
+    """The cuts of ``w`` one at a time, over every rotation and split point.
 
     Factors need not be primitive (e.g. the cut aa|bb of aabb) nor code
     template orbits; admissibility is a separate question, see
     :func:`is_admissible_cut`.  The factors of every split add up to
     ``len(w)`` letters, so one horizon of ``len(w)`` serves every candidate.
+    A candidate is validated only when the consumer asks for the next cut.
     """
     s = w.word
     n = len(s)
-    cuts = []
     for k in range(n):
         rot = s[k:] + s[:k]
         if rot[-1] != "b":
@@ -107,8 +108,12 @@ def enumerate_cuts(w: CyclicWord) -> list[Cut]:
                 continue
             u, v = rot[:split], rot[split:]
             if _is_valid_cut(u, v, n):
-                cuts.append(Cut(u=u, v=v, rotation=k, split=split))
-    return cuts
+                yield Cut(u=u, v=v, rotation=k, split=split)
+
+
+def enumerate_cuts(w: CyclicWord) -> list[Cut]:
+    """All cuts of ``w``, in the order of :func:`iter_cuts`."""
+    return list(iter_cuts(w))
 
 
 def is_admissible_cut(c: Cut, k: KneadingData) -> bool:

@@ -9,7 +9,7 @@ orbit of the template exactly when every shift of its infinite code lies
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .words import CyclicWord, PeriodicSequence, compare, shift_prefixes
 
@@ -59,11 +59,29 @@ class KneadingData:
     u_R: PeriodicSequence
     v_L: PeriodicSequence
     v_R: PeriodicSequence
+    # Longest preperiod-plus-period among the bounds: see is_admissible.
+    reach: int = field(init=False, compare=False, repr=False)
+    # Prefixes of the four bounds keyed by horizon; they depend on the bounds
+    # alone, so equality, hash and repr ignore them.
+    _prefixes: dict[int, tuple[str, ...]] = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if compare(self.u_L, self.u_R) > 0 or compare(self.v_L, self.v_R) > 0:
             raise ValueError("kneading bounds out of order")
+        bounds = (self.u_L, self.u_R, self.v_L, self.v_R)
+        object.__setattr__(
+            self, "reach", max(len(b.preperiod) + len(b.period) for b in bounds)
+        )
 
+    def bound_prefixes(self, horizon: int) -> tuple[str, ...]:
+        """The first ``horizon`` letters of u_L, u_R, v_L and v_R, built once per horizon."""
+        prefixes = self._prefixes.get(horizon)
+        if prefixes is None:
+            bounds = (self.u_L, self.u_R, self.v_L, self.v_R)
+            prefixes = self._prefixes[horizon] = tuple(b.prefix(horizon) for b in bounds)
+        return prefixes
 
 def _prepend(letter: str, s: PeriodicSequence) -> PeriodicSequence:
     return PeriodicSequence(letter + s.preperiod, s.period)
@@ -134,12 +152,12 @@ def is_admissible(w: CyclicWord | str, k: KneadingData) -> bool:
     that agree on ``len(w) + len(preperiod) + len(period)`` letters agree
     everywhere (past the preperiod both are periodic, and Fine-Wilf applies),
     so prefixes at ``len(w)`` plus the longest such bound length compare as
-    plain strings exactly as the sequences do, equality included.
+    plain strings exactly as the sequences do, equality included.  That
+    longest bound length is ``k.reach``.
     """
-    bounds = (k.u_L, k.u_R, k.v_L, k.v_R)
     word = str(w)
-    horizon = len(word) + max([len(b.preperiod) + len(b.period) for b in bounds])
-    u_L, u_R, v_L, v_R = [b.prefix(horizon) for b in bounds]
+    horizon = len(word) + k.reach
+    u_L, u_R, v_L, v_R = k.bound_prefixes(horizon)
     for s in shift_prefixes(word, horizon):
         if s[0] == "a":
             if not u_L <= s <= u_R:
@@ -158,42 +176,6 @@ def max_block_constraints(t: Triple) -> tuple[int, int, int]:
     return t.p - 1, t.q - 1, (t.r - 2) // 2
 
 
-def syllables(word: str) -> list[tuple[int, int]]:
-    """Cyclic decomposition of a two-letter word into maximal blocks a^i b^j.
-
-    The decomposition starts at an ``a`` that cyclically follows a ``b``, so
-    it is rotation-invariant.
-    """
-    n = len(word)
-    start = next(
-        (i for i in range(n) if word[i] == "a" and word[i - 1] == "b"), None
-    )
-    if start is None:
-        raise ValueError(f"{word!r} does not contain both letters")
-    rot = word[start:] + word[:start]
-    out: list[tuple[int, int]] = []
-    i = 0
-    while i < n:
-        j = i
-        while j < n and rot[j] == "a":
-            j += 1
-        k = j
-        while k < n and rot[k] == "b":
-            k += 1
-        out.append((j - i, k - j))
-        i = k
-    return out
-
-
-def _max_cyclic_run(items: list, target) -> int:
-    # assumes not all items equal target; doubling captures wraparound runs
-    best = run = 0
-    for x in items + items:
-        run = run + 1 if x == target else 0
-        best = max(best, run)
-    return best
-
-
 def satisfies_block_constraints(word: str, t: Triple) -> bool:
     """Necessary admissibility conditions from :func:`max_block_constraints`.
 
@@ -201,16 +183,33 @@ def satisfies_block_constraints(word: str, t: Triple) -> bool:
     Single-letter words fail (their unique run is unbounded), and so do the
     pure syllable words a^(p-1) b and a b^(q-1), whose infinite codes repeat
     one syllable forever.
+
+    The cyclic word is cut into syllables a^i b^j (i, j >= 1), each starting
+    at an ``a`` after a ``b``.  It fails when a syllable has i > max_a or
+    j > max_b, or when R = max_rep + 1 consecutive syllables equal one S of
+    a^(p-1) b and a b^(q-1).  Each condition is a substring test on ``word``
+    repeated until every cyclic factor of up to m = R*q + 2 letters, the
+    longest pattern (p <= q), is a substring: ``word * (m // n + 2)`` has at least
+    n + m - 1 letters.
+
+    - Both letters occur, so every run is shorter than n, and a cyclic run
+      of p a's or q b's exists exactly when ``a^p`` or ``b^q`` is a substring.
+    - ``b S^R a`` is a substring exactly when the periodic syllable sequence
+      holds R consecutive copies of S: a syllable starts after the ``b``, and
+      an S followed by ``a`` is a whole syllable.  If some syllable is not S,
+      that is a cyclic run of R copies, and conversely such a run with the
+      letters on either side spans at most n letters.  If every syllable is
+      S, the word is a pure syllable word, and ``b S^R a`` is a substring
+      too, because the repetition holds at least (R + 1)|S| + 1 letters.
     """
     if "a" not in word or "b" not in word:
         return False
     max_a, max_b, max_rep = max_block_constraints(t)
-    blocks = syllables(word)
-    if any(i > max_a or j > max_b for i, j in blocks):
-        return False
-    for syl in ((t.p - 1, 1), (1, t.q - 1)):
-        if all(b == syl for b in blocks):
-            return False
-        if _max_cyclic_run(blocks, syl) > max_rep:
-            return False
-    return True
+    reps = max_rep + 1
+    hay = word * ((reps * (max_b + 1) + 2) // len(word) + 2)
+    return not (
+        "a" * (max_a + 1) in hay
+        or "b" * (max_b + 1) in hay
+        or "b" + ("a" * max_a + "b") * reps + "a" in hay
+        or "b" + ("a" + "b" * max_b) * reps + "a" in hay
+    )

@@ -60,3 +60,56 @@ def oracle_cuts(word: str) -> list[tuple[str, str, int, int]]:
             if not any(compare(su, s) < 0 and compare(s, sv) < 0 for s in shifts):
                 out.append((u, v, k, split))
     return out
+
+
+def syllables(word: str) -> list[tuple[int, int]]:
+    """Cyclic decomposition of a two-letter word into maximal blocks a^i b^j.
+
+    The decomposition starts at an ``a`` that cyclically follows a ``b``, so
+    it is rotation-invariant.
+    """
+    n = len(word)
+    start = next(
+        (i for i in range(n) if word[i] == "a" and word[i - 1] == "b"), None
+    )
+    if start is None:
+        raise ValueError(f"{word!r} does not contain both letters")
+    rot = word[start:] + word[:start]
+    out: list[tuple[int, int]] = []
+    i = 0
+    while i < n:
+        j = i
+        while j < n and rot[j] == "a":
+            j += 1
+        k = j
+        while k < n and rot[k] == "b":
+            k += 1
+        out.append((j - i, k - j))
+        i = k
+    return out
+
+
+def _max_cyclic_run(items: list, target) -> int:
+    # assumes not all items equal target; doubling captures wraparound runs
+    best = run = 0
+    for x in items + items:
+        run = run + 1 if x == target else 0
+        best = max(best, run)
+    return best
+
+
+def oracle_block_constraints(word: str, t) -> bool:
+    """Block constraints by syllable walk: runs below (p, q), syllable repeats
+    at most floor((r-2)/2), and not a pure syllable word."""
+    if "a" not in word or "b" not in word:
+        return False
+    max_a, max_b, max_rep = t.p - 1, t.q - 1, (t.r - 2) // 2
+    blocks = syllables(word)
+    if any(i > max_a or j > max_b for i, j in blocks):
+        return False
+    for syl in ((t.p - 1, 1), (1, t.q - 1)):
+        if all(b == syl for b in blocks):
+            return False
+        if _max_cyclic_run(blocks, syl) > max_rep:
+            return False
+    return True

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 import dataclasses
 
 from oracles import oracle_crossing, oracle_cuts
-from templink.crossing import Cut, enumerate_cuts, is_admissible_cut, word_crossing
+from templink import crossing
+from templink.crossing import Cut, enumerate_cuts, is_admissible_cut, iter_cuts, word_crossing
 from templink.kneading import Triple, kneading, lorenz_kneading
 from templink.words import CyclicWord, canonicalize
 
@@ -130,6 +131,44 @@ def test_extremal_words_have_no_admissible_cut():
     k = kneading(t)
     for w in extremal_orbits(t):
         assert not has_admissible_cut(w, k)
+
+
+def _census_words():
+    from templink.census import enumerate_admissible
+
+    for pqr in ((3, 3, 4), (2, 5, 7)):
+        t = Triple(*pqr)
+        for w in enumerate_admissible(t, 10):
+            yield kneading(t), w
+
+
+def test_lazy_cuts_match_the_full_list():
+    from templink.census import has_admissible_cut
+
+    for k, w in _census_words():
+        cuts = enumerate_cuts(w)
+        assert list(iter_cuts(w)) == cuts
+        assert has_admissible_cut(w, k) == any(is_admissible_cut(c, k) for c in cuts)
+
+
+def test_admissible_cut_search_stops_at_the_first(monkeypatch):
+    from templink.census import has_admissible_cut
+
+    validated = [0]
+    valid = crossing._is_valid_cut
+
+    def counted(*args):
+        validated[0] += 1
+        return valid(*args)
+
+    monkeypatch.setattr(crossing, "_is_valid_cut", counted)
+    t = Triple(3, 3, 4)
+    k = kneading(t)
+    w = CyclicWord("aababbabab")
+    enumerate_cuts(w)
+    listed, validated[0] = validated[0], 0
+    assert has_admissible_cut(w, k)
+    assert 0 < validated[0] < listed
 
 
 @given(words, words, words)

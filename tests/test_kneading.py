@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_admissible
+from oracles import oracle_admissible, oracle_block_constraints, syllables
 from templink.kneading import (
     KneadingData,
     Triple,
@@ -12,7 +12,6 @@ from templink.kneading import (
     lorenz_kneading,
     max_block_constraints,
     satisfies_block_constraints,
-    syllables,
 )
 from templink.words import CyclicWord, canonicalize, compare
 
@@ -155,6 +154,18 @@ def test_syllables_decomposition():
         syllables("aaa")
 
 
+def test_block_constraints_match_syllable_walk_oracle():
+    # p = 2, even and odd r, and the smallest triple (3,3,4)
+    pqrs = ((2, 3, 7), (2, 5, 6), (2, 9, 13), (3, 3, 4), (3, 4, 7), (4, 5, 6))
+    triples = [Triple(*pqr) for pqr in pqrs]
+    for n in range(1, 13):
+        for bits in range(2**n):
+            word = "".join("ab"[(bits >> i) & 1] for i in range(n))
+            for t in triples:
+                want = oracle_block_constraints(word, t)
+                assert satisfies_block_constraints(word, t) == want, (word, t)
+
+
 def test_block_constraints_necessary():
     t = Triple(3, 3, 4)
     k = kneading(t)
@@ -192,3 +203,38 @@ def test_kneading_data_validates_order():
             v_L=PeriodicSequence("", "b"),
             v_R=PeriodicSequence("", "b"),
         )
+
+
+PREFIX_STORE_TRIPLES = [(3, 3, 4), (2, 5, 7), (2, 5, 6), (4, 5, 6)]
+
+
+@pytest.mark.parametrize("pqr", PREFIX_STORE_TRIPLES)
+def test_bound_prefix_store_leaves_identity_unchanged(pqr):
+    import pickle
+
+    from templink.census import lyndon_words
+
+    t = Triple(*pqr)
+    fresh, used = kneading(t), kneading(t)
+    for word in lyndon_words(10):
+        is_admissible(word, used)
+    assert used._prefixes
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+    assert pickle.loads(pickle.dumps(used)) == fresh
+
+
+@pytest.mark.parametrize("pqr", PREFIX_STORE_TRIPLES)
+def test_admissibility_independent_of_word_order(pqr):
+    from templink.census import lyndon_words
+
+    t = Triple(*pqr)
+    words = sorted((w for w in lyndon_words(11) if "a" in w and "b" in w), key=len)
+    k = kneading(t)
+    ascending = [is_admissible(w, k) for w in words]
+    descending = [is_admissible(w, k) for w in reversed(words)][::-1]
+    fresh = kneading(t)
+    assert ascending == descending == [is_admissible(w, fresh) for w in reversed(words)][::-1]
+    # the bound orbits lie on the template: equality with a bound is admitted,
+    # which needs the bound prefixes at the shift's own horizon
+    assert is_admissible(k.u_L.period, k) and is_admissible(k.v_R.period, k)
