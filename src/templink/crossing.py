@@ -89,23 +89,66 @@ def _is_valid_cut(u: str, v: str, horizon: int) -> bool:
 
 
 def iter_cuts(w: CyclicWord) -> Iterator[Cut]:
-    """The cuts of ``w`` one at a time, over every rotation and split point.
+    """The cuts of ``w`` one at a time, by ascending rotation, then split.
 
     Factors need not be primitive (e.g. the cut aa|bb of aabb) nor code
     template orbits; admissibility is a separate question, see
     :func:`is_admissible_cut`.  The factors of every split add up to
     ``len(w)`` letters, so one horizon of ``len(w)`` serves every candidate.
-    A candidate is validated only when the consumer asks for the next cut.
+    A candidate is validated only when the consumer asks for the next cut,
+    and :func:`_is_valid_cut` decides every candidate; the lemma below only
+    leaves out splits that cannot pass.
+
+    Lemma.  Let ``n = len(w)``, ``X_k`` the shift of ``w^inf`` by ``k``, and
+    let a valid cut at rotation ``x`` with split ``l`` have ``u = z^j``,
+    ``v = y^m`` with ``z`` and ``y`` primitive, so ``X = X_x = (uv)^inf`` and
+    ``Y = X_{x+l} = (vu)^inf``.  Then the next shift above ``X`` among the
+    ``n`` shifts of ``w`` starts at ``x+|z|``, ``x+n-|y|`` or ``x+l``.
+
+    Proof.  ``u^inf < v^inf`` iff ``uv < vu``, which gives
+    ``u^inf < X < Y < v^inf``.  A shift inside ``u`` at an offset ``a`` that
+    is no multiple of ``|z|`` is ``S = u[a:]Y``; put ``T = u[a:]u^inf``, a
+    shift of ``u^inf`` other than ``u^inf``, so validity puts ``T`` outside
+    ``(u^inf, v^inf)``.  If ``T >= v^inf`` then ``S > T > Y``.  If
+    ``T < u^inf`` and they differ within ``|u|-a`` letters then ``S < X``.
+    Otherwise ``u[a:] = u[:c]`` with ``c = |u|-a``, and ``T < u^inf`` puts
+    the shift ``u[c:]u^inf`` of ``u^inf`` above ``u^inf``, so at or above
+    ``v^inf``; then ``u[c:]Y > u[c:]u^inf >= v^inf > Y``, and
+    ``S = u[:c]Y < u[:c]u[c:]Y = X``.  Shifts inside ``v`` that are no
+    multiple of ``|y|`` fall outside ``[X, Y]`` in the same way.  The shifts
+    at multiples are ``z^(j-i)Y`` and ``y^(m-i)X`` for ``0 < i < j, m``;
+    ``Y > zY`` (as ``Y > z^inf``) and ``X < yX`` (as ``X < y^inf``) order
+    them ``X < z^(j-1)Y < ... < zY < Y`` and ``X < yX < ... < y^(m-1)X < Y``,
+    so the least shift above ``X`` is ``z^(j-1)Y``, ``yX`` or ``Y``.
+
+    Candidates.  ``w`` is primitive, so its rotations sort exactly as its
+    shifts do.  With ``d`` the distance from rotation ``k`` to its successor,
+    the lemma leaves the splits ``n - m(n-d)`` where ``rot`` ends in
+    ``rot[d:]^m``, ``d`` itself, and ``jd`` where ``rot`` starts with
+    ``rot[:d]^j`` (``j, m >= 2``), in ascending order.  ``u`` must end in
+    ``a``: every ``jd`` ends in ``rot[d-1]``, like ``d``, and since ``rot``
+    ends in ``b`` only the largest ``m`` can leave an ``a`` before ``v``.
     """
     s = w.word
     n = len(s)
+    rots = [s[k:] + s[:k] for k in range(n)]
+    order = sorted(range(n), key=rots.__getitem__)
+    successor = dict(zip(order, order[1:]))
     for k in range(n):
-        rot = s[k:] + s[:k]
-        if rot[-1] != "b":
+        rot = rots[k]
+        if rot[-1] != "b" or k not in successor:
             continue
-        for split in range(1, n):
-            if rot[split - 1] != "a":
-                continue
+        d = (successor[k] - k) % n
+        e = n - d
+        m = 1
+        while (m + 1) * e < n and rot.endswith(rot[d:], 0, n - m * e):
+            m += 1
+        splits = [n - m * e] if m > 1 and rot[n - m * e - 1] == "a" else []
+        if rot[d - 1] == "a":
+            splits.append(d)
+            while splits[-1] + d < n and rot.startswith(rot[:d], splits[-1]):
+                splits.append(splits[-1] + d)
+        for split in splits:
             u, v = rot[:split], rot[split:]
             if _is_valid_cut(u, v, n):
                 yield Cut(u=u, v=v, rotation=k, split=split)

@@ -55,6 +55,24 @@ def test_cuts_command(capsys):
     assert capsys.readouterr().out.startswith("a|b")
 
 
+def test_cuts_command_golden_output_with_power_factors(capsys):
+    # baabaa, bb, baba and bababa are proper powers; the cuts keep their order
+    assert run(["cuts", "aabaabbb"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "aabbba|ab (rotation 3, split 6)",
+        "bbaabaa|b (rotation 6, split 7)",
+        "baa|baabb (rotation 7, split 3)",
+        "baabaa|bb (rotation 7, split 6)",
+    ]
+    assert run(["cuts", "abababbb"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "bbababa|b (rotation 6, split 7)",
+        "ba|bababb (rotation 7, split 2)",
+        "baba|babb (rotation 7, split 4)",
+        "bababa|bb (rotation 7, split 6)",
+    ]
+
+
 def test_verify_single_triple_ok(capsys):
     assert run(["verify", "--p", "3", "--q", "3", "--r", "4", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)

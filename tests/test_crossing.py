@@ -1,15 +1,17 @@
 import random
+from functools import cmp_to_key
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dataclasses
 
-from oracles import oracle_crossing, oracle_cuts
+from oracles import oracle_crossing, oracle_cuts, shift_sequences
 from templink import crossing
+from templink.census import lyndon_words
 from templink.crossing import Cut, enumerate_cuts, is_admissible_cut, iter_cuts, word_crossing
 from templink.kneading import Triple, kneading, lorenz_kneading
-from templink.words import CyclicWord, canonicalize
+from templink.words import CyclicWord, canonicalize, compare, primitive_root
 
 words = st.text(alphabet="ab", min_size=1, max_size=10)
 
@@ -112,6 +114,34 @@ def test_cuts_match_oracle_with_non_primitive_factors():
         assert any(canonicalize(u)[1] > 1 or canonicalize(v)[1] > 1 for u, v, _, _ in cuts)
 
 
+def _two_letter_lyndon_words(max_len: int) -> list[str]:
+    return [w for w in lyndon_words(max_len) if "a" in w and "b" in w]
+
+
+def test_cuts_match_oracle_on_every_word_up_to_12():
+    for word in _two_letter_lyndon_words(12):
+        assert _cut_tuples(CyclicWord(word)) == oracle_cuts(word), word
+
+
+def test_shifts_between_the_factors_of_a_cut_are_the_power_chains():
+    # the lemma of iter_cuts, checked by definition: with u = z^j and v = y^m,
+    # the shifts strictly between X = (uv)^inf and Y = (vu)^inf are z^(j-i)Y
+    # and y^(m-i)X, so the successor of X starts at x+|z|, x+n-|y| or x+l
+    for word in _two_letter_lyndon_words(10):
+        n = len(word)
+        shifts = shift_sequences(word)
+        order = sorted(range(n), key=cmp_to_key(lambda a, b: compare(shifts[a], shifts[b])))
+        for u, v, x, split in oracle_cuts(word):
+            (z, j), (y, m) = primitive_root(u), primitive_root(v)
+            X, Y = shifts[x], shifts[(x + split) % n]
+            between = {k for k in range(n) if compare(X, shifts[k]) < 0 < compare(Y, shifts[k])}
+            chains = {(x + i * len(z)) % n for i in range(1, j)}
+            chains |= {(x + split + i * len(y)) % n for i in range(1, m)}
+            assert between == chains, (word, u, v)
+            successor = order[order.index(x) + 1]
+            assert successor in {(x + len(z)) % n, (x + n - len(y)) % n, (x + split) % n}
+
+
 def test_admissible_cut_examples():
     lorenz = lorenz_kneading()
     w = CyclicWord("aaabbabbababbab")
@@ -169,6 +199,28 @@ def test_admissible_cut_search_stops_at_the_first(monkeypatch):
     listed, validated[0] = validated[0], 0
     assert has_admissible_cut(w, k)
     assert 0 < validated[0] < listed
+
+
+def test_cut_search_validates_few_of_the_letter_filtered_splits(monkeypatch):
+    from templink.census import enumerate_admissible
+
+    validated = [0]
+    valid = crossing._is_valid_cut
+
+    def counted(*args):
+        validated[0] += 1
+        return valid(*args)
+
+    monkeypatch.setattr(crossing, "_is_valid_cut", counted)
+    filtered = 0
+    for pqr in ((3, 3, 4), (2, 5, 7), (4, 4, 5)):
+        for w in enumerate_admissible(Triple(*pqr), 12):
+            enumerate_cuts(w)
+            rotations = [w.rotation(k) for k in range(len(w))]
+            filtered += sum(
+                rot[split - 1] == "a" for rot in rotations if rot[-1] == "b" for split in range(1, len(w))
+            )
+    assert 0 < 4 * validated[0] <= filtered
 
 
 @given(words, words, words)
