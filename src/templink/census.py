@@ -10,15 +10,13 @@ parameter ranges, exactly and in parallel.
 
 from __future__ import annotations
 
+import os
 import time
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple
-
-import numpy as np
 
 from .crossing import is_admissible_cut, iter_cuts
 from .kneading import (
@@ -31,6 +29,10 @@ from .kneading import (
 )
 from .linking import q_form
 from .words import CyclicWord, shift_prefixes
+
+# numpy (the pair kernel) and the process pool (verify_range) are imported
+# inside the functions that use them, so `import templink` and the census
+# commands load neither.
 
 # Most Lyndon words a census may generate and screen: admits max_len = 24
 # (1,465,020 words) and refuses 25 (2,807,196) before anything is generated.
@@ -242,6 +244,8 @@ def _shift_ranks(words: list[str]) -> np.ndarray:
     difference equals the lexicographic comparison of the two shifted codes,
     because the horizon 2*max_len exceeds the agreement bound of any pair.
     """
+    import numpy as np
+
     horizon = 2 * max(len(w) for w in words)
     prefixes = [s for w in words for s in shift_prefixes(w, horizon)]
     rank = np.empty(len(prefixes), dtype=np.int64)
@@ -270,6 +274,8 @@ def verify_pairs(
         raise ValueError("word list contains duplicates")
     if not words:
         return []
+    import numpy as np
+
     texts = [w.word for w in words]
     rank = _shift_ranks(texts)
     starts = np.cumsum([0] + [len(w) for w in texts])
@@ -435,10 +441,19 @@ def verify_range(
     triples = range_triples(p_max, q_max, r_max, include_p2=include_p2)
     if jobs is not None and jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if jobs == 1 or len(triples) <= 1:
+    # A forking pool starts all its workers at the first submit, so never ask
+    # for more than there are processors or triples.
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(jobs or cpus, cpus, len(triples))
+    if workers <= 1:
         summaries = [verify_triple(t) for t in triples]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(verify_triple, triples))
     summaries.sort(key=lambda s: (s.p, s.q, s.r))
     return RangeSummary(triples=tuple(summaries), elapsed_s=time.perf_counter() - start)

@@ -234,7 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="include self-pairs (single-triple mode)",
     )
     sp.add_argument(
-        "--jobs", type=int, default=None, help="worker processes in range mode (default: all cores)"
+        "--jobs",
+        type=int,
+        default=None,
+        help="at most N worker processes in range mode, never more than the usable "
+        "processors or the triples (default: one per processor)",
     )
     sp.add_argument("words", nargs="*", help="explicit orbit words (single-triple mode)")
     _add_output_flags(sp)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .words import CyclicWord, PeriodicSequence, compare, shift_prefixes
+from .words import CyclicWord, PeriodicSequence, compare
 
 
 class TemplateDomainError(ValueError):
@@ -158,7 +158,9 @@ def is_admissible(w: CyclicWord | str, k: KneadingData) -> bool:
     word = str(w)
     horizon = len(word) + k.reach
     u_L, u_R, v_L, v_R = k.bound_prefixes(horizon)
-    for s in shift_prefixes(word, horizon):
+    reps = word * (horizon // len(word) + 2)
+    for i in range(len(word)):
+        s = reps[i : i + horizon]
         if s[0] == "a":
             if not u_L <= s <= u_R:
                 return False

@@ -283,6 +283,42 @@ def test_verify_range_deterministic_across_jobs():
     assert s1.ok
 
 
+def test_verify_range_caps_the_pool(monkeypatch):
+    # A recording stand-in for the pool: no process is ever started.
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    import concurrent.futures
+    import os
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert len(range_triples(3, 4, 5)) == 4
+    serial = verify_range(3, 4, 5, jobs=1)
+    assert sizes == []
+    assert verify_range(3, 4, 5, jobs=5000).triples[0].worst == serial.triples[0].worst
+    assert sizes == [3]  # capped at the processors
+    verify_range(3, 4, 5)
+    assert sizes == [3, 3]  # default: one worker per processor
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    verify_range(3, 4, 5, jobs=5000)
+    assert sizes == [3, 3, 4]  # capped at the triples
+    assert len(verify_range(3, 3, 4, jobs=5000).triples) == 1
+    assert sizes == [3, 3, 4]  # one triple runs serially
+
+
 def test_extremality_crosscheck_returns_both_sets():
     family, independent = extremality_crosscheck(Triple(2, 9, 13), max_len=12)
     assert {w.word for w in family} == {w.word for w in independent}
