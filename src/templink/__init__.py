@@ -45,14 +45,7 @@ from .linking import (
     surgery_linking,
     template_linking,
 )
-from .words import (
-    CyclicWord,
-    PeriodicSequence,
-    all_shifts,
-    canonicalize,
-    compare,
-    shift,
-)
+from .words import CyclicWord, PeriodicSequence, canonicalize, compare
 
 __version__ = "0.1.0"
 
@@ -69,7 +62,6 @@ __all__ = [
     "TemplateDomainError",
     "Triple",
     "TripleSummary",
-    "all_shifts",
     "canonicalize",
     "check_identities",
     "compare",
@@ -90,7 +82,6 @@ __all__ = [
     "q_form",
     "qprime_form",
     "qprime_matrix",
-    "shift",
     "summarize",
     "surgery_linking",
     "template_linking",

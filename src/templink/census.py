@@ -151,7 +151,7 @@ class ExtremalFamily:
 
     Tags: ``rot_p`` for a^(p-1)b repeats, ``rot_q`` for ab^(q-1) repeats,
     ``mixed`` for a block of each.  Parameters are (i, j, k) for the rotation
-    families (for p = 2 just (i, k)) and (k, l) for the mixed one.
+    families and (k, l) for the mixed one.
     """
 
     family: str
@@ -162,56 +162,41 @@ class ExtremalFamily:
 def extremal_families(t: Triple) -> list[ExtremalFamily]:
     """The closed-form extremal families, deduplicated by canonical word.
 
-    For p >= 3 these are (a^(p-1)b)^k a^i b^j and (ab^(q-1))^k a^i b^j with
-    (i, j) in [1,p-1] x [1,q-1] minus the two syllable corners (1,q-1) and
-    (p-1,1), k in [0, floor((r-2)/2)], together with the mixed words
-    (a^(p-1)b)^k (ab^(q-1))^l, k,l in [1, floor((r-2)/2)].
+    With P = a^(p-1)b and Q = ab^(q-1) these are P^k a^i b^j and Q^k a^i b^j
+    with (i, j) in [1,p-1] x [1,q-1] minus the two syllable corners (1,q-1)
+    and (p-1,1), k in [0, floor((r-2)/2)], together with the mixed words
+    P^k Q^l, k,l in [1, floor((r-2)/2)].  The first entry of each word is kept.
 
-    For p = 2 (q and r odd) the families are a b^i (ab)^k and
-    a b^i (ab^(q-1))^k with (i, k) in [2,q-2] x [0,(r-3)/2], and
-    (ab)^k (ab^(q-1))^l with k,l in [1,(r-3)/2].
+    For p = 2 (q and r odd) the tails are a b^j with j in [2,q-2], P = ab and
+    floor((r-2)/2) = (r-3)/2, so the same formula gives the families
+    a b^j (ab)^k, a b^j (ab^(q-1))^k and (ab)^k (ab^(q-1))^l.
     """
     p, q, r = t.p, t.q, t.r
-    entries: list[ExtremalFamily] = []
-    if p >= 3:
-        kmax = (r - 2) // 2
-        P, Q = "a" * (p - 1) + "b", "a" + "b" * (q - 1)
-        pairs = [
-            (i, j)
-            for i in range(1, p)
-            for j in range(1, q)
-            if (i, j) not in {(1, q - 1), (p - 1, 1)}
-        ]
-        for k in range(kmax + 1):
-            for i, j in pairs:
-                tail = "a" * i + "b" * j
-                entries.append(ExtremalFamily("rot_p", (i, j, k), CyclicWord(P * k + tail)))
-                entries.append(ExtremalFamily("rot_q", (i, j, k), CyclicWord(Q * k + tail)))
-        for k in range(1, kmax + 1):
-            for l in range(1, kmax + 1):
-                entries.append(ExtremalFamily("mixed", (k, l), CyclicWord(P * k + Q * l)))
-    else:
-        if q % 2 == 0 or r % 2 == 0:
-            raise TemplateDomainError(
-                "p = 2 census is defined for q and r odd only "
-                "(even cases follow from a double cover)"
-            )
-        kmax = (r - 3) // 2
-        P, Q = "ab", "a" + "b" * (q - 1)
-        for i in range(2, q - 1):
-            for k in range(kmax + 1):
-                entries.append(ExtremalFamily("rot_p", (i, k), CyclicWord("a" + "b" * i + P * k)))
-                entries.append(ExtremalFamily("rot_q", (i, k), CyclicWord("a" + "b" * i + Q * k)))
-        for k in range(1, kmax + 1):
-            for l in range(1, kmax + 1):
-                entries.append(ExtremalFamily("mixed", (k, l), CyclicWord(P * k + Q * l)))
-    seen: set[CyclicWord] = set()
-    unique = []
-    for e in entries:
-        if e.word not in seen:
-            seen.add(e.word)
-            unique.append(e)
-    return unique
+    if p == 2 and (q % 2 == 0 or r % 2 == 0):
+        raise TemplateDomainError(
+            "p = 2 census is defined for q and r odd only "
+            "(even cases follow from a double cover)"
+        )
+    kmax = (r - 2) // 2
+    P, Q = "a" * (p - 1) + "b", "a" + "b" * (q - 1)
+    pairs = [
+        (i, j)
+        for i in range(1, p)
+        for j in range(1, q)
+        if (i, j) not in {(1, q - 1), (p - 1, 1)}
+    ]
+    unique: dict[CyclicWord, ExtremalFamily] = {}
+    for k in range(kmax + 1):
+        for i, j in pairs:
+            tail = "a" * i + "b" * j
+            for family, block in (("rot_p", P), ("rot_q", Q)):
+                w = CyclicWord(block * k + tail)
+                unique.setdefault(w, ExtremalFamily(family, (i, j, k), w))
+    for k in range(1, kmax + 1):
+        for l in range(1, kmax + 1):
+            w = CyclicWord(P * k + Q * l)
+            unique.setdefault(w, ExtremalFamily("mixed", (k, l), w))
+    return list(unique.values())
 
 
 def extremal_orbits(t: Triple) -> list[CyclicWord]:
@@ -401,27 +386,22 @@ class RangeSummary:
 def range_triples(
     p_max: int, q_max: int, r_max: int, include_p2: bool = True
 ) -> list[Triple]:
-    """Hyperbolic triples p <= q <= r within bounds: all p >= 3, plus, when
-    requested, p = 2 with q and r odd inside the kneading-table domain."""
-    out = []
-    if include_p2 and p_max >= 2:
-        for q in range(3, q_max + 1, 2):
-            for r in range(q, r_max + 1, 2):
-                if r > 4 and 2 * q * r - 2 * q - q * r - 2 * r >= 1:
-                    out.append(Triple(2, q, r))
-    for p in range(3, p_max + 1):
-        for q in range(p, q_max + 1):
-            for r in range(q, r_max + 1):
-                if p * q * r - p * q - q * r - p * r >= 1:
-                    out.append(Triple(p, q, r))
-    return out
+    """Hyperbolic triples p <= q <= r within bounds, sorted: all p >= 3, plus,
+    when requested, p = 2 with q and r odd inside the kneading-table domain."""
+    return [
+        Triple(p, q, r)
+        for p in range(2 if include_p2 else 3, p_max + 1)
+        for q in range(p, q_max + 1)
+        for r in range(q, r_max + 1)
+        if (p > 2 or q % 2 == r % 2 == 1) and p * q * r - p * q - q * r - p * r >= 1
+    ]
 
 
-def verify_triple(t: Triple, include_self: bool = True) -> TripleSummary:
+def verify_triple(t: Triple) -> TripleSummary:
     """Run the negativity check on the extremal orbits of one triple."""
     start = time.perf_counter()
     words = extremal_orbits(t)
-    reports = verify_pairs(t, words, include_self=include_self)
+    reports = verify_pairs(t, words)
     return summarize(t, len(words), reports, time.perf_counter() - start)
 
 
@@ -434,8 +414,8 @@ def verify_range(
 ) -> RangeSummary:
     """Verify all triples in range; work is distributed across processes.
 
-    The result is deterministic regardless of scheduling: summaries are
-    keyed and ordered by triple.
+    The result is deterministic regardless of scheduling: ``range_triples``
+    is sorted by triple and ``pool.map`` keeps its order.
     """
     start = time.perf_counter()
     triples = range_triples(p_max, q_max, r_max, include_p2=include_p2)
@@ -455,5 +435,4 @@ def verify_range(
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(verify_triple, triples))
-    summaries.sort(key=lambda s: (s.p, s.q, s.r))
     return RangeSummary(triples=tuple(summaries), elapsed_s=time.perf_counter() - start)

@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 
 from .crossing import enumerate_cuts, word_crossing
 from .kneading import Triple
-from .linking import q_form
+from .linking import template_linking
 from .words import canonicalize
 
 # Instance of one identity: label, the two words, the closed-form value.
@@ -276,13 +276,6 @@ class IdentityReport:
         return not (self.fig_failures or self.bound_failures or self.superadd_failures)
 
 
-def _pipeline_delta_lk(t: Triple, w1: str, w2: str) -> Fraction:
-    cr = word_crossing(w1, w2)
-    na1, nb1 = w1.count("a"), w1.count("b")
-    na2, nb2 = w2.count("a"), w2.count("b")
-    return Fraction(-cr, 2) * t.delta + q_form(t, (na1, nb1), (na2, nb2))
-
-
 def _check_staircase_forms(t: Triple, bound: int, report: IdentityReport) -> None:
     # cr(a^i b^j, a^i' b^j') = 2(i+j) for i<i', j<j'; 2(i+j'-1) for i<=i', j>=j'
     for i in range(1, bound + 1):
@@ -349,14 +342,14 @@ def _check_refined_bound(t: Triple, report: IdentityReport) -> None:
                 )
 
 
-def superadditivity_instances(
-    samples: int, seed: int = 0, max_word_len: int = 14
-) -> list[tuple[str, str, str]]:
-    """Seeded random (u, v, probe) cut instances for the superadditivity check."""
+def superadditivity_instances(samples: int, seed: int = 0) -> list[tuple[str, str, str]]:
+    """Seeded random (u, v, probe) cut instances for the superadditivity check:
+    up to three cuts of each random word of length 4 to 14, each against a
+    random probe of length 1 to 10."""
     rng = random.Random(seed)
     out: list[tuple[str, str, str]] = []
     while len(out) < samples:
-        n = rng.randint(4, max_word_len)
+        n = rng.randint(4, 14)
         raw = "".join(rng.choice("ab") for _ in range(n))
         if "a" not in raw or "b" not in raw:
             continue
@@ -387,7 +380,6 @@ def check_identities(
     staircase_bound: int = 6,
     superadd_samples: int = 50,
     seed: int = 0,
-    catalog: list[Identity] | None = None,
 ) -> IdentityReport:
     """Exhaustive crossing closed forms, the refined lower bound, sampled
     superadditivity, and the closed-form identity catalog, for one triple."""
@@ -395,13 +387,13 @@ def check_identities(
     _check_staircase_forms(t, staircase_bound, report)
     _check_refined_bound(t, report)
     _check_superadditivity(superadd_samples, seed, report)
-    for ident in catalog if catalog is not None else CATALOG:
+    for ident in CATALOG:
         for label, w1, w2, value in ident.instances(t):
             report.identities.append(
                 IdentityResult(
                     name=ident.name,
                     label=label,
-                    pipeline=_pipeline_delta_lk(t, w1, w2),
+                    pipeline=t.delta * template_linking(t, w1, w2),
                     closed_form=value,
                 )
             )

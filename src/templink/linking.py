@@ -57,7 +57,7 @@ def surgery_linking(
     return Fraction(lk_s3) + Fraction(qprime_form(t, x, y), t.delta)
 
 
-def template_linking(t: Triple, w: CyclicWord, w2: CyclicWord) -> Fraction:
+def template_linking(t: Triple, w: CyclicWord | str, w2: CyclicWord | str) -> Fraction:
     """Exact linking number of two template orbits: -cr/2 + Q(counts, counts')/delta.
 
     All template crossings are negative, and an orbit with letter counts
@@ -65,10 +65,14 @@ def template_linking(t: Triple, w: CyclicWord, w2: CyclicWord) -> Fraction:
     into this reduced formula.  For w == w2 the translated-copy self-crossing
     convention applies.  The words need not be admissible: the formula
     evaluates any pair of formal Lorenz orbits, and only admissible pairs
-    are guaranteed to link negatively.
+    are guaranteed to link negatively.  Plain strings are read as cyclic
+    words; a k-th power traverses its orbit k times and links k times as much.
     """
-    cr = word_crossing(w.word, w2.word)
-    return Fraction(-cr, 2) + Fraction(q_form(t, w.letter_counts(), w2.letter_counts()), t.delta)
+    s, s2 = str(w), str(w2)
+    cr = word_crossing(s, s2)
+    counts = (s.count("a"), s.count("b"))
+    counts2 = (s2.count("a"), s2.count("b"))
+    return Fraction(-cr, 2) + Fraction(q_form(t, counts, counts2), t.delta)
 
 
 def fiber_linking(t: Triple) -> Fraction:

@@ -177,19 +177,3 @@ def compare(s: PeriodicSequence, t: PeriodicSequence) -> int:
     if a > b:
         return GREATER
     return EQUAL
-
-
-def shift(s: PeriodicSequence) -> PeriodicSequence:
-    """Drop the first letter (the shift map on sequences)."""
-    if s.preperiod:
-        return PeriodicSequence(s.preperiod[1:], s.period)
-    return PeriodicSequence("", s.period[1:] + s.period[0])
-
-
-def all_shifts(w: CyclicWord) -> list[PeriodicSequence]:
-    """The ``len(w)`` distinct shifts of ``w^inf``, in phase order.
-
-    Primitivity guarantees they are pairwise distinct.
-    """
-    return [PeriodicSequence("", w.rotation(k)) for k in range(len(w))]
-

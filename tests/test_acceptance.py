@@ -12,6 +12,7 @@ from fractions import Fraction
 from templink.census import (
     enumerate_admissible,
     extremality_crosscheck,
+    range_triples,
     verify_pairs,
     verify_range,
 )
@@ -33,9 +34,10 @@ def _report(criterion: int, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {criterion} failed: {detail}"
 
 
-def hyperbolic_triples(p_lo, p_hi, q_hi, r_hi):
+def hyperbolic_triples(p_hi, q_hi, r_hi):
+    """All hyperbolic triples in the box, p = 2 with even q or r included."""
     out = []
-    for p in range(p_lo, p_hi + 1):
+    for p in range(2, p_hi + 1):
         for q in range(p, q_hi + 1):
             for r in range(q, r_hi + 1):
                 if p * q * r - p * q - q * r - p * r >= 1:
@@ -45,7 +47,7 @@ def hyperbolic_triples(p_lo, p_hi, q_hi, r_hi):
 
 def test_criterion_1_scalar_linking_closed_form():
     checked = 0
-    for t in hyperbolic_triples(3, 9, 9, 9):
+    for t in range_triples(9, 9, 9, include_p2=False):
         w1 = CyclicWord("a" * (t.p - 1) + "b")
         for i in range(1, t.p):
             for j in range(1, t.q):
@@ -76,7 +78,7 @@ def test_criterion_2_crossing_closed_forms():
 
 
 def test_criterion_3_fiber_identity_and_matrix_inverse():
-    triples = hyperbolic_triples(2, 50, 50, 50)
+    triples = hyperbolic_triples(50, 50, 50)
     for t in triples:
         assert surgery_linking(t, 1, (1, 1, 1), (1, 1, 1)) == Fraction(
             t.p * t.q * t.r, t.delta
@@ -148,18 +150,13 @@ def test_criterion_8_positive_control():
 def test_criterion_9_homology_orders():
     assert homology_order([2, 3, 5]) == 1
     assert homology_order([2, 3, 7]) == 1
-    for t in hyperbolic_triples(2, 50, 50, 50):
+    for t in hyperbolic_triples(50, 50, 50):
         assert homology_order([t.p, t.q, t.r]) == t.delta
     _report(9, True)
 
 
 def test_criterion_10_extremality_crossvalidation():
-    triples = hyperbolic_triples(3, 4, 5, 7) + [
-        Triple(2, q, r)
-        for q in range(3, 10, 2)
-        for r in range(q, 14, 2)
-        if 2 * q * r - 2 * q - q * r - 2 * r >= 1 and r > 4
-    ]
+    triples = range_triples(4, 5, 7, include_p2=False) + range_triples(2, 9, 13)
     mismatches = []
     for t in triples:
         family, independent = extremality_crosscheck(t, max_len=12)

@@ -89,6 +89,33 @@ def test_extremal_orbits_p2():
         extremal_orbits(Triple(2, 5, 6))  # r even not covered for p = 2
 
 
+# Golden p = 2 extremal orbits once q >= 5 brings in both rotation families.
+P2_GOLDEN = {
+    (2, 5, 7): [
+        "abb", "abbb", "ababb", "ababbb", "abababb", "ababbbb", "abababbb",
+        "abbabbbb", "abababbbb", "abbbabbbb", "ababbbbabbbb", "abbabbbbabbbb",
+        "abababbbbabbbb", "abbbabbbbabbbb",
+    ],
+    (2, 7, 9): [
+        "abb", "abbb", "ababb", "abbbb", "ababbb", "abbbbb", "abababb", "ababbbb",
+        "abababbb", "ababbbbb", "ababababb", "abababbbb", "ababbbbbb", "ababababbb",
+        "abababbbbb", "abbabbbbbb", "ababababbbb", "abababbbbbb", "abbbabbbbbb",
+        "ababababbbbb", "abbbbabbbbbb", "ababababbbbbb", "abbbbbabbbbbb",
+        "ababbbbbbabbbbbb", "abbabbbbbbabbbbbb", "abababbbbbbabbbbbb",
+        "abbbabbbbbbabbbbbb", "abbbbabbbbbbabbbbbb", "ababababbbbbbabbbbbb",
+        "abbbbbabbbbbbabbbbbb", "ababbbbbbabbbbbbabbbbbb", "abbabbbbbbabbbbbbabbbbbb",
+        "abababbbbbbabbbbbbabbbbbb", "abbbabbbbbbabbbbbbabbbbbb",
+        "abbbbabbbbbbabbbbbbabbbbbb", "ababababbbbbbabbbbbbabbbbbb",
+        "abbbbbabbbbbbabbbbbbabbbbbb",
+    ],
+}
+
+
+@pytest.mark.parametrize("pqr", sorted(P2_GOLDEN))
+def test_extremal_orbits_p2_golden(pqr):
+    assert [w.word for w in extremal_orbits(Triple(*pqr))] == P2_GOLDEN[pqr]
+
+
 def test_extremal_words_are_primitive_and_sorted():
     for pqr in [(3, 3, 4), (4, 5, 7), (2, 5, 7), (2, 9, 13)]:
         words = extremal_orbits(Triple(*pqr))
@@ -104,6 +131,11 @@ def test_extremal_families_tags_and_params():
     assert by_word["ababb"].family == "rot_q"  # ab2.ab
     assert {e.family for e in fams} == {"rot_p", "rot_q", "mixed"}
     assert len({e.word for e in fams}) == len(fams)
+    # p = 2 uses the same formula: tails a b^j, P = ab
+    p2 = {e.word.word: e for e in extremal_families(Triple(2, 5, 7))}
+    assert p2["abb"].family == "rot_p" and p2["abb"].params == (1, 2, 0)
+    assert p2["ababbb"].family == "rot_p" and p2["ababbb"].params == (1, 3, 1)
+    assert p2["abbabbbb"].family == "rot_q" and p2["abbabbbb"].params == (1, 2, 1)
 
 
 def test_extremal_family_words_admissible_for_odd_r():
@@ -267,6 +299,23 @@ def test_range_triples_selection():
     assert len(p2) == 16
     as_tuples = {(t.p, t.q, t.r) for t in p2}
     assert (2, 3, 7) in as_tuples and (2, 3, 5) not in as_tuples
+
+
+@pytest.mark.parametrize("include_p2", [True, False])
+@pytest.mark.parametrize("bounds", [(1, 9, 9), (2, 9, 13), (4, 5, 7), (6, 8, 10), (5, 4, 3)])
+def test_range_triples_is_the_filtered_box_in_order(bounds, include_p2):
+    p_max, q_max, r_max = bounds
+    brute = [
+        (p, q, r)
+        for p in range(2, p_max + 1)
+        for q in range(2, q_max + 1)
+        for r in range(2, r_max + 1)
+        if p <= q <= r
+        and p * q * r - p * q - q * r - p * r >= 1
+        and (p >= 3 or (include_p2 and q % 2 == 1 and r % 2 == 1))
+    ]
+    got = [(t.p, t.q, t.r) for t in range_triples(*bounds, include_p2=include_p2)]
+    assert got == brute  # brute is in (p, q, r) order, which verify_range keeps
 
 
 def test_verify_triple_summary():

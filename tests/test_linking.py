@@ -93,6 +93,19 @@ def test_template_linking_examples():
     assert template_linking(t, CyclicWord("ab"), CyclicWord("ab")) == Fraction(-1, 3)
 
 
+@pytest.mark.parametrize("pqr", [(3, 3, 4), (2, 5, 7), (4, 5, 6)])
+def test_template_linking_on_strings(pqr):
+    t = Triple(*pqr)
+    ws = [CyclicWord(w) for w in ("ab", "aabb", "aababb", "abb", "aabab")]
+    for w in ws:
+        for x in ws:
+            lk = template_linking(t, w, x)
+            for k in range(len(w)):
+                assert template_linking(t, w.rotation(k), x.word) == lk
+            for k in (2, 3):
+                assert template_linking(t, w.word * k, x) == k * lk
+
+
 @pytest.mark.parametrize("pqr", [(3, 3, 4), (3, 4, 5), (4, 5, 7), (2, 5, 7)])
 def test_scalar_linking_identity(pqr):
     t = Triple(*pqr)

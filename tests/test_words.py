@@ -2,16 +2,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import shift_sequences
 from templink.words import (
     EQUAL,
     GREATER,
     LESS,
     CyclicWord,
     PeriodicSequence,
-    all_shifts,
     canonicalize,
     compare,
-    shift,
     shift_prefixes,
 )
 
@@ -102,18 +101,6 @@ def test_compare_examples():
     assert compare(aab, ab) == LESS
 
 
-def test_shift_examples():
-    assert shift(PeriodicSequence("", "ab")) == PeriodicSequence("", "ba")
-    assert shift(PeriodicSequence("a", "b")) == PeriodicSequence("", "b")
-    assert shift(PeriodicSequence("", "aab")) == PeriodicSequence("", "aba")
-
-
-def test_all_shifts_examples():
-    assert [str(s) for s in all_shifts(CyclicWord("ab"))] == ["|ab", "|ba"]
-    assert len(all_shifts(CyclicWord("aab"))) == 3
-    assert [str(s) for s in all_shifts(CyclicWord("a"))] == ["|a"]
-
-
 def test_letter_counts():
     assert CyclicWord("aab").letter_counts() == (2, 1)
     assert CyclicWord("ab").letter_counts() == (1, 1)
@@ -122,18 +109,10 @@ def test_letter_counts():
 
 @given(primitive_words)
 def test_shifts_of_primitive_word_distinct(word):
-    shifts = all_shifts(CyclicWord(word))
+    shifts = shift_sequences(word)
     for i in range(len(shifts)):
         for j in range(len(shifts)):
             assert (compare(shifts[i], shifts[j]) == EQUAL) == (i == j)
-
-
-@given(primitive_words)
-def test_shift_cycles_through_phases(word):
-    shifts = all_shifts(CyclicWord(word))
-    n = len(shifts)
-    for k in range(n):
-        assert shift(shifts[k]) == shifts[(k + 1) % n]
 
 
 @given(words.map(lambda s: PeriodicSequence("", s)),
