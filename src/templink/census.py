@@ -15,7 +15,8 @@ import time
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, sub
 from typing import NamedTuple
 
 from .crossing import is_admissible_cut, iter_cuts
@@ -225,17 +226,56 @@ def extremality_crosscheck(
 def _shift_ranks(words: list[str]) -> np.ndarray:
     """Global branch-line ranks of every shift of every word, words concatenated.
 
-    One joint sort replaces per-pair comparisons: the sign of a rank
-    difference equals the lexicographic comparison of the two shifted codes,
-    because the horizon 2*max_len exceeds the agreement bound of any pair.
+    One joint sort replaces per-pair comparisons: two ranks compare as the
+    two shifted codes do lexicographically, because the horizon 2*max_len
+    exceeds the agreement bound of any pair.  The ranks are unsigned, so
+    compare them rather than subtract them.
     """
     import numpy as np
 
     horizon = 2 * max(len(w) for w in words)
     prefixes = [s for w in words for s in shift_prefixes(w, horizon)]
-    rank = np.empty(len(prefixes), dtype=np.int64)
+    # the narrowest dtype that holds every rank keeps the pair kernel's comparisons small
+    rank = np.empty(len(prefixes), dtype=np.min_scalar_type(len(prefixes)))
     rank[sorted(range(len(prefixes)), key=prefixes.__getitem__)] = np.arange(len(prefixes))
     return rank
+
+
+def _crossing_matrix(texts: list[str]) -> np.ndarray:
+    """``P[i, j]``, the number of a-shifts x of word i and b-shifts y of word j with σx > σy.
+
+    One ``|A_i| x |B|`` comparison per row word i, where ``A_i`` holds the
+    successor ranks of word i's a-shifts and ``B`` those of the b-shifts of
+    every word, in word order.  Its column sums are cumulated and differenced
+    at the words' b-shift boundaries, which gives 0 to a word without b-shifts;
+    a row word without a-shifts has an empty comparison and a zero row.
+    For N shifts and W words the arrays take O(N + W^2) memory, plus one row
+    word's ``|A_i| x |B|`` boolean comparison at a time; no table is indexed
+    by shifts and words together.
+    """
+    import numpy as np
+
+    rank = _shift_ranks(texts)
+    starts = np.cumsum([0] + [len(w) for w in texts])
+    # each shift's successor is the next one in its word, wrapping at the word's end
+    succ = np.arange(1, len(rank) + 1)
+    succ[starts[1:] - 1] = starts[:-1]
+    nxt = rank[succ]
+    is_a = np.frombuffer("".join(texts).encode(), dtype=np.uint8) == ord("a")
+    nxt_a, nxt_b = nxt[is_a], nxt[~is_a]
+    a_counts = [w.count("a") for w in texts]
+    a_starts = np.cumsum([0] + a_counts)
+    b_starts = np.cumsum([0] + [w.count("b") for w in texts])
+    lo, hi = b_starts[:-1], b_starts[1:]
+    # a column sum counts at most one row word's a-shifts
+    column = np.min_scalar_type(max(a_counts))
+    below = np.zeros(len(nxt_b) + 1, dtype=np.int64)
+    p = np.empty((len(texts), len(texts)), dtype=np.int64)
+    for i in range(len(texts)):
+        above = nxt_a[a_starts[i] : a_starts[i + 1], None] > nxt_b
+        np.cumsum(above.sum(axis=0, dtype=column), out=below[1:])
+        np.subtract(below[hi], below[lo], out=p[i])
+    return p
 
 
 def verify_pairs(
@@ -249,50 +289,45 @@ def verify_pairs(
     verdict.
 
     Crossing numbers count order swaps on the branch line (Birman-Williams,
-    Topology 1983): shifts ``a`` and ``b`` swap when their order differs
-    from the order of their successors.  One global ranking of every shift
-    of every word decides both orders, and each row word ``i`` gets one
-    ``L_i x (shifts of words j >= i)`` tile, summed per word block, so no
-    array is ever indexed by shifts on both axes.
+    Topology 1983): shifts x and y of the two words cross when their order
+    differs from the order of their successors σx and σy.  Lemma: only an
+    a-shift and a b-shift can swap.  Proof: the order is lexicographic with
+    a < b, so x = c·σx and y = c·σy with the same first letter c compare as
+    σx and σy do, and every a-shift sorts below every b-shift.  Hence an
+    a-shift x and a b-shift y cross iff σx > σy, and
+
+        cr(w_i, w_j) = P[i, j] + P[j, i],
+
+    with ``P`` from :func:`_crossing_matrix` over one global ranking of every
+    shift of every word; for i = j this is the translated-copy count 2·P[i, i].
+    Next to the reports, memory is O(N + W^2) for N shifts and W words.
     """
     if len(set(words)) != len(words):
         raise ValueError("word list contains duplicates")
     if not words:
         return []
-    import numpy as np
-
     texts = [w.word for w in words]
-    rank = _shift_ranks(texts)
-    starts = np.cumsum([0] + [len(w) for w in texts])
-    # each shift's successor is the next one in its word, wrapping at the word's end
-    succ = np.arange(1, len(rank) + 1)
-    succ[starts[1:] - 1] = starts[:-1]
-    nxt = rank[succ]
-    counts = [w.letter_counts() for w in words]
-    d = t.delta
-    two_d = 2 * d
     # No fixed-width bound is needed: cr <= L_i * L_j leaves numpy as int64
     # and becomes a Python int in .tolist(); lk * 2*delta = 2*Q - delta*cr is
     # computed in Python ints.
-    reports = []
-    for i in range(len(words)):
+    cr = _crossing_matrix(texts)
+    cr = cr + cr.T
+    counts = [w.letter_counts() for w in words]
+    na, nb = zip(*counts)
+    d = t.delta
+    reports: list[PairReport] = []
+    for i, (w1, c1) in enumerate(zip(texts, counts)):
         j0 = i if include_self else i + 1
-        if j0 == len(words):
-            break
-        rows = slice(starts[i], starts[i + 1])
-        cols = slice(starts[j0], None)
-        tile = (rank[rows, None] < rank[None, cols]) != (nxt[rows, None] < nxt[None, cols])
-        row_cr = np.add.reduceat(tile.sum(axis=0), starts[j0:-1] - starts[j0]).tolist()
-        w1, c1 = texts[i], counts[i]
-        na1, nb1 = c1
-        reports.extend(
-            [
-                PairReport(
-                    w1, w2, cr, na1, nb1, c2[0], c2[1], 2 * q_form(t, c1, c2) - d * cr, two_d
-                )
-                for w2, c2, cr in zip(texts[j0:], counts[j0:], row_cr)
-            ]
+        row_cr = cr[i, j0:].tolist()
+        # one q_form call per pair through this module's global, so a wrapper put there sees each
+        two_q = map((2).__mul__, map(q_form, repeat(t), repeat(c1), counts[j0:]))
+        keys = map(sub, two_q, map(d.__mul__, row_cr))
+        row = zip(
+            repeat(w1), texts[j0:], row_cr, repeat(c1[0]), repeat(c1[1]),
+            na[j0:], nb[j0:], keys, repeat(2 * d),
         )
+        # tuple.__new__ fills each PairReport from its zipped fields without a Python frame
+        reports.extend(map(tuple.__new__, repeat(PairReport), row))
     return reports
 
 
@@ -338,9 +373,13 @@ def summarize(
     The reports must come from :func:`verify_pairs` on ``t``.  With no pairs
     the worst value is 0 and the worst pair is empty.
     """
-    violations = tuple(r for r in reports if r.lk2d >= 0)
     # lk2d = lk * 2*delta is an exact integer key; max keeps the first maximal report
     worst = max(reports, key=attrgetter("lk2d"), default=None)
+    # a violation has lk2d >= 0, so a negative maximum means there is none to collect
+    if worst is None or worst.lk2d < 0:
+        violations = ()
+    else:
+        violations = tuple(r for r in reports if r.lk2d >= 0)
     return TripleSummary(
         p=t.p,
         q=t.q,

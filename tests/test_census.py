@@ -1,13 +1,15 @@
+import hashlib
 import json
 import pickle
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_crossing
+from oracles import oracle_crossing, shift_sequences
 from templink.census import (
     MAX_CENSUS_WORDS,
     PairReport,
@@ -24,9 +26,10 @@ from templink.census import (
     verify_triple,
 )
 from templink.cli import run
+from templink.crossing import word_crossing
 from templink.kneading import TemplateDomainError, Triple
 from templink.linking import q_form
-from templink.words import CyclicWord, canonicalize
+from templink.words import CyclicWord, canonicalize, compare
 
 
 def test_lyndon_words_are_canonical_primitive():
@@ -252,6 +255,72 @@ def test_pair_kernel_matches_oracle_and_exact_formula(t, words, include_self):
         assert summary.worst_pair == (first.word1, first.word2)
     else:
         assert summary.worst == 0 and summary.worst_pair == ("", "")
+
+
+def test_only_a_shift_b_shift_pairs_swap_order():
+    # The lemma behind verify_pairs, from the definitions: shifts with the same
+    # first letter keep their order, and every a-shift sorts below every
+    # b-shift, so a crossing is an a-shift x and a b-shift y with σx > σy.
+    words = ["a", "b"] + [w for w in lyndon_words(8) if "a" in w and "b" in w]
+    shifts = {w: shift_sequences(w) for w in words}
+    # crossing numbers are symmetric, so each unordered pair is checked once
+    for v, x in combinations_with_replacement(words, 2):
+        sv, sx = shifts[v], shifts[x]
+        inversions = 0
+        for s, s_next in zip(sv, sv[1:] + sv[:1]):
+            for u, u_next in zip(sx, sx[1:] + sx[:1]):
+                before, after = compare(s, u), compare(s_next, u_next)
+                if s.head == u.head:
+                    assert before == after, (v, x, s, u)
+                elif s.head == "a":
+                    assert before < 0
+                    inversions += after > 0
+                else:
+                    inversions += after < 0
+        assert oracle_crossing(v, x) == inversions, (v, x)
+
+
+@pytest.mark.parametrize("include_self", [True, False])
+@pytest.mark.parametrize(
+    "texts",
+    [
+        ["a", "b", "ab", "aab", "abb"],
+        ["ab", "a", "aab", "b", "abb"],
+        ["ab", "aab", "abb", "a", "b"],
+        ["b", "ab", "aab", "abb", "a"],
+        ["ab", "b", "aab", "a", "abb"],
+        ["ab", "aab", "abb", "b", "a"],
+    ],
+)
+def test_pair_kernel_words_missing_a_letter(texts, include_self):
+    # single-letter words have no b-shifts (or no a-shifts) at the start, the
+    # middle or the end of the word list; each must count zero there
+    t = Triple(3, 3, 4)
+    reports = verify_pairs(t, [CyclicWord(w) for w in texts], include_self=include_self)
+    n = len(texts)
+    assert len(reports) == (n * (n + 1) if include_self else n * (n - 1)) // 2
+    for r in reports:
+        assert r.cr == oracle_crossing(r.word1, r.word2), (r.word1, r.word2)
+
+
+def test_pair_kernel_counts_past_a_byte():
+    # a b-shift's successor below the successors of more than 255 a-shifts of
+    # one word: its column sum no longer fits in a byte
+    t = Triple(3, 3, 4)
+    words = [CyclicWord("a" * 300 + "b"), CyclicWord("a" * 257 + "bb")]
+    for r in verify_pairs(t, words):
+        assert r.cr == word_crossing(r.word1, r.word2)
+
+
+def test_pair_reports_golden_largest_triple():
+    # 49,141 pairs of words up to 56 letters: far beyond the hypothesis sizes
+    t = Triple(6, 8, 10)
+    reports = verify_pairs(t, extremal_orbits(t))
+    rows = [(r.word1, r.word2, r.cr, r.lk2d) for r in reports]
+    assert len(rows) == 49_141
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "41023d6efdffb0d906679f080f4085205f2164fd89bf19d380f666267decba3b"
+    )
 
 
 def test_linking_subadditive_under_admissible_cuts():
