@@ -33,7 +33,6 @@ from .kneading import (
     kneading,
     kneading_unbounded,
     lorenz_kneading,
-    max_block_constraints,
 )
 from .linking import (
     HopfLinkingVector,
@@ -78,7 +77,6 @@ __all__ = [
     "kneading",
     "kneading_unbounded",
     "lorenz_kneading",
-    "max_block_constraints",
     "q_form",
     "qprime_form",
     "qprime_matrix",

@@ -117,13 +117,13 @@ def lyndon_totals(max_len: int) -> Iterator[int]:
 
 
 def enumerate_admissible(t: Triple, max_len: int) -> list[CyclicWord]:
-    """All admissible primitive cyclic words of length <= max_len, canonical.
+    """The admissible primitive cyclic words of length <= max_len that pass the screen.
 
-    Lyndon words are already primitive least rotations, so the block
-    constraints screen the raw strings and only the survivors become
-    ``CyclicWord``s for the full kneading comparison.  Single-letter words
-    are never admissible.  A ``max_len`` whose census would exceed
-    ``MAX_CENSUS_WORDS`` Lyndon words is refused before any is generated.
+    Lyndon words are already primitive least rotations, so the block screen
+    (which rejects single letters) and the kneading comparison read the raw
+    strings, and only admitted words become ``CyclicWord``s.  Admissible words
+    the screen wrongly rejects are missing (ROADMAP item 1).  A ``max_len`` whose
+    census would exceed ``MAX_CENSUS_WORDS`` Lyndon words is refused before any is generated.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -134,16 +134,13 @@ def enumerate_admissible(t: Triple, max_len: int) -> list[CyclicWord]:
             f"max_len {max_len} exceeds the census limit of {MAX_CENSUS_WORDS:,} Lyndon words"
         )
     k = kneading(t)
-    out = []
-    for word in lyndon_words(max_len):
-        if "a" not in word or "b" not in word:
-            continue
-        if satisfies_block_constraints(word, t):
-            w = CyclicWord(word)
-            if is_admissible(w, k):
-                out.append(w)
-    out.sort(key=lambda w: (len(w), w.word))
-    return out
+    words = [
+        CyclicWord(word)
+        for word in lyndon_words(max_len)
+        if satisfies_block_constraints(word, t) and is_admissible(word, k)
+    ]
+    # Duval's generator yields lexicographic order, so a stable sort by length gives (length, text)
+    return sorted(words, key=len)
 
 
 @dataclass(frozen=True)
@@ -178,8 +175,8 @@ def extremal_families(t: Triple) -> list[ExtremalFamily]:
             "p = 2 census is defined for q and r odd only "
             "(even cases follow from a double cover)"
         )
-    kmax = (r - 2) // 2
-    P, Q = "a" * (p - 1) + "b", "a" + "b" * (q - 1)
+    kmax = t.max_repeats
+    P, Q = t.syllables
     pairs = [
         (i, j)
         for i in range(1, p)

@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .kneading import KneadingData, is_admissible
-from .words import CyclicWord, shift_prefixes
+from .words import CyclicWord, _check_letters, shift_prefixes
 
 
 def _sign(x: int) -> int:
@@ -25,7 +25,7 @@ def _sign(x: int) -> int:
 
 
 def word_crossing(v: str, x: str) -> int:
-    """Crossing number of the diagrams traced by the finite words v and x.
+    """Crossing number of the diagrams traced by the finite words v and x over {a, b}.
 
     Both words may be powers or share a primitive root; a word traversing an
     orbit k times counts as k parallel strands (translated-copy convention),
@@ -34,6 +34,7 @@ def word_crossing(v: str, x: str) -> int:
     """
     if not v or not x:
         raise ValueError("crossing numbers need nonempty words")
+    _check_letters(v + x)
     n, m = len(v), len(x)
     # Two sequences of periods n and m that agree on n + m letters coincide.
     horizon = n + m
@@ -81,6 +82,7 @@ def _is_valid_cut(u: str, v: str, horizon: int) -> bool:
     lo, hi = reps_u[:horizon], reps_v[:horizon]
     if lo >= hi:
         return False
+    # sliced inline, not by shift_prefixes: most candidates fail at the first shift tried
     for reps, period in ((reps_u, len(u)), (reps_v, len(v))):
         for i in range(1, period):
             if lo < reps[i : i + horizon] < hi:

@@ -38,17 +38,9 @@ def _syl(i: int, j: int) -> str:
     return "a" * i + "b" * j
 
 
-def _p_block(t: Triple) -> str:
-    return "a" * (t.p - 1) + "b"
-
-
-def _q_block(t: Triple) -> str:
-    return "a" + "b" * (t.q - 1)
-
-
 def _scalar(t: Triple) -> Iterator[Instance]:
     p, q = t.p, t.q
-    w1 = _p_block(t)
+    w1 = t.syllables[0]
     for i in range(1, p):
         for j in range(1, q):
             yield f"i={i},j={j}", w1, _syl(i, j), Fraction(q * i - p * j)
@@ -129,10 +121,10 @@ def _corner(name, point, expanded, factored, applicable):
 def _mixed_pair(t: Triple) -> Iterator[Instance]:
     if t.p < 3:
         return
-    p, q, r = t.p, t.q, t.r
+    p, q = t.p, t.q
     d = t.delta
-    kmax = (r - 2) // 2
-    P, Q = _p_block(t), _q_block(t)
+    kmax = t.max_repeats
+    P, Q = t.syllables
     for k in range(1, kmax + 1):
         for l in range(1, kmax + 1):
             for k2 in range(1, kmax + 1):
@@ -276,14 +268,14 @@ class IdentityReport:
         return not (self.fig_failures or self.bound_failures or self.superadd_failures)
 
 
-def _check_staircase_forms(t: Triple, bound: int, report: IdentityReport) -> None:
+def _check_staircase_forms(bound: int, report: IdentityReport) -> None:
     # cr(a^i b^j, a^i' b^j') = 2(i+j) for i<i', j<j'; 2(i+j'-1) for i<=i', j>=j'
     for i in range(1, bound + 1):
         for j in range(1, bound + 1):
-            w1 = "a" * i + "b" * j
+            w1 = _syl(i, j)
             for i2 in range(i, bound + 1):
                 for j2 in range(1, bound + 1):
-                    w2 = "a" * i2 + "b" * j2
+                    w2 = _syl(i2, j2)
                     if i < i2 and j < j2:
                         expected = 2 * (i + j)
                     elif i <= i2 and j >= j2 and (i, j) != (i2, j2):
@@ -300,38 +292,33 @@ def _check_staircase_forms(t: Triple, bound: int, report: IdentityReport) -> Non
 
 def _repeat_block_words(t: Triple) -> list[tuple[int, int, int, str]]:
     """(k, i, j, word) for the primitive words (a^(p-1)b)^k a^i b^j in range."""
-    p, q, r = t.p, t.q, t.r
-    P = "a" * (p - 1) + "b"
+    p, q = t.p, t.q
+    P = t.syllables[0]
     out = []
-    for k in range((r - 2) // 2 + 1):
+    for k in range(t.max_repeats + 1):
         for i in range(1, p):
             for j in range(1, q):
                 if (i, j) == (p - 1, 1) and k >= 1:
                     continue  # (a^(p-1)b)^(k+1) is a power, not an orbit code
-                out.append((k, i, j, P * k + "a" * i + "b" * j))
+                out.append((k, i, j, P * k + _syl(i, j)))
     return out
 
 
 def _check_refined_bound(t: Triple, report: IdentityReport) -> None:
     # cr((a^(p-1)b)^k a^i b^j, (a^(p-1)b)^k' a^i' b^j') >=
     #   k k' cr(P,P) + k cr(P, s') + k' cr(P, s) + cr(s, s') + 2 min(k, k')
-    P = "a" * (t.p - 1) + "b"
+    P = t.syllables[0]
     words = _repeat_block_words(t)
     cr_pp = word_crossing(P, P)
-    cr_p = {}
-    for _, i, j, _w in words:
-        s = "a" * i + "b" * j
-        if (i, j) not in cr_p:
-            cr_p[(i, j)] = word_crossing(P, s)
+    # k = 0 lists every tail a^i b^j once
+    cr_p = {(i, j): word_crossing(P, w) for k, i, j, w in words if k == 0}
     for k, i, j, w1 in words:
-        s1 = "a" * i + "b" * j
         for k2, i2, j2, w2 in words:
-            s2 = "a" * i2 + "b" * j2
             lower = (
                 k * k2 * cr_pp
                 + k * cr_p[(i2, j2)]
                 + k2 * cr_p[(i, j)]
-                + word_crossing(s1, s2)
+                + word_crossing(_syl(i, j), _syl(i2, j2))
                 + 2 * min(k, k2)
             )
             report.bound_checked += 1
@@ -384,7 +371,7 @@ def check_identities(
     """Exhaustive crossing closed forms, the refined lower bound, sampled
     superadditivity, and the closed-form identity catalog, for one triple."""
     report = IdentityReport(triple=(t.p, t.q, t.r))
-    _check_staircase_forms(t, staircase_bound, report)
+    _check_staircase_forms(staircase_bound, report)
     _check_refined_bound(t, report)
     _check_superadditivity(superadd_samples, seed, report)
     for ident in CATALOG:

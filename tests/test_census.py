@@ -70,6 +70,12 @@ def test_oversized_census_refused_before_generating(monkeypatch):
             enumerate_admissible(Triple(3, 3, 4), max_len)
 
 
+@pytest.mark.parametrize("pqr", [(3, 3, 4), (2, 3, 7), (4, 5, 6), (3, 3, 5)])
+def test_enumerate_admissible_in_length_then_text_order(pqr):
+    words = enumerate_admissible(Triple(*pqr), 14)
+    assert words == sorted(words, key=lambda w: (len(w), w.word))
+
+
 def test_enumerate_admissible_monotone_in_length():
     t = Triple(2, 3, 7)
     shorter = {w.word for w in enumerate_admissible(t, 8)}
@@ -117,6 +123,18 @@ P2_GOLDEN = {
 @pytest.mark.parametrize("pqr", sorted(P2_GOLDEN))
 def test_extremal_orbits_p2_golden(pqr):
     assert [w.word for w in extremal_orbits(Triple(*pqr))] == P2_GOLDEN[pqr]
+
+
+def test_extremal_families_golden_over_the_range():
+    rows = [
+        (e.family, e.params, e.word.word)
+        for t in range_triples(6, 8, 10)
+        for e in extremal_families(t)
+    ]
+    assert len(rows) == 8_666
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "b1fe4e4844cede83389faeff17a51993dd1e5a9e71bcf4814086b5b592a8c34c"
+    )
 
 
 def test_extremal_words_are_primitive_and_sorted():

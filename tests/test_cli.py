@@ -163,6 +163,46 @@ def test_usage_and_domain_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["enumerate", "--p", "3", "--q", "3", "--r", "4", "--max-len", "4"],
+        ["verify", "--p", "3", "--q", "3", "--r", "4"],
+    ],
+)
+def test_unwritable_out_exits_2(command, tmp_path, capsys):
+    for out in (tmp_path, tmp_path / "missing" / "out.csv"):
+        assert run([*command, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_oversized_word_exits_2_before_any_engine_runs(monkeypatch, capsys):
+    import templink.cli as cli
+
+    assert len(cli._parse_word("a" * (cli.MAX_WORD_LEN - 1) + "b")) == cli.MAX_WORD_LEN
+
+    def never(*args, **kwargs):
+        raise AssertionError("an engine ran on an oversized word")
+
+    engines = ("canonicalize", "template_linking", "word_crossing", "is_admissible", "enumerate_cuts")
+    for name in engines:
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(cli.census, "verify_pairs", never)
+    # each command parses the oversized word first, so not even canonicalize may run
+    word = "ab" * (cli.MAX_WORD_LEN // 2) + "b"
+    assert len(word) == cli.MAX_WORD_LEN + 1
+    triple = ["--p", "3", "--q", "3", "--r", "4"]
+    for argv in (
+        ["cr", word, "ab"],
+        ["lk", *triple, word, "ab"],
+        ["cuts", word],
+        ["admissible", *triple, word],
+        ["verify", *triple, word],
+    ):
+        assert run(argv) == 2, argv[0]
+        assert "exceeds the limit of 4,096" in capsys.readouterr().err
+
+
 def test_json_reports_stable(capsys):
     args = ["verify", "--p", "3", "--q", "3", "--r", "4", "--format", "json"]
     assert run(args) == 0

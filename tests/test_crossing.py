@@ -1,10 +1,10 @@
+import dataclasses
 import random
 from functools import cmp_to_key
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import dataclasses
 
 from oracles import oracle_crossing, oracle_cuts, shift_sequences
 from templink import crossing
@@ -34,6 +34,19 @@ def test_word_crossing_multiplicity():
     assert word_crossing("abab", "aabb") == 2 * word_crossing("ab", "aabb")
     assert word_crossing("abab", "abab") == 4 * word_crossing("ab", "ab")
     assert word_crossing("ab", "ab") == 2
+
+
+def test_crossing_entry_point_rejects_foreign_letters():
+    from templink.linking import template_linking
+
+    message = "may only contain letters 'a' and 'b', got 'c'"
+    for v, x in (("ac", "ab"), ("ab", "ac"), ("c", "c")):
+        with pytest.raises(ValueError, match=message):
+            word_crossing(v, x)
+    with pytest.raises(ValueError, match=message):
+        template_linking(Triple(3, 3, 4), "ac", "ab")
+    with pytest.raises(ValueError, match=message):
+        CyclicWord("ac")
 
 
 @given(words, words)

@@ -10,7 +10,6 @@ from templink.kneading import (
     kneading,
     kneading_unbounded,
     lorenz_kneading,
-    max_block_constraints,
     satisfies_block_constraints,
 )
 from templink.words import CyclicWord, canonicalize, compare
@@ -141,10 +140,13 @@ def test_admissibility_of_raw_strings_matches_canonical_root(k):
             word = "".join("ab"[(bits >> i) & 1] for i in range(n))
             assert is_admissible(word, k) == is_admissible(canonicalize(word)[0], k), word
 
-def test_max_block_constraints_values():
-    assert max_block_constraints(Triple(3, 3, 4)) == (2, 2, 1)
-    assert max_block_constraints(Triple(2, 5, 7)) == (1, 4, 2)
-    assert max_block_constraints(Triple(4, 5, 6)) == (3, 4, 2)
+def test_triple_syllables_and_max_repeats():
+    assert Triple(3, 3, 4).syllables == ("aab", "abb")
+    assert Triple(3, 3, 4).max_repeats == 1
+    assert Triple(2, 5, 7).syllables == ("ab", "abbbb")
+    assert Triple(2, 5, 7).max_repeats == 2
+    assert Triple(4, 5, 6).syllables == ("aaab", "abbbb")
+    assert Triple(4, 5, 6).max_repeats == 2
 
 
 def test_syllables_decomposition():
