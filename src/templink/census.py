@@ -39,22 +39,24 @@ from .words import CyclicWord, shift_prefixes
 # (1,465,020 words) and refuses 25 (2,807,196) before anything is generated.
 MAX_CENSUS_WORDS = 2_000_000
 
+# Most words verify_pairs takes, and so the largest extremal family a triple or
+# a range may have: the pair reports grow with its square.  On a 2-vCPU KVM
+# guest verify_triple(Triple(3, 3, 87)), 1,934 words and 1,871,145 pairs, took
+# 10.4 s and 478 MB peak RSS; (3, 3, 301) would hold about 260 M pairs.
+MAX_VERIFY_WORDS = 2_000
+
 
 class PairReport(NamedTuple):
-    """One verified orbit pair: crossing number, letter counts, exact linking.
+    """One verified orbit pair: its two words, crossing number and exact linking.
 
     The linking number is kept as the integer ``lk2d = lk * two_delta =
     2*Q - delta*cr`` over ``two_delta = 2*delta``; ``lk`` builds the
-    ``Fraction`` only when it is read.
+    ``Fraction`` only when it is read.  Letter counts are read from the words.
     """
 
     word1: str
     word2: str
     cr: int
-    na1: int
-    nb1: int
-    na2: int
-    nb2: int
     lk2d: int
     two_delta: int
 
@@ -73,10 +75,10 @@ class PairReport(NamedTuple):
             "word1": self.word1,
             "word2": self.word2,
             "cr": self.cr,
-            "na1": self.na1,
-            "nb1": self.nb1,
-            "na2": self.na2,
-            "nb2": self.nb2,
+            "na1": self.word1.count("a"),
+            "nb1": self.word1.count("b"),
+            "na2": self.word2.count("a"),
+            "nb2": self.word2.count("b"),
             "lk_num": lk.numerator,
             "lk_den": lk.denominator,
             "negative": self.negative,
@@ -197,6 +199,23 @@ def extremal_families(t: Triple) -> list[ExtremalFamily]:
     return list(unique.values())
 
 
+def check_family_bound(p: int, q: int, r: int) -> int:
+    """Refuse families that may exceed ``MAX_VERIFY_WORDS`` words; return the bound.
+
+    :func:`extremal_families` builds 2(k+1)((p-1)(q-1)-2) tail candidates and
+    k^2 mixed ones, k = floor((r-2)/2), before deduplication.  The count grows
+    with p, q and r, so the corner of a box bounds every triple inside it.
+    """
+    k = (r - 2) // 2
+    bound = 2 * (k + 1) * ((p - 1) * (q - 1) - 2) + k * k
+    if bound > MAX_VERIFY_WORDS:
+        raise ValueError(
+            f"the extremal families of ({p}, {q}, {r}) may hold {bound:,} words, "
+            f"over the verify limit of {MAX_VERIFY_WORDS:,}"
+        )
+    return bound
+
+
 def extremal_orbits(t: Triple) -> list[CyclicWord]:
     """Canonical words of the extremal families, sorted by length then text."""
     return sorted((e.word for e in extremal_families(t)), key=lambda w: (len(w), w.word))
@@ -283,7 +302,7 @@ def verify_pairs(
     Self-pairs (translated-copy convention) are included when requested.
     The words are not required to be admissible, so non-admissible controls
     can be fed through the same pipeline; each report carries a negativity
-    verdict.
+    verdict.  More than ``MAX_VERIFY_WORDS`` words are refused.
 
     Crossing numbers count order swaps on the branch line (Birman-Williams,
     Topology 1983): shifts x and y of the two words cross when their order
@@ -299,6 +318,8 @@ def verify_pairs(
     shift of every word; for i = j this is the translated-copy count 2·P[i, i].
     Next to the reports, memory is O(N + W^2) for N shifts and W words.
     """
+    if len(words) > MAX_VERIFY_WORDS:
+        raise ValueError(f"{len(words):,} words exceed the verify limit of {MAX_VERIFY_WORDS:,}")
     if len(set(words)) != len(words):
         raise ValueError("word list contains duplicates")
     if not words:
@@ -310,7 +331,6 @@ def verify_pairs(
     cr = _crossing_matrix(texts)
     cr = cr + cr.T
     counts = [w.letter_counts() for w in words]
-    na, nb = zip(*counts)
     d = t.delta
     reports: list[PairReport] = []
     for i, (w1, c1) in enumerate(zip(texts, counts)):
@@ -319,10 +339,7 @@ def verify_pairs(
         # one q_form call per pair through this module's global, so a wrapper put there sees each
         two_q = map((2).__mul__, map(q_form, repeat(t), repeat(c1), counts[j0:]))
         keys = map(sub, two_q, map(d.__mul__, row_cr))
-        row = zip(
-            repeat(w1), texts[j0:], row_cr, repeat(c1[0]), repeat(c1[1]),
-            na[j0:], nb[j0:], keys, repeat(2 * d),
-        )
+        row = zip(repeat(w1), texts[j0:], row_cr, keys, repeat(2 * d))
         # tuple.__new__ fills each PairReport from its zipped fields without a Python frame
         reports.extend(map(tuple.__new__, repeat(PairReport), row))
     return reports
@@ -434,8 +451,12 @@ def range_triples(
 
 
 def verify_triple(t: Triple) -> TripleSummary:
-    """Run the negativity check on the extremal orbits of one triple."""
+    """Run the negativity check on the extremal orbits of one triple.
+
+    Families that may exceed ``MAX_VERIFY_WORDS`` are refused before any word is built.
+    """
     start = time.perf_counter()
+    check_family_bound(t.p, t.q, t.r)
     words = extremal_orbits(t)
     reports = verify_pairs(t, words)
     return summarize(t, len(words), reports, time.perf_counter() - start)
@@ -451,10 +472,15 @@ def verify_range(
     """Verify all triples in range; work is distributed across processes.
 
     The result is deterministic regardless of scheduling: ``range_triples``
-    is sorted by triple and ``pool.map`` keeps its order.
+    is sorted by triple and ``pool.map`` keeps its order.  A box whose corner
+    fails :func:`check_family_bound` is refused before any triple is built,
+    and a box that holds no triple is refused as well.
     """
     start = time.perf_counter()
+    check_family_bound(p_max, q_max, r_max)
     triples = range_triples(p_max, q_max, r_max, include_p2=include_p2)
+    if not triples:
+        raise ValueError(f"no triple to verify with p <= {p_max}, q <= {q_max}, r <= {r_max}")
     if jobs is not None and jobs < 1:
         raise ValueError("jobs must be >= 1")
     # A forking pool starts all its workers at the first submit, so never ask

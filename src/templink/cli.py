@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success (for ``verify``: all pairs negative), 1 when a
 verification finds a non-negative pair, 2 on usage or domain errors and on
-an ``--out`` path that cannot be written.
+an ``--out`` path that cannot be written, which is refused before any work.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 
@@ -36,6 +37,13 @@ def _parse_word(text: str) -> CyclicWord:
 
 def _triple(args) -> Triple:
     return Triple(args.p, args.q, args.r)
+
+
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` path that cannot be written, without creating or truncating it."""
+    target = path if os.path.exists(path) else os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise OSError(f"cannot write --out {path}")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -134,6 +142,7 @@ def _verify_single(args) -> int:
     if args.words:
         words = list(dict.fromkeys(_parse_word(w) for w in args.words))
     else:
+        census.check_family_bound(t.p, t.q, t.r)
         words = census.extremal_orbits(t)
     start = time.perf_counter()
     reports = census.verify_pairs(t, words, include_self=args.self)
@@ -270,6 +279,8 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 from oracles import oracle_crossing, shift_sequences
 from templink.census import (
     MAX_CENSUS_WORDS,
+    MAX_VERIFY_WORDS,
     PairReport,
+    check_family_bound,
     enumerate_admissible,
     extremal_families,
     extremal_orbits,
@@ -68,6 +70,43 @@ def test_oversized_census_refused_before_generating(monkeypatch):
     for max_len in (25, 64, 10**6):
         with pytest.raises(ValueError, match="census limit"):
             enumerate_admissible(Triple(3, 3, 4), max_len)
+
+
+def test_family_bound_covers_every_family():
+    triples = range_triples(6, 8, 10) + range_triples(2, 9, 13) + [Triple(3, 3, 41)]
+    for t in triples:
+        assert len(extremal_families(t)) <= check_family_bound(t.p, t.q, t.r), t
+    assert check_family_bound(6, 8, 10) == 346 and check_family_bound(2, 9, 13) == 97
+    assert check_family_bound(3, 3, 81) == 1_681 <= MAX_VERIFY_WORDS
+    with pytest.raises(ValueError, match="2,601 words"):
+        check_family_bound(3, 3, 101)
+
+
+def test_oversized_verify_refused_before_any_engine_runs(monkeypatch):
+    import templink.census as census
+
+    def never(*args, **kwargs):
+        raise AssertionError("an engine ran on an oversized verification")
+
+    words = [CyclicWord(w) for w in lyndon_words(14) if "a" in w and "b" in w]
+    words = words[: MAX_VERIFY_WORDS + 1]
+    assert len(words) == MAX_VERIFY_WORDS + 1
+    for name in ("extremal_families", "range_triples", "_crossing_matrix"):
+        monkeypatch.setattr(census, name, never)
+    with pytest.raises(ValueError, match="verify limit"):
+        verify_pairs(Triple(3, 3, 4), words)
+    for r in (301, 1001):
+        with pytest.raises(ValueError, match="verify limit"):
+            verify_triple(Triple(3, 3, r))
+    with pytest.raises(ValueError, match="verify limit"):
+        verify_range(1000, 1000, 1000, jobs=1)
+
+
+def test_empty_range_is_refused():
+    with pytest.raises(ValueError, match="p <= 3, q <= 3, r <= 3"):
+        verify_range(3, 3, 3, jobs=1)
+    with pytest.raises(ValueError, match="p <= 2, q <= 9, r <= 13"):
+        verify_range(2, 9, 13, include_p2=False, jobs=1)
 
 
 @pytest.mark.parametrize("pqr", [(3, 3, 4), (2, 3, 7), (4, 5, 6), (3, 3, 5)])
@@ -187,6 +226,10 @@ def test_verify_pairs_positive_control():
 
 
 
+def test_pair_report_holds_only_what_the_pair_determines():
+    assert PairReport._fields == ("word1", "word2", "cr", "lk2d", "two_delta")
+
+
 def test_pair_report_is_immutable_and_summary_pickles():
     t = Triple(3, 3, 4)
     reports = verify_pairs(t, [CyclicWord("aab")])
@@ -261,7 +304,7 @@ def test_pair_kernel_matches_oracle_and_exact_formula(t, words, include_self):
     assert len(reports) == (n * (n + 1) if include_self else n * (n - 1)) // 2
     for r in reports:
         assert r.cr == oracle_crossing(r.word1, r.word2)
-        q = q_form(t, (r.na1, r.nb1), (r.na2, r.nb2))
+        q = q_form(t, *((w.count("a"), w.count("b")) for w in (r.word1, r.word2)))
         assert r.lk == Fraction(-r.cr, 2) + Fraction(q, t.delta)
         assert r.lk2d == r.lk * r.two_delta and r.two_delta == 2 * t.delta
         assert r.negative == (r.lk < 0)

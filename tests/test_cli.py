@@ -176,6 +176,59 @@ def test_unwritable_out_exits_2(command, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_unwritable_out_exits_2_before_any_engine_runs(monkeypatch, tmp_path, capsys):
+    import templink.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("an engine ran before --out was checked")
+
+    for name in ("verify_range", "verify_pairs", "enumerate_admissible", "extremal_orbits"):
+        monkeypatch.setattr(cli.census, name, never)
+    monkeypatch.setattr(cli, "enumerate_cuts", never)
+    triple = ["--p", "3", "--q", "3", "--r", "4"]
+    for command in (
+        ["enumerate", *triple, "--max-len", "4"],
+        ["extremal", *triple],
+        ["cuts", "aabb"],
+        ["verify", *triple],
+        ["verify", "--p-max", "6", "--q-max", "8", "--r-max", "10", "--jobs", "1"],
+    ):
+        for out in (tmp_path, tmp_path / "missing" / "x.csv"):
+            assert run([*command, "--out", str(out)]) == 2, command
+            assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_failed_command_keeps_existing_out_file(tmp_path, capsys):
+    out = tmp_path / "f"
+    out.write_text("keep")
+    assert run(["verify", "--p", "2", "--q", "5", "--r", "6", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_text() == "keep"
+
+
+def test_oversized_verify_exits_2_before_any_engine_runs(monkeypatch, capsys):
+    import templink.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("an engine ran on an oversized verification")
+
+    for name in ("extremal_families", "range_triples", "_crossing_matrix"):
+        monkeypatch.setattr(cli.census, name, never)
+    for bounds in (
+        ["--p", "3", "--q", "3", "--r", "301"],
+        ["--p", "3", "--q", "3", "--r", "1001"],
+        ["--p-max", "1000", "--q-max", "1000", "--r-max", "1000"],
+    ):
+        assert run(["verify", *bounds]) == 2, bounds
+        assert "over the verify limit of 2,000" in capsys.readouterr().err
+
+
+def test_empty_range_exits_2(capsys):
+    assert run(["verify", "--p-max", "3", "--q-max", "3", "--r-max", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "p <= 3, q <= 3, r <= 3" in err
+
+
 def test_oversized_word_exits_2_before_any_engine_runs(monkeypatch, capsys):
     import templink.cli as cli
 
