@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from operator import attrgetter, sub
+from operator import attrgetter, eq, sub
 from typing import NamedTuple
 
 from .crossing import is_admissible_cut, iter_cuts
@@ -29,7 +29,7 @@ from .kneading import (
     satisfies_block_constraints,
 )
 from .linking import q_form
-from .words import CyclicWord, shift_prefixes
+from .words import CyclicWord, _check_letters, shift_prefixes
 
 # numpy (the pair kernel) and the process pool (verify_range) are imported
 # inside the functions that use them, so `import templink` and the census
@@ -44,6 +44,11 @@ MAX_CENSUS_WORDS = 2_000_000
 # guest verify_triple(Triple(3, 3, 87)), 1,934 words and 1,871,145 pairs, took
 # 10.4 s and 478 MB peak RSS; (3, 3, 301) would hold about 260 M pairs.
 MAX_VERIFY_WORDS = 2_000
+
+# Most letters one call may hold: verify_pairs' shift prefixes (total length x
+# 2 x longest) or one extremal family (words x longest).  (3, 3, 87) needs 120.4 M;
+# (2, 41, 43) would need 958 M, where (2, 27, 29) at 80.7 M peaked at 161 MB.
+MAX_LETTERS = 2**27
 
 
 class PairReport(NamedTuple):
@@ -89,9 +94,10 @@ def lyndon_words(max_len: int) -> list[str]:
     """All Lyndon words over {a, b} of length <= max_len (Duval's generator).
 
     Lyndon words are exactly the canonical forms of primitive cyclic words.
+    A ``max_len`` below 1 gives no word.
     """
     out: list[str] = []
-    w = ["a"]
+    w = ["a"] if max_len >= 1 else []
     while w:
         out.append("".join(w))
         m = len(w)
@@ -118,13 +124,12 @@ def lyndon_totals(max_len: int) -> Iterator[int]:
         yield total
 
 
-def enumerate_admissible(t: Triple, max_len: int) -> list[CyclicWord]:
-    """The admissible primitive cyclic words of length <= max_len that pass the screen.
+def enumerate_admissible(t: Triple, max_len: int) -> list[str]:
+    """The admissible Lyndon words of length <= max_len that pass the block screen.
 
-    Lyndon words are already primitive least rotations, so the block screen
-    (which rejects single letters) and the kneading comparison read the raw
-    strings, and only admitted words become ``CyclicWord``s.  Admissible words
-    the screen wrongly rejects are missing (ROADMAP item 1).  A ``max_len`` whose
+    Lyndon words are the primitive least rotations, so they are the census
+    words as generated; the screen rejects single letters, and admissible
+    words it wrongly rejects are missing (ROADMAP item 1).  A ``max_len`` whose
     census would exceed ``MAX_CENSUS_WORDS`` Lyndon words is refused before any is generated.
     """
     if max_len < 1:
@@ -137,7 +142,7 @@ def enumerate_admissible(t: Triple, max_len: int) -> list[CyclicWord]:
         )
     k = kneading(t)
     words = [
-        CyclicWord(word)
+        word
         for word in lyndon_words(max_len)
         if satisfies_block_constraints(word, t) and is_admissible(word, k)
     ]
@@ -147,29 +152,37 @@ def enumerate_admissible(t: Triple, max_len: int) -> list[CyclicWord]:
 
 @dataclass(frozen=True)
 class ExtremalFamily:
-    """One extremal-family member: tag, parameters, and its canonical word.
-
-    Tags: ``rot_p`` for a^(p-1)b repeats, ``rot_q`` for ab^(q-1) repeats,
-    ``mixed`` for a block of each.  Parameters are (i, j, k) for the rotation
-    families and (k, l) for the mixed one.
-    """
+    """One extremal-family member: its tag, parameters and word, see :func:`extremal_families`."""
 
     family: str
     params: tuple[int, ...]
-    word: CyclicWord
+    word: str
 
 
 def extremal_families(t: Triple) -> list[ExtremalFamily]:
-    """The closed-form extremal families, deduplicated by canonical word.
+    """The closed-form extremal families, each word written in least rotation.
 
-    With P = a^(p-1)b and Q = ab^(q-1) these are P^k a^i b^j and Q^k a^i b^j
-    with (i, j) in [1,p-1] x [1,q-1] minus the two syllable corners (1,q-1)
-    and (p-1,1), k in [0, floor((r-2)/2)], together with the mixed words
-    P^k Q^l, k,l in [1, floor((r-2)/2)].  The first entry of each word is kept.
+    With P = a^(p-1)b, Q = ab^(q-1), k in [0, floor((r-2)/2)] and tails a^i b^j,
+    (i, j) in [1,p-1] x [1,q-1] minus the corners (1,q-1) and (p-1,1), these
+    are P^k·tail (``rot_p``) and, for k >= 1, tail·Q^k (``rot_q``), both with
+    parameters (i, j, k), and P^k·Q^l (``mixed``, parameters (k, l)) for
+    k, l >= 1.  For p = 2 (q and r odd) the tails are a b^j, j in [2,q-2].
 
-    For p = 2 (q and r odd) the tails are a b^j with j in [2,q-2], P = ab and
-    floor((r-2)/2) = (r-3)/2, so the same formula gives the families
-    a b^j (ab)^k, a b^j (ab^(q-1))^k and (ab)^k (ab^(q-1))^l.
+    Each word is its own least rotation, hence primitive: a least rotation
+    starts a longest run of a's, and past the common prefix every other such
+    rotation reads b where the word reads a.  It reads the tail for P·a in
+    P^k·tail (letter i+1, or p+1 when i = p-1, as then j >= 2) and Q for P·a
+    in P^k·Q^l (letter 2, or 3 for p = 2).  In tail·Q^k the tail's run is
+    the only longest one if i >= 2, and for i = 1 the rotation reads
+    ab^(q-1) for ab^j a, as j < q-1.  No two words are equal: within a family
+    the runs of b's, k+1 or k+l of them, and the tail at the end (``rot_p``)
+    or the start (``rot_q``) fix the parameters.  Across families a bare
+    tail has one run of b's, ``rot_q`` words begin a^i b^j a and the others
+    a^(p-1)ba, and ``mixed`` words end in a lone a and b^(q-1), so any match
+    needs a corner tail.
+
+    A family over ``MAX_LETTERS`` letters (its size times (k+1)(p+q), a bound
+    on the longest word) is refused before any word is built.
     """
     p, q, r = t.p, t.q, t.r
     if p == 2 and (q % 2 == 0 or r % 2 == 0):
@@ -178,50 +191,56 @@ def extremal_families(t: Triple) -> list[ExtremalFamily]:
             "(even cases follow from a double cover)"
         )
     kmax = t.max_repeats
+    size, longest = _family_size(p, q, r), (kmax + 1) * (p + q)
+    if size * longest > MAX_LETTERS:
+        raise ValueError(
+            f"the extremal families of {t} hold {size:,} words of up to {longest:,} "
+            f"letters, over the limit of {MAX_LETTERS:,} letters"
+        )
     P, Q = t.syllables
-    pairs = [
-        (i, j)
+    tails = [
+        (i, j, "a" * i + "b" * j)
         for i in range(1, p)
         for j in range(1, q)
         if (i, j) not in {(1, q - 1), (p - 1, 1)}
     ]
-    unique: dict[CyclicWord, ExtremalFamily] = {}
+    families = []
     for k in range(kmax + 1):
-        for i, j in pairs:
-            tail = "a" * i + "b" * j
-            for family, block in (("rot_p", P), ("rot_q", Q)):
-                w = CyclicWord(block * k + tail)
-                unique.setdefault(w, ExtremalFamily(family, (i, j, k), w))
-    for k in range(1, kmax + 1):
-        for l in range(1, kmax + 1):
-            w = CyclicWord(P * k + Q * l)
-            unique.setdefault(w, ExtremalFamily("mixed", (k, l), w))
-    return list(unique.values())
+        for i, j, tail in tails:
+            families.append(ExtremalFamily("rot_p", (i, j, k), P * k + tail))
+            if k:
+                families.append(ExtremalFamily("rot_q", (i, j, k), tail + Q * k))
+    ks = range(1, kmax + 1)
+    return families + [ExtremalFamily("mixed", (k, l), P * k + Q * l) for k in ks for l in ks]
+
+
+def _family_size(p: int, q: int, r: int) -> int:
+    """(2k+1)·T + k^2 words: T = (p-1)(q-1) - 2 tails, k = floor((r-2)/2)."""
+    k = (r - 2) // 2
+    return (2 * k + 1) * ((p - 1) * (q - 1) - 2) + k * k
 
 
 def check_family_bound(p: int, q: int, r: int) -> int:
-    """Refuse families that may exceed ``MAX_VERIFY_WORDS`` words; return the bound.
+    """Refuse families over ``MAX_VERIFY_WORDS`` words; return the family's size.
 
-    :func:`extremal_families` builds 2(k+1)((p-1)(q-1)-2) tail candidates and
-    k^2 mixed ones, k = floor((r-2)/2), before deduplication.  The count grows
-    with p, q and r, so the corner of a box bounds every triple inside it.
+    The size, :func:`_family_size`, grows with p, q and r, so the corner of a
+    box bounds every triple inside it.
     """
-    k = (r - 2) // 2
-    bound = 2 * (k + 1) * ((p - 1) * (q - 1) - 2) + k * k
-    if bound > MAX_VERIFY_WORDS:
+    size = _family_size(p, q, r)
+    if size > MAX_VERIFY_WORDS:
         raise ValueError(
-            f"the extremal families of ({p}, {q}, {r}) may hold {bound:,} words, "
+            f"the extremal families of ({p}, {q}, {r}) hold {size:,} words, "
             f"over the verify limit of {MAX_VERIFY_WORDS:,}"
         )
-    return bound
+    return size
 
 
-def extremal_orbits(t: Triple) -> list[CyclicWord]:
-    """Canonical words of the extremal families, sorted by length then text."""
-    return sorted((e.word for e in extremal_families(t)), key=lambda w: (len(w), w.word))
+def extremal_orbits(t: Triple) -> list[str]:
+    """Words of the extremal families, sorted by length then text."""
+    return sorted((e.word for e in extremal_families(t)), key=lambda w: (len(w), w))
 
 
-def has_admissible_cut(w: CyclicWord, k: KneadingData) -> bool:
+def has_admissible_cut(w: str, k: KneadingData) -> bool:
     return any(is_admissible_cut(c, k) for c in iter_cuts(w))
 
 
@@ -231,11 +250,13 @@ def extremality_crosscheck(
     """Both characterizations of extremal orbits, restricted to length <= max_len.
 
     Returns (closed-form family words, admissible words with no admissible
-    cut); the two lists must coincide.
+    cut) as ``CyclicWord``s; the two lists must coincide.
     """
-    family = [w for w in extremal_orbits(t) if len(w) <= max_len]
+    family = [CyclicWord(w) for w in extremal_orbits(t) if len(w) <= max_len]
     k = kneading(t)
-    independent = [w for w in enumerate_admissible(t, max_len) if not has_admissible_cut(w, k)]
+    independent = [
+        CyclicWord(w) for w in enumerate_admissible(t, max_len) if not has_admissible_cut(w, k)
+    ]
     return family, independent
 
 
@@ -245,19 +266,36 @@ def _shift_ranks(words: list[str]) -> np.ndarray:
     One joint sort replaces per-pair comparisons: two ranks compare as the
     two shifted codes do lexicographically, because the horizon 2*max_len
     exceeds the agreement bound of any pair.  The ranks are unsigned, so
-    compare them rather than subtract them.
+    compare them rather than subtract them.  By the same bound, two equal
+    prefixes are two equal shifts, so a word is a proper power or two words
+    are rotations of one word, which raises ``ValueError``.  Empty words,
+    letters outside {a, b} and prefixes over ``MAX_LETTERS`` letters raise
+    it before any prefix is built.
     """
     import numpy as np
 
-    horizon = 2 * max(len(w) for w in words)
+    if not all(words):
+        raise ValueError("cyclic words must be nonempty")
+    _check_letters("".join(words))
+    horizon = 2 * max(map(len, words))
+    letters = horizon * sum(map(len, words))
+    if letters > MAX_LETTERS:
+        raise ValueError(
+            f"{len(words):,} words need {letters:,} letters of shift prefixes, "
+            f"over the limit of {MAX_LETTERS:,}"
+        )
     prefixes = [s for w in words for s in shift_prefixes(w, horizon)]
+    order = sorted(range(len(prefixes)), key=prefixes.__getitem__)
+    ordered = list(map(prefixes.__getitem__, order))
+    if any(map(eq, ordered, ordered[1:])):
+        raise ValueError("a word is a proper power, or two words are rotations of one word")
     # the narrowest dtype that holds every rank keeps the pair kernel's comparisons small
     rank = np.empty(len(prefixes), dtype=np.min_scalar_type(len(prefixes)))
-    rank[sorted(range(len(prefixes)), key=prefixes.__getitem__)] = np.arange(len(prefixes))
+    rank[order] = np.arange(len(prefixes))
     return rank
 
 
-def _crossing_matrix(texts: list[str]) -> np.ndarray:
+def _crossing_matrix(words: list[str]) -> np.ndarray:
     """``P[i, j]``, the number of a-shifts x of word i and b-shifts y of word j with σx > σy.
 
     One ``|A_i| x |B|`` comparison per row word i, where ``A_i`` holds the
@@ -271,38 +309,39 @@ def _crossing_matrix(texts: list[str]) -> np.ndarray:
     """
     import numpy as np
 
-    rank = _shift_ranks(texts)
-    starts = np.cumsum([0] + [len(w) for w in texts])
+    rank = _shift_ranks(words)
+    starts = np.cumsum([0] + [len(w) for w in words])
     # each shift's successor is the next one in its word, wrapping at the word's end
     succ = np.arange(1, len(rank) + 1)
     succ[starts[1:] - 1] = starts[:-1]
     nxt = rank[succ]
-    is_a = np.frombuffer("".join(texts).encode(), dtype=np.uint8) == ord("a")
+    is_a = np.frombuffer("".join(words).encode(), dtype=np.uint8) == ord("a")
     nxt_a, nxt_b = nxt[is_a], nxt[~is_a]
-    a_counts = [w.count("a") for w in texts]
+    a_counts = [w.count("a") for w in words]
     a_starts = np.cumsum([0] + a_counts)
-    b_starts = np.cumsum([0] + [w.count("b") for w in texts])
+    b_starts = np.cumsum([0] + [w.count("b") for w in words])
     lo, hi = b_starts[:-1], b_starts[1:]
     # a column sum counts at most one row word's a-shifts
     column = np.min_scalar_type(max(a_counts))
     below = np.zeros(len(nxt_b) + 1, dtype=np.int64)
-    p = np.empty((len(texts), len(texts)), dtype=np.int64)
-    for i in range(len(texts)):
+    p = np.empty((len(words), len(words)), dtype=np.int64)
+    for i in range(len(words)):
         above = nxt_a[a_starts[i] : a_starts[i + 1], None] > nxt_b
         np.cumsum(above.sum(axis=0, dtype=column), out=below[1:])
         np.subtract(below[hi], below[lo], out=p[i])
     return p
 
 
-def verify_pairs(
-    t: Triple, words: list[CyclicWord], include_self: bool = True
-) -> list[PairReport]:
+def verify_pairs(t: Triple, words: list[str], include_self: bool = True) -> list[PairReport]:
     """Evaluate the linking formula on all unordered pairs of the given words.
 
     Self-pairs (translated-copy convention) are included when requested.
     The words are not required to be admissible, so non-admissible controls
     can be fed through the same pipeline; each report carries a negativity
-    verdict.  More than ``MAX_VERIFY_WORDS`` words are refused.
+    verdict.  Each word is primitive, no two are rotations of one word, and
+    each is reported as given.  More than ``MAX_VERIFY_WORDS`` words are
+    refused at once; :func:`_shift_ranks` checks the rest, the letter budget
+    ``MAX_LETTERS`` before any ranking.
 
     Crossing numbers count order swaps on the branch line (Birman-Williams,
     Topology 1983): shifts x and y of the two words cross when their order
@@ -320,26 +359,23 @@ def verify_pairs(
     """
     if len(words) > MAX_VERIFY_WORDS:
         raise ValueError(f"{len(words):,} words exceed the verify limit of {MAX_VERIFY_WORDS:,}")
-    if len(set(words)) != len(words):
-        raise ValueError("word list contains duplicates")
     if not words:
         return []
-    texts = [w.word for w in words]
     # No fixed-width bound is needed: cr <= L_i * L_j leaves numpy as int64
     # and becomes a Python int in .tolist(); lk * 2*delta = 2*Q - delta*cr is
     # computed in Python ints.
-    cr = _crossing_matrix(texts)
+    cr = _crossing_matrix(words)
     cr = cr + cr.T
-    counts = [w.letter_counts() for w in words]
+    counts = [(w.count("a"), w.count("b")) for w in words]
     d = t.delta
     reports: list[PairReport] = []
-    for i, (w1, c1) in enumerate(zip(texts, counts)):
+    for i, (w1, c1) in enumerate(zip(words, counts)):
         j0 = i if include_self else i + 1
         row_cr = cr[i, j0:].tolist()
         # one q_form call per pair through this module's global, so a wrapper put there sees each
         two_q = map((2).__mul__, map(q_form, repeat(t), repeat(c1), counts[j0:]))
         keys = map(sub, two_q, map(d.__mul__, row_cr))
-        row = zip(repeat(w1), texts[j0:], row_cr, keys, repeat(2 * d))
+        row = zip(repeat(w1), words[j0:], row_cr, keys, repeat(2 * d))
         # tuple.__new__ fills each PairReport from its zipped fields without a Python frame
         reports.extend(map(tuple.__new__, repeat(PairReport), row))
     return reports
@@ -453,7 +489,7 @@ def range_triples(
 def verify_triple(t: Triple) -> TripleSummary:
     """Run the negativity check on the extremal orbits of one triple.
 
-    Families that may exceed ``MAX_VERIFY_WORDS`` are refused before any word is built.
+    Families over ``MAX_VERIFY_WORDS`` words are refused before any word is built.
     """
     start = time.perf_counter()
     check_family_bound(t.p, t.q, t.r)
@@ -463,11 +499,7 @@ def verify_triple(t: Triple) -> TripleSummary:
 
 
 def verify_range(
-    p_max: int,
-    q_max: int,
-    r_max: int,
-    include_p2: bool = True,
-    jobs: int | None = None,
+    p_max: int, q_max: int, r_max: int, include_p2: bool = True, jobs: int | None = None
 ) -> RangeSummary:
     """Verify all triples in range; work is distributed across processes.
 

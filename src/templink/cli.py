@@ -18,7 +18,7 @@ from . import census
 from .crossing import enumerate_cuts, word_crossing
 from .kneading import Triple, is_admissible, kneading
 from .linking import homology_order, template_linking
-from .words import CyclicWord, canonicalize
+from .words import canonicalize
 
 EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
 
@@ -28,7 +28,7 @@ EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
 MAX_WORD_LEN = 4_096
 
 
-def _parse_word(text: str) -> CyclicWord:
+def _parse_word(text: str) -> str:
     if len(text) > MAX_WORD_LEN:
         raise ValueError(f"word of {len(text):,} letters exceeds the limit of {MAX_WORD_LEN:,}")
     root, _ = canonicalize(text)  # powers code the same orbit as their root
@@ -89,7 +89,7 @@ def _cmd_lk(args) -> int:
 
 def _cmd_cr(args) -> int:
     w1, w2 = _parse_word(args.word1), _parse_word(args.word2)
-    print(word_crossing(w1.word, w2.word))
+    print(word_crossing(w1, w2))
     return EXIT_OK
 
 
@@ -101,9 +101,8 @@ def _cmd_admissible(args) -> int:
     return EXIT_OK
 
 
-def _emit_words(words: list[CyclicWord], args) -> int:
-    texts = [w.word for w in words]
-    _emit(_render([{"word": w} for w in texts], args.format, texts), args.out)
+def _emit_words(words: list[str], args) -> int:
+    _emit(_render([{"word": w} for w in words], args.format, words), args.out)
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .kneading import KneadingData, is_admissible
-from .words import CyclicWord, _check_letters, shift_prefixes
+from .words import _check_letters, shift_prefixes
 
 
 def _sign(x: int) -> int:
@@ -90,8 +90,8 @@ def _is_valid_cut(u: str, v: str, horizon: int) -> bool:
     return True
 
 
-def iter_cuts(w: CyclicWord) -> Iterator[Cut]:
-    """The cuts of ``w`` one at a time, by ascending rotation, then split.
+def iter_cuts(w: str) -> Iterator[Cut]:
+    """The cuts of ``w``, a primitive least rotation, by ascending rotation, then split.
 
     Factors need not be primitive (e.g. the cut aa|bb of aabb) nor code
     template orbits; admissibility is a separate question, see
@@ -130,11 +130,18 @@ def iter_cuts(w: CyclicWord) -> Iterator[Cut]:
     ``rot[:d]^j`` (``j, m >= 2``), in ascending order.  ``u`` must end in
     ``a``: every ``jd`` ends in ``rot[d-1]``, like ``d``, and since ``rot``
     ends in ``b`` only the largest ``m`` can leave an ``a`` before ``v``.
+
+    The sort checks the input: ``w`` is a primitive least rotation exactly
+    when rotation 0 sorts first and no other rotation equals it (``z^j``
+    equals its rotation by ``|z|``); else, or with letters outside {a, b},
+    ``ValueError`` is raised.
     """
-    s = w.word
-    n = len(s)
-    rots = [s[k:] + s[:k] for k in range(n)]
+    _check_letters(w)
+    n = len(w)
+    rots = [w[k:] + w[:k] for k in range(n)]
     order = sorted(range(n), key=rots.__getitem__)
+    if not order or order[0] != 0 or (n > 1 and rots[order[1]] == w):
+        raise ValueError(f"{w!r} is not a primitive word in least rotation")
     successor = dict(zip(order, order[1:]))
     for k in range(n):
         rot = rots[k]
@@ -156,7 +163,7 @@ def iter_cuts(w: CyclicWord) -> Iterator[Cut]:
                 yield Cut(u=u, v=v, rotation=k, split=split)
 
 
-def enumerate_cuts(w: CyclicWord) -> list[Cut]:
+def enumerate_cuts(w: str) -> list[Cut]:
     """All cuts of ``w``, in the order of :func:`iter_cuts`."""
     return list(iter_cuts(w))
 

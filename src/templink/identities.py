@@ -99,15 +99,19 @@ def _straddling_bilinear(t: Triple) -> Iterator[Instance]:
 
 
 def _corner(name, point, expanded, factored, applicable):
-    """Two identities (expanded and factored polynomial) for one corner point."""
+    """Two identities (expanded and factored polynomial) for one corner point.
+
+    ``point``, the two polynomials and ``applicable`` are functions of (p, q, r).
+    """
 
     def make(formula):
         def gen(t: Triple) -> Iterator[Instance]:
-            if not applicable(t):
+            pqr = (t.p, t.q, t.r)
+            if not applicable(*pqr):
                 return
-            i, j, i2, j2 = point(t)
+            i, j, i2, j2 = point(*pqr)
             yield f"i={i},j={j},i'={i2},j'={j2}", _syl(i, j), _syl(i2, j2), Fraction(
-                formula(t)
+                formula(*pqr)
             )
 
         return gen
@@ -147,76 +151,52 @@ CATALOG: list[Identity] = [
     Identity("straddling_bilinear", _straddling_bilinear),
     *_corner(
         "diag_1_1",
-        lambda t: (1, 1, 1, 1),
-        lambda t: -t.p * t.q * t.r
-        + t.p * t.q
-        + 2 * t.p * t.r
-        + 2 * t.q * t.r
-        - t.p
-        - t.q
-        - 4 * t.r,
-        lambda t: -(t.p - 2) * (t.q - 2) * (t.r - 2) - (t.p - 3) * (t.q - 3) + 1,
-        lambda t: True,
+        lambda p, q, r: (1, 1, 1, 1),
+        lambda p, q, r: -p * q * r + p * q + 2 * p * r + 2 * q * r - p - q - 4 * r,
+        lambda p, q, r: -(p - 2) * (q - 2) * (r - 2) - (p - 3) * (q - 3) + 1,
+        lambda p, q, r: True,
     ),
     *_corner(
         "diag_p2_1",
-        lambda t: (t.p - 2, 1, t.p - 2, 1),
-        lambda t: -t.p * t.q * t.r
-        + 2 * t.p * t.q
-        + t.p * t.r
-        + 2 * t.q * t.r
-        - t.p
-        - 4 * t.q
-        - t.r,
-        lambda t: -(t.p - 2) * (t.q - 2) * (t.r - 2) - (t.p - 3) * (t.r - 3) + 1,
-        lambda t: t.p >= 3,
+        lambda p, q, r: (p - 2, 1, p - 2, 1),
+        lambda p, q, r: -p * q * r + 2 * p * q + p * r + 2 * q * r - p - 4 * q - r,
+        lambda p, q, r: -(p - 2) * (q - 2) * (r - 2) - (p - 3) * (r - 3) + 1,
+        lambda p, q, r: p >= 3,
     ),
     *_corner(
         "p2_q1_vs_p2_1",
-        lambda t: (t.p - 2, t.q - 1, t.p - 2, 1),
-        lambda t: -t.p * t.q * t.r
-        + t.p * t.q
-        + t.p * t.r
-        + 3 * t.q * t.r
-        + t.p
-        - 4 * t.q
-        - t.r,
-        lambda t: -(t.p - 3) * (t.q - 1) * (t.r - 2) - (t.p - 2) * (t.q - 3),
-        lambda t: t.p >= 3,
+        lambda p, q, r: (p - 2, q - 1, p - 2, 1),
+        lambda p, q, r: -p * q * r + p * q + p * r + 3 * q * r + p - 4 * q - r,
+        lambda p, q, r: -(p - 3) * (q - 1) * (r - 2) - (p - 2) * (q - 3),
+        lambda p, q, r: p >= 3,
     ),
     *_corner(
         "two_q1_vs_two_1",
-        lambda t: (2, t.q - 1, 2, 1),
-        lambda t: -t.p * t.q * t.r
-        + t.p * t.q
-        + t.p * t.r
-        + 3 * t.q * t.r
-        + t.p
-        - 4 * t.q
-        - t.r,
-        lambda t: -(t.p - 3) * (t.q - 1) * (t.r - 2) - (t.p - 2) * (t.q - 3),
-        lambda t: t.p >= 3,
+        lambda p, q, r: (2, q - 1, 2, 1),
+        lambda p, q, r: -p * q * r + p * q + p * r + 3 * q * r + p - 4 * q - r,
+        lambda p, q, r: -(p - 3) * (q - 1) * (r - 2) - (p - 2) * (q - 3),
+        lambda p, q, r: p >= 3,
     ),
     *_corner(
         "one_q1_vs_one_1",
-        lambda t: (1, t.q - 1, 1, 1),
-        lambda t: t.p * t.r + 2 * t.p - t.q + 2 * t.r,
-        lambda t: -(t.p - 2) * (t.r - 2) - t.q + 4,
-        lambda t: True,
+        lambda p, q, r: (1, q - 1, 1, 1),
+        lambda p, q, r: p * r + 2 * p - q + 2 * r,
+        lambda p, q, r: -(p - 2) * (r - 2) - q + 4,
+        lambda p, q, r: True,
     ),
     *_corner(
         "one_q2_vs_p2_1",
-        lambda t: (1, t.q - 2, t.p - 2, 1),
-        lambda t: -t.p * t.q + 2 * t.p + 2 * t.q - t.r,
-        lambda t: -(t.p - 2) * (t.q - 2) - t.r + 4,
-        lambda t: t.p >= 3 and t.q >= 3,
+        lambda p, q, r: (1, q - 2, p - 2, 1),
+        lambda p, q, r: -p * q + 2 * p + 2 * q - r,
+        lambda p, q, r: -(p - 2) * (q - 2) - r + 4,
+        lambda p, q, r: p >= 3 and q >= 3,
     ),
     *_corner(
         "two_q1_vs_p2_1",
-        lambda t: (2, t.q - 1, t.p - 2, 1),
-        lambda t: -t.p * t.q - t.q * t.r + t.p + 4 * t.q + t.r,
-        lambda t: -(t.q - 1) * (t.p + t.r - 4) + 4,
-        lambda t: t.p >= 4,
+        lambda p, q, r: (2, q - 1, p - 2, 1),
+        lambda p, q, r: -p * q - q * r + p + 4 * q + r,
+        lambda p, q, r: -(q - 1) * (p + r - 4) + 4,
+        lambda p, q, r: p >= 4,
     ),
     Identity("mixed_pair_closed_form", _mixed_pair),
 ]

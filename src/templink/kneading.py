@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .words import CyclicWord, PeriodicSequence, compare
+from .words import PeriodicSequence, compare
 
 
 class TemplateDomainError(ValueError):
@@ -148,15 +148,14 @@ def lorenz_kneading() -> KneadingData:
     return _pack(PeriodicSequence("", "a"), PeriodicSequence("", "b"))
 
 
-def is_admissible(w: CyclicWord | str, k: KneadingData) -> bool:
+def is_admissible(word: str, k: KneadingData) -> bool:
     """True iff every shift of ``w^inf`` lies between the kneading bounds.
 
     Shifts starting with ``a`` must satisfy u_L <= s <= u_R, shifts starting
     with ``b`` must satisfy v_L <= s <= v_R (bounds inclusive: the template
-    contains its boundary orbits).  The word is read as ``str(w)``, so ``w``
-    may be a ``CyclicWord`` or any nonempty string over {a, b}: every
-    rotation and every power of a word has the same shifts, so the answer
-    is the same for each of them.
+    contains its boundary orbits).  ``word`` may be any nonempty string over
+    {a, b}: every rotation and every power of a word has the same shifts, so
+    the answer is the same for each of them.
 
     A shift (period ``len(w)``) and a bound (``preperiod . period^inf``)
     that agree on ``len(w) + len(preperiod) + len(period)`` letters agree
@@ -165,7 +164,6 @@ def is_admissible(w: CyclicWord | str, k: KneadingData) -> bool:
     plain strings exactly as the sequences do, equality included.  That
     longest bound length is ``k.reach``.
     """
-    word = str(w)
     horizon = len(word) + k.reach
     u_L, u_R, v_L, v_R = k.bound_prefixes(horizon)
     reps = word * (horizon // len(word) + 2)

@@ -16,7 +16,6 @@ from math import prod
 
 from .crossing import word_crossing
 from .kneading import Triple
-from .words import CyclicWord
 
 # Linking numbers of a link with the three Hopf components, as integers.
 HopfLinkingVector = tuple[int, int, int]
@@ -57,7 +56,7 @@ def surgery_linking(
     return Fraction(lk_s3) + Fraction(qprime_form(t, x, y), t.delta)
 
 
-def template_linking(t: Triple, w: CyclicWord | str, w2: CyclicWord | str) -> Fraction:
+def template_linking(t: Triple, w: str, w2: str) -> Fraction:
     """Exact linking number of two template orbits: -cr/2 + Q(counts, counts')/delta.
 
     All template crossings are negative, and an orbit with letter counts
@@ -65,13 +64,12 @@ def template_linking(t: Triple, w: CyclicWord | str, w2: CyclicWord | str) -> Fr
     into this reduced formula.  For w == w2 the translated-copy self-crossing
     convention applies.  The words need not be admissible: the formula
     evaluates any pair of formal Lorenz orbits, and only admissible pairs
-    are guaranteed to link negatively.  Plain strings are read as cyclic
-    words; a k-th power traverses its orbit k times and links k times as much.
+    are guaranteed to link negatively.  Any rotation of a word codes its
+    orbit; a k-th power traverses its orbit k times and links k times as much.
     """
-    s, s2 = str(w), str(w2)
-    cr = word_crossing(s, s2)
-    counts = (s.count("a"), s.count("b"))
-    counts2 = (s2.count("a"), s2.count("b"))
+    cr = word_crossing(w, w2)
+    counts = (w.count("a"), w.count("b"))
+    counts2 = (w2.count("a"), w2.count("b"))
     return Fraction(-cr, 2) + Fraction(q_form(t, counts, counts2), t.delta)
 
 

@@ -6,7 +6,8 @@ over the ribbon labels ``a`` and ``b`` (left ribbon before right ribbon, so
 purely periodic sequence ``w^inf``; kneading bounds are eventually periodic
 sequences.  Everything here is an immutable value and safe to share.
 
-Serialization: cyclic words are plain ASCII strings over ``{a, b}``;
+Serialization: a cyclic word is the ASCII string of its least rotation over
+``{a, b}``, and every engine takes it as a plain ``str``;
 sequences use the ``"preperiod|period"`` format (the preperiod may be empty,
 e.g. ``"|ab"`` for ``(ab)^inf``).
 """
@@ -27,13 +28,6 @@ def _check_letters(s: str, what: str = "word") -> None:
         raise ValueError(f"{what} may only contain letters 'a' and 'b', got {ch!r}")
 
 
-def least_rotation(s: str) -> str:
-    """Lexicographically least rotation of ``s`` (direct scan; words are short)."""
-    if not s:
-        raise ValueError("empty word has no rotation")
-    return min(s[i:] + s[:i] for i in range(len(s)))
-
-
 def primitive_root(s: str) -> tuple[str, int]:
     """Split ``s`` into (root, power) with ``s == root * power`` and root primitive.
 
@@ -46,54 +40,41 @@ def primitive_root(s: str) -> tuple[str, int]:
     return s[:d], len(s) // d
 
 
-@dataclass(frozen=True)
-class CyclicWord:
-    """A primitive cyclic word, stored in its least rotation.
+class CyclicWord(str):
+    """A primitive cyclic word: the string of its least rotation.
 
     The constructor accepts any rotation and canonicalizes it; proper powers
     are rejected since they code the same orbit as their root (use
-    :func:`canonicalize` to split a power into root and exponent).
+    :func:`canonicalize` to split a power into root and exponent).  Being a
+    ``str``, it goes wherever a word does; ``.word`` is the plain string.
     """
 
-    word: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.word:
-            raise ValueError("cyclic word must be nonempty")
-        _check_letters(self.word)
-        root, power = primitive_root(self.word)
+    def __new__(cls, word: str) -> "CyclicWord":
+        _check_letters(word)
+        root, power = primitive_root(word)
         if power != 1:
             raise ValueError(
-                f"{self.word!r} is the {power}-th power of {root!r}; "
+                f"{word!r} is the {power}-th power of {root!r}; "
                 "cyclic words store primitive roots only"
             )
-        object.__setattr__(self, "word", least_rotation(self.word))
+        # the least rotation by a direct scan: words are short
+        return super().__new__(cls, min(word[i:] + word[:i] for i in range(len(word))))
 
-    def __len__(self) -> int:
-        return len(self.word)
-
-    def __str__(self) -> str:
-        return self.word
-
-    def rotation(self, k: int) -> str:
-        k %= len(self.word)
-        return self.word[k:] + self.word[:k]
-
-    def letter_counts(self) -> tuple[int, int]:
-        """Occurrences of (a, b) in one period."""
-        return self.word.count("a"), self.word.count("b")
+    @property
+    def word(self) -> str:
+        return str(self)
 
 
 def canonicalize(raw: str) -> tuple[CyclicWord, int]:
     """Primitive root of ``raw`` in least rotation, plus the power it was raised to.
 
     >>> canonicalize("ba")
-    (CyclicWord(word='ab'), 1)
+    ('ab', 1)
     >>> canonicalize("abab")
-    (CyclicWord(word='ab'), 2)
+    ('ab', 2)
     """
-    if not raw:
-        raise ValueError("cannot canonicalize the empty word")
     root, power = primitive_root(raw)
     return CyclicWord(root), power
 

@@ -42,17 +42,22 @@ def test_lyndon_words_are_canonical_primitive():
             word = "".join("ab"[(bits >> i) & 1] for i in range(n))
             root, power = canonicalize(word)
             if power == 1:
-                brute.add(root.word)
+                brute.add(root)
     assert got == brute
 
 
 def test_enumerate_admissible_small():
     t = Triple(3, 3, 4)
     assert enumerate_admissible(t, 1) == []  # single letters never code orbits
-    assert [w.word for w in enumerate_admissible(t, 2)] == ["ab"]
-    assert [w.word for w in enumerate_admissible(t, 3)] == ["ab"]
+    assert enumerate_admissible(t, 2) == ["ab"]
+    assert enumerate_admissible(t, 3) == ["ab"]
     with pytest.raises(ValueError):
         enumerate_admissible(t, 0)
+
+
+def test_lyndon_words_below_length_one_are_none():
+    assert lyndon_words(1) == ["a", "b"]
+    assert lyndon_words(0) == [] and lyndon_words(-3) == []
 
 
 def test_lyndon_totals_match_generator():
@@ -75,10 +80,10 @@ def test_oversized_census_refused_before_generating(monkeypatch):
 def test_family_bound_covers_every_family():
     triples = range_triples(6, 8, 10) + range_triples(2, 9, 13) + [Triple(3, 3, 41)]
     for t in triples:
-        assert len(extremal_families(t)) <= check_family_bound(t.p, t.q, t.r), t
-    assert check_family_bound(6, 8, 10) == 346 and check_family_bound(2, 9, 13) == 97
-    assert check_family_bound(3, 3, 81) == 1_681 <= MAX_VERIFY_WORDS
-    with pytest.raises(ValueError, match="2,601 words"):
+        assert len(extremal_families(t)) == check_family_bound(t.p, t.q, t.r), t
+    assert check_family_bound(6, 8, 10) == 313 and check_family_bound(2, 9, 13) == 91
+    assert check_family_bound(3, 3, 81) == 1_679 <= MAX_VERIFY_WORDS
+    with pytest.raises(ValueError, match="hold 2,599 words"):
         check_family_bound(3, 3, 101)
 
 
@@ -88,7 +93,7 @@ def test_oversized_verify_refused_before_any_engine_runs(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("an engine ran on an oversized verification")
 
-    words = [CyclicWord(w) for w in lyndon_words(14) if "a" in w and "b" in w]
+    words = [w for w in lyndon_words(14) if "a" in w and "b" in w]
     words = words[: MAX_VERIFY_WORDS + 1]
     assert len(words) == MAX_VERIFY_WORDS + 1
     for name in ("extremal_families", "range_triples", "_crossing_matrix"):
@@ -112,27 +117,25 @@ def test_empty_range_is_refused():
 @pytest.mark.parametrize("pqr", [(3, 3, 4), (2, 3, 7), (4, 5, 6), (3, 3, 5)])
 def test_enumerate_admissible_in_length_then_text_order(pqr):
     words = enumerate_admissible(Triple(*pqr), 14)
-    assert words == sorted(words, key=lambda w: (len(w), w.word))
+    assert words == sorted(words, key=lambda w: (len(w), w))
 
 
 def test_enumerate_admissible_monotone_in_length():
     t = Triple(2, 3, 7)
-    shorter = {w.word for w in enumerate_admissible(t, 8)}
-    longer = {w.word for w in enumerate_admissible(t, 10)}
+    shorter = set(enumerate_admissible(t, 8))
+    longer = set(enumerate_admissible(t, 10))
     assert shorter <= longer
 
 
 def test_extremal_orbits_334():
-    words = {w.word for w in extremal_orbits(Triple(3, 3, 4))}
+    words = set(extremal_orbits(Triple(3, 3, 4)))
     assert words == {"ab", "aabb", "aabab", "ababb", "aababb", "aabaabb", "aabbabb"}
 
 
 def test_extremal_orbits_p2():
     # q = 3 leaves only the mixed family
-    words = {w.word for w in extremal_orbits(Triple(2, 3, 7))}
-    assert words == {
-        canonicalize("ab" * k + "abb" * l)[0].word for k in (1, 2) for l in (1, 2)
-    }
+    words = set(extremal_orbits(Triple(2, 3, 7)))
+    assert words == {canonicalize("ab" * k + "abb" * l)[0] for k in (1, 2) for l in (1, 2)}
     with pytest.raises(TemplateDomainError):
         extremal_orbits(Triple(2, 5, 6))  # r even not covered for p = 2
 
@@ -161,12 +164,12 @@ P2_GOLDEN = {
 
 @pytest.mark.parametrize("pqr", sorted(P2_GOLDEN))
 def test_extremal_orbits_p2_golden(pqr):
-    assert [w.word for w in extremal_orbits(Triple(*pqr))] == P2_GOLDEN[pqr]
+    assert extremal_orbits(Triple(*pqr)) == P2_GOLDEN[pqr]
 
 
 def test_extremal_families_golden_over_the_range():
     rows = [
-        (e.family, e.params, e.word.word)
+        (e.family, e.params, e.word)
         for t in range_triples(6, 8, 10)
         for e in extremal_families(t)
     ]
@@ -180,19 +183,19 @@ def test_extremal_words_are_primitive_and_sorted():
     for pqr in [(3, 3, 4), (4, 5, 7), (2, 5, 7), (2, 9, 13)]:
         words = extremal_orbits(Triple(*pqr))
         assert len(words) == len(set(words))
-        assert words == sorted(words, key=lambda w: (len(w), w.word))
+        assert words == sorted(words, key=lambda w: (len(w), w))
 
 
 def test_extremal_families_tags_and_params():
     fams = extremal_families(Triple(3, 3, 4))
-    by_word = {e.word.word: e for e in fams}
+    by_word = {e.word: e for e in fams}
     assert by_word["ab"].family == "rot_p" and by_word["ab"].params == (1, 1, 0)
     assert by_word["aababb"].family == "mixed" and by_word["aababb"].params == (1, 1)
     assert by_word["ababb"].family == "rot_q"  # ab2.ab
     assert {e.family for e in fams} == {"rot_p", "rot_q", "mixed"}
     assert len({e.word for e in fams}) == len(fams)
     # p = 2 uses the same formula: tails a b^j, P = ab
-    p2 = {e.word.word: e for e in extremal_families(Triple(2, 5, 7))}
+    p2 = {e.word: e for e in extremal_families(Triple(2, 5, 7))}
     assert p2["abb"].family == "rot_p" and p2["abb"].params == (1, 2, 0)
     assert p2["ababbb"].family == "rot_p" and p2["ababbb"].params == (1, 3, 1)
     assert p2["abbabbbb"].family == "rot_q" and p2["abbabbbb"].params == (1, 2, 1)
@@ -207,7 +210,7 @@ def test_extremal_family_words_admissible_for_odd_r():
         t = Triple(*pqr)
         k = kneading(t)
         for w in extremal_orbits(t):
-            assert is_admissible(w, k), (pqr, w.word)
+            assert is_admissible(w, k), (pqr, w)
 
 
 def test_verify_pairs_334_all_negative():
@@ -220,7 +223,7 @@ def test_verify_pairs_334_all_negative():
 
 def test_verify_pairs_positive_control():
     t = Triple(3, 3, 4)
-    reports = verify_pairs(t, [CyclicWord("aab")], include_self=True)
+    reports = verify_pairs(t, ["aab"], include_self=True)
     assert len(reports) == 1
     assert reports[0].lk == 1 and not reports[0].negative
 
@@ -232,7 +235,7 @@ def test_pair_report_holds_only_what_the_pair_determines():
 
 def test_pair_report_is_immutable_and_summary_pickles():
     t = Triple(3, 3, 4)
-    reports = verify_pairs(t, [CyclicWord("aab")])
+    reports = verify_pairs(t, ["aab"])
     with pytest.raises(AttributeError):
         reports[0].cr = 0
     # process-pool results of verify_range(jobs > 1) travel this way
@@ -255,7 +258,7 @@ def test_fraction_built_only_when_lk_is_read(monkeypatch):
     assert len(built) == 1 and s.worst == Fraction(*built[0])  # the worst value only
     built.clear()
     t = Triple(3, 3, 4)
-    reports = verify_pairs(t, [CyclicWord("aab")])
+    reports = verify_pairs(t, ["aab"])
     assert built == []
     summary = summarize(t, 1, reports, 0.0)
     assert len(built) == 1 and summary.worst == 1  # the worst value only
@@ -264,7 +267,70 @@ def test_fraction_built_only_when_lk_is_read(monkeypatch):
 def test_verify_pairs_rejects_duplicates():
     t = Triple(3, 3, 4)
     with pytest.raises(ValueError):
-        verify_pairs(t, [CyclicWord("ab"), CyclicWord("ba")])
+        verify_pairs(t, ["ab", "ba"])
+
+
+@pytest.mark.parametrize("words", [["abab"], ["ab", "ba"], ["ab", "ab"], [""], ["ab", ""], ["ac"]])
+def test_verify_pairs_rejects_words_that_are_not_distinct_primitive_cyclic_words(words):
+    with pytest.raises(ValueError):
+        verify_pairs(Triple(3, 3, 4), words)
+
+
+def test_verify_pairs_reports_any_rotation_as_given():
+    t = Triple(3, 4, 5)
+    rotated = verify_pairs(t, ["baab", "bab"])
+    canonical = verify_pairs(t, ["aabb", "abb"])
+    assert [(r.word1, r.word2) for r in rotated][:2] == [("baab", "baab"), ("baab", "bab")]
+    assert [r[2:] for r in rotated] == [r[2:] for r in canonical]
+
+
+def test_letter_budget_refused_before_ranking(monkeypatch):
+    import templink.census as census
+
+    def never(word, horizon):
+        raise AssertionError("built shift prefixes over the letter budget")
+
+    monkeypatch.setattr(census, "shift_prefixes", never)
+    words = extremal_orbits(Triple(2, 41, 43))
+    assert len(words) == check_family_bound(2, 41, 43) == 1_958
+    with pytest.raises(ValueError, match="958,447,640 letters"):
+        verify_pairs(Triple(2, 41, 43), words)
+    # the largest family verified in the docs stays within the budget
+    words = extremal_orbits(Triple(3, 3, 87))
+    assert sum(map(len, words)) * 2 * max(map(len, words)) <= census.MAX_LETTERS
+
+
+def test_oversized_extremal_family_refused_before_any_word_is_built(monkeypatch):
+    import templink.census as census
+
+    assert len(extremal_families(Triple(3, 3, 401))) == 40_399
+
+    def never(*args):
+        raise AssertionError("built a family word over the letter budget")
+
+    monkeypatch.setattr(census, "ExtremalFamily", never)
+    for r in (4001, 10**6):
+        with pytest.raises(ValueError, match="letters"):
+            extremal_families(Triple(3, 3, r))
+
+
+def test_census_builds_cyclic_words_only_for_crosscheck_output(monkeypatch):
+    built = []
+    original = CyclicWord.__new__
+
+    def counting(cls, word):
+        built.append(word)
+        return original(cls, word)
+
+    monkeypatch.setattr(CyclicWord, "__new__", counting)
+    t = Triple(3, 4, 5)
+    enumerate_admissible(t, 12)
+    extremal_orbits(t)
+    verify_triple(t)
+    verify_range(3, 4, 5, jobs=1)
+    assert built == []
+    family, independent = extremality_crosscheck(t, max_len=12)
+    assert len(built) == len(family) + len(independent) > 0
 
 
 def test_pair_engine_matches_definition_oracle():
@@ -274,7 +340,7 @@ def test_pair_engine_matches_definition_oracle():
     while len(words) < 6:
         raw = "".join(rng.choice("ab") for _ in range(rng.randint(2, 9)))
         root, power = canonicalize(raw)
-        if power == 1 and "a" in root.word and "b" in root.word and root not in words:
+        if power == 1 and "a" in root and "b" in root and root not in words:
             words.append(root)
     reports = verify_pairs(t, words, include_self=True)
     for r in reports:
@@ -296,7 +362,7 @@ def test_pair_kernel_matches_oracle_and_exact_formula(t, words, include_self):
     reports = verify_pairs(t, words, include_self=include_self)
     n = len(words)
     expected_order = [
-        (words[i].word, words[j].word)
+        (words[i], words[j])
         for i in range(n)
         for j in range(i if include_self else i + 1, n)
     ]
@@ -357,7 +423,7 @@ def test_pair_kernel_words_missing_a_letter(texts, include_self):
     # single-letter words have no b-shifts (or no a-shifts) at the start, the
     # middle or the end of the word list; each must count zero there
     t = Triple(3, 3, 4)
-    reports = verify_pairs(t, [CyclicWord(w) for w in texts], include_self=include_self)
+    reports = verify_pairs(t, texts, include_self=include_self)
     n = len(texts)
     assert len(reports) == (n * (n + 1) if include_self else n * (n - 1)) // 2
     for r in reports:
@@ -368,7 +434,7 @@ def test_pair_kernel_counts_past_a_byte():
     # a b-shift's successor below the successors of more than 255 a-shifts of
     # one word: its column sum no longer fits in a byte
     t = Triple(3, 3, 4)
-    words = [CyclicWord("a" * 300 + "b"), CyclicWord("a" * 257 + "bb")]
+    words = ["a" * 300 + "b", "a" * 257 + "bb"]
     for r in verify_pairs(t, words):
         assert r.cr == word_crossing(r.word1, r.word2)
 
@@ -408,7 +474,7 @@ def test_linking_subadditive_under_admissible_cuts():
 
 def test_csv_schema(capsys):
     t = Triple(3, 3, 4)
-    reports = verify_pairs(t, [CyclicWord("ab"), CyclicWord("aabb")])
+    reports = verify_pairs(t, ["ab", "aabb"])
     assert run(["verify", "--p", "3", "--q", "3", "--r", "4", "--format", "csv", "ab", "aabb"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "word1,word2,cr,na1,nb1,na2,nb2,lk_num,lk_den,negative"

@@ -223,6 +223,36 @@ def test_oversized_verify_exits_2_before_any_engine_runs(monkeypatch, capsys):
         assert "over the verify limit of 2,000" in capsys.readouterr().err
 
 
+def test_verify_over_the_letter_budget_exits_2_before_ranking(monkeypatch, capsys):
+    import templink.census as census
+
+    def never(*args, **kwargs):
+        raise AssertionError("built shift prefixes over the letter budget")
+
+    monkeypatch.setattr(census, "shift_prefixes", never)
+    # 1,958 words pass the word limit, but ranking them needs 958 M prefix letters
+    assert run(["verify", "--p", "2", "--q", "41", "--r", "43"]) == 2
+    assert "over the limit of 134,217,728" in capsys.readouterr().err
+    # five words of 4,096 letters need 5 x 4,096 x 8,192 letters
+    words = ["a" * k + "b" * (4_096 - k) for k in range(1, 6)]
+    assert run(["verify", "--p", "3", "--q", "3", "--r", "4", *words]) == 2
+    assert "167,772,160 letters" in capsys.readouterr().err
+
+
+def test_extremal_lists_large_families_and_refuses_over_the_letter_budget(monkeypatch, capsys):
+    import templink.census as census
+
+    assert run(["extremal", "--p", "3", "--q", "3", "--r", "101", "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2_599
+
+    def never(*args, **kwargs):
+        raise AssertionError("built a family word over the letter budget")
+
+    monkeypatch.setattr(census, "ExtremalFamily", never)
+    assert run(["extremal", "--p", "3", "--q", "3", "--r", "4001"]) == 2
+    assert "over the limit of 134,217,728 letters" in capsys.readouterr().err
+
+
 def test_empty_range_exits_2(capsys):
     assert run(["verify", "--p-max", "3", "--q-max", "3", "--r-max", "3"]) == 2
     err = capsys.readouterr().err

@@ -71,6 +71,12 @@ def test_cuts_of_two_letter_word():
     assert [(c.u, c.v) for c in cuts] == [("a", "b")]
 
 
+@pytest.mark.parametrize("word", ["ba", "abab", "ac", "bab", ""])
+def test_cuts_refuse_words_that_are_not_primitive_least_rotations(word):
+    with pytest.raises(ValueError):
+        enumerate_cuts(word)
+
+
 def test_cuts_of_aabb():
     pairs = {(c.u, c.v) for c in enumerate_cuts(CyclicWord("aabb"))}
     assert ("a", "abb") in pairs
@@ -94,7 +100,7 @@ def test_cut_invariants_hold_for_enumerated_cuts():
             continue
         w = canonicalize(raw)[0]
         for c in enumerate_cuts(w):
-            rot = w.rotation(c.rotation)
+            rot = w[c.rotation :] + w[: c.rotation]
             assert c.u + c.v == rot
             assert c.u[-1] == "a" and c.v[-1] == "b"
             su, sv = PeriodicSequence("", c.u), PeriodicSequence("", c.v)
@@ -229,7 +235,7 @@ def test_cut_search_validates_few_of_the_letter_filtered_splits(monkeypatch):
     for pqr in ((3, 3, 4), (2, 5, 7), (4, 4, 5)):
         for w in enumerate_admissible(Triple(*pqr), 12):
             enumerate_cuts(w)
-            rotations = [w.rotation(k) for k in range(len(w))]
+            rotations = [w[k:] + w[:k] for k in range(len(w))]
             filtered += sum(
                 rot[split - 1] == "a" for rot in rotations if rot[-1] == "b" for split in range(1, len(w))
             )

@@ -192,7 +192,7 @@ def test_no_p_run_in_admissible_words():
     from templink.census import enumerate_admissible
 
     for w in enumerate_admissible(t, 9):
-        assert "a" * t.p not in w.word * 2
+        assert "a" * t.p not in w * 2
 
 
 def test_kneading_data_validates_order():

@@ -1,7 +1,10 @@
+import doctest
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import templink.words
 from oracles import shift_sequences
 from templink.words import (
     EQUAL,
@@ -15,19 +18,30 @@ from templink.words import (
 )
 
 words = st.text(alphabet="ab", min_size=1, max_size=12)
-primitive_words = words.map(lambda s: canonicalize(s)[0].word)
+primitive_words = words.map(lambda s: canonicalize(s)[0])
+
+
+def test_doctests():
+    assert doctest.testmod(templink.words).failed == 0
 
 
 def test_canonicalize_least_rotation():
     assert canonicalize("ba") == (CyclicWord("ab"), 1)
-    assert canonicalize("aabab")[0].word == "aabab"
+    assert canonicalize("aabab")[0] == "aabab"
+
+
+def test_cyclic_word_is_the_string_of_its_least_rotation():
+    w = CyclicWord("babaa")
+    assert isinstance(w, str) and w == "aabab" and len(w) == 5
+    assert w.word == "aabab" and type(w.word) is str
+    assert {w: 1}["aabab"] == 1  # hashes as its string
 
 
 def test_canonicalize_reports_power():
     root, power = canonicalize("abab")
-    assert (root.word, power) == ("ab", 2)
+    assert (root, power) == ("ab", 2)
     root, power = canonicalize("aaa")
-    assert (root.word, power) == ("a", 3)
+    assert (root, power) == ("a", 3)
 
 
 def test_canonicalize_rejects_empty_and_bad_letters():
@@ -68,7 +82,7 @@ def test_canonicalize_rotation_invariant(s, k):
 @given(words)
 def test_canonicalize_idempotent(s):
     root, _ = canonicalize(s)
-    again, power = canonicalize(root.word)
+    again, power = canonicalize(root)
     assert again == root and power == 1
 
 
@@ -102,9 +116,9 @@ def test_compare_examples():
 
 
 def test_letter_counts():
-    assert CyclicWord("aab").letter_counts() == (2, 1)
-    assert CyclicWord("ab").letter_counts() == (1, 1)
-    assert CyclicWord("aababb").letter_counts() == (3, 3)
+    for raw, counts in (("aba", (2, 1)), ("ba", (1, 1)), ("abbaba", (3, 3))):
+        w = CyclicWord(raw)
+        assert (w.count("a"), w.count("b")) == counts
 
 
 @given(primitive_words)
