@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -35,14 +34,16 @@ from .words import CyclicWord, _check_letters, shift_prefixes
 # inside the functions that use them, so `import templink` and the census
 # commands load neither.
 
-# Most Lyndon words a census may generate and screen: admits max_len = 24
-# (1,465,020 words) and refuses 25 (2,807,196) before anything is generated.
-MAX_CENSUS_WORDS = 2_000_000
+# Longest words a census may generate and screen: length 24 gives 1,465,020
+# Lyndon words, 25 would give 2,807,196; longer is refused before any is generated.
+MAX_CENSUS_LEN = 24
 
 # Most words verify_pairs takes, and so the largest extremal family a triple or
 # a range may have: the pair reports grow with its square.  On a 2-vCPU KVM
 # guest verify_triple(Triple(3, 3, 87)), 1,934 words and 1,871,145 pairs, took
-# 10.4 s and 478 MB peak RSS; (3, 3, 301) would hold about 260 M pairs.
+# 10.4 s and 478 MB peak RSS; (3, 3, 301) would hold about 260 M pairs.  That
+# bounds verify_triple only: single-triple `templink verify` renders every
+# report, and on (3, 3, 87) it took 44 s and peaked at 5.4 GB.
 MAX_VERIFY_WORDS = 2_000
 
 # Most letters one call may hold: verify_pairs' shift prefixes (total length x
@@ -110,36 +111,18 @@ def lyndon_words(max_len: int) -> list[str]:
     return out
 
 
-def lyndon_totals(max_len: int) -> Iterator[int]:
-    """Running counts of Lyndon words over {a, b} of length <= 1, 2, ..., max_len.
-
-    Each of the 2^n words of length n is a power of exactly one Lyndon word,
-    whose length d divides n (the necklace formula 2^n = sum_{d | n} d L(d)).
-    """
-    per_len = [0]
-    total = 0
-    for n in range(1, max_len + 1):
-        per_len.append((2**n - sum(d * per_len[d] for d in range(1, n) if n % d == 0)) // n)
-        total += per_len[n]
-        yield total
-
-
 def enumerate_admissible(t: Triple, max_len: int) -> list[str]:
     """The admissible Lyndon words of length <= max_len that pass the block screen.
 
     Lyndon words are the primitive least rotations, so they are the census
     words as generated; the screen rejects single letters, and admissible
-    words it wrongly rejects are missing (ROADMAP item 1).  A ``max_len`` whose
-    census would exceed ``MAX_CENSUS_WORDS`` Lyndon words is refused before any is generated.
+    words it wrongly rejects are missing (ROADMAP item 1).  A ``max_len`` over
+    ``MAX_CENSUS_LEN`` is refused before any word is generated.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    # the totals only grow, so stopping at the first one over the limit keeps
-    # an absurd max_len as cheap to refuse as 25
-    if any(total > MAX_CENSUS_WORDS for total in lyndon_totals(max_len)):
-        raise ValueError(
-            f"max_len {max_len} exceeds the census limit of {MAX_CENSUS_WORDS:,} Lyndon words"
-        )
+    if max_len > MAX_CENSUS_LEN:
+        raise ValueError(f"max_len {max_len} exceeds the census limit of length {MAX_CENSUS_LEN}")
     k = kneading(t)
     words = [
         word
@@ -260,6 +243,21 @@ def extremality_crosscheck(
     return family, independent
 
 
+def check_letter_budget(words: list[str]) -> int:
+    """Refuse words whose shift prefixes would exceed ``MAX_LETTERS``; return their letters.
+
+    :func:`_shift_ranks` builds a prefix of 2 x the longest length for every
+    shift of every word: total length x 2 x longest letters.
+    """
+    letters = 2 * max(map(len, words), default=0) * sum(map(len, words))
+    if letters > MAX_LETTERS:
+        raise ValueError(
+            f"{len(words):,} words need {letters:,} letters of shift prefixes, "
+            f"over the limit of {MAX_LETTERS:,}"
+        )
+    return letters
+
+
 def _shift_ranks(words: list[str]) -> np.ndarray:
     """Global branch-line ranks of every shift of every word, words concatenated.
 
@@ -277,13 +275,8 @@ def _shift_ranks(words: list[str]) -> np.ndarray:
     if not all(words):
         raise ValueError("cyclic words must be nonempty")
     _check_letters("".join(words))
+    check_letter_budget(words)
     horizon = 2 * max(map(len, words))
-    letters = horizon * sum(map(len, words))
-    if letters > MAX_LETTERS:
-        raise ValueError(
-            f"{len(words):,} words need {letters:,} letters of shift prefixes, "
-            f"over the limit of {MAX_LETTERS:,}"
-        )
     prefixes = [s for w in words for s in shift_prefixes(w, horizon)]
     order = sorted(range(len(prefixes)), key=prefixes.__getitem__)
     ordered = list(map(prefixes.__getitem__, order))
@@ -506,13 +499,15 @@ def verify_range(
     The result is deterministic regardless of scheduling: ``range_triples``
     is sorted by triple and ``pool.map`` keeps its order.  A box whose corner
     fails :func:`check_family_bound` is refused before any triple is built,
-    and a box that holds no triple is refused as well.
+    a box that holds no triple is refused as well, and so is one whose last
+    triple, the one with the most letters, fails :func:`check_letter_budget`.
     """
     start = time.perf_counter()
     check_family_bound(p_max, q_max, r_max)
     triples = range_triples(p_max, q_max, r_max, include_p2=include_p2)
     if not triples:
         raise ValueError(f"no triple to verify with p <= {p_max}, q <= {q_max}, r <= {r_max}")
+    check_letter_budget(extremal_orbits(triples[-1]))
     if jobs is not None and jobs < 1:
         raise ValueError("jobs must be >= 1")
     # A forking pool starts all its workers at the first submit, so never ask

@@ -3,9 +3,9 @@
 Each catalog entry produces instances ``(label, word1, word2, closed_form)``
 for a given parameter triple, the value being delta * lk of the two orbit
 words; :func:`check_identities` re-derives it through the exact
-crossing-plus-form pipeline and records agreement, next to hard checks of
-crossing closed forms, a refined crossing lower bound and sampled
-superadditivity under cuts.
+crossing-plus-form pipeline and records agreement, next to a hard check of
+the refined crossing lower bound.  :func:`superadditivity_instances` samples
+the cut instances of superadditivity, a check that reads no triple.
 
 Some quantities are recorded in two circulating variants that differ by sign
 or coefficient slips; both are kept and the checker reports, never assumes,
@@ -26,12 +26,6 @@ from .words import canonicalize
 
 # Instance of one identity: label, the two words, the closed-form value.
 Instance = tuple[str, str, str, Fraction]
-
-
-@dataclass(frozen=True)
-class Identity:
-    name: str
-    instances: Callable[[Triple], Iterator[Instance]]
 
 
 def _syl(i: int, j: int) -> str:
@@ -99,7 +93,7 @@ def _straddling_bilinear(t: Triple) -> Iterator[Instance]:
 
 
 def _corner(name, point, expanded, factored, applicable):
-    """Two identities (expanded and factored polynomial) for one corner point.
+    """Two catalog entries (expanded and factored polynomial) for one corner point.
 
     ``point``, the two polynomials and ``applicable`` are functions of (p, q, r).
     """
@@ -116,10 +110,7 @@ def _corner(name, point, expanded, factored, applicable):
 
         return gen
 
-    return [
-        Identity(f"{name}_expanded", make(expanded)),
-        Identity(f"{name}_factored", make(factored)),
-    ]
+    return {f"{name}_expanded": make(expanded), f"{name}_factored": make(factored)}
 
 
 def _mixed_pair(t: Triple) -> Iterator[Instance]:
@@ -144,62 +135,63 @@ def _mixed_pair(t: Triple) -> Iterator[Instance]:
                     )
 
 
-CATALOG: list[Identity] = [
-    Identity("scalar_qi_minus_pj", _scalar),
-    Identity("nested_bilinear", _nested_bilinear),
-    Identity("nested_bilinear_alt", _nested_bilinear_alt),
-    Identity("straddling_bilinear", _straddling_bilinear),
-    *_corner(
+# identity name -> its instance generator
+CATALOG: dict[str, Callable[[Triple], Iterator[Instance]]] = {
+    "scalar_qi_minus_pj": _scalar,
+    "nested_bilinear": _nested_bilinear,
+    "nested_bilinear_alt": _nested_bilinear_alt,
+    "straddling_bilinear": _straddling_bilinear,
+    **_corner(
         "diag_1_1",
         lambda p, q, r: (1, 1, 1, 1),
         lambda p, q, r: -p * q * r + p * q + 2 * p * r + 2 * q * r - p - q - 4 * r,
         lambda p, q, r: -(p - 2) * (q - 2) * (r - 2) - (p - 3) * (q - 3) + 1,
         lambda p, q, r: True,
     ),
-    *_corner(
+    **_corner(
         "diag_p2_1",
         lambda p, q, r: (p - 2, 1, p - 2, 1),
         lambda p, q, r: -p * q * r + 2 * p * q + p * r + 2 * q * r - p - 4 * q - r,
         lambda p, q, r: -(p - 2) * (q - 2) * (r - 2) - (p - 3) * (r - 3) + 1,
         lambda p, q, r: p >= 3,
     ),
-    *_corner(
+    **_corner(
         "p2_q1_vs_p2_1",
         lambda p, q, r: (p - 2, q - 1, p - 2, 1),
         lambda p, q, r: -p * q * r + p * q + p * r + 3 * q * r + p - 4 * q - r,
         lambda p, q, r: -(p - 3) * (q - 1) * (r - 2) - (p - 2) * (q - 3),
         lambda p, q, r: p >= 3,
     ),
-    *_corner(
+    **_corner(
         "two_q1_vs_two_1",
         lambda p, q, r: (2, q - 1, 2, 1),
         lambda p, q, r: -p * q * r + p * q + p * r + 3 * q * r + p - 4 * q - r,
         lambda p, q, r: -(p - 3) * (q - 1) * (r - 2) - (p - 2) * (q - 3),
         lambda p, q, r: p >= 3,
     ),
-    *_corner(
+    **_corner(
         "one_q1_vs_one_1",
         lambda p, q, r: (1, q - 1, 1, 1),
         lambda p, q, r: p * r + 2 * p - q + 2 * r,
         lambda p, q, r: -(p - 2) * (r - 2) - q + 4,
         lambda p, q, r: True,
     ),
-    *_corner(
+    **_corner(
         "one_q2_vs_p2_1",
         lambda p, q, r: (1, q - 2, p - 2, 1),
         lambda p, q, r: -p * q + 2 * p + 2 * q - r,
         lambda p, q, r: -(p - 2) * (q - 2) - r + 4,
         lambda p, q, r: p >= 3 and q >= 3,
     ),
-    *_corner(
+    **_corner(
         "two_q1_vs_p2_1",
         lambda p, q, r: (2, q - 1, p - 2, 1),
         lambda p, q, r: -p * q - q * r + p + 4 * q + r,
         lambda p, q, r: -(q - 1) * (p + r - 4) + 4,
         lambda p, q, r: p >= 4,
     ),
-    Identity("mixed_pair_closed_form", _mixed_pair),
-]
+    "mixed_pair_closed_form": _mixed_pair,
+}
 
 
 @dataclass(frozen=True)
@@ -222,21 +214,16 @@ class IdentityResult:
 
 @dataclass
 class IdentityReport:
-    """Outcome of the closed-form and inequality checks for one triple.
+    """Outcome of the refined lower bound and the catalog for one triple.
 
-    Crossing closed forms, the refined crossing lower bound and the sampled
-    superadditivity instances are hard requirements (``ok``); the identity
-    comparisons are informational and mismatching variants are listed in
-    ``disagreements`` rather than failing the report.
+    The refined crossing lower bound is the hard requirement (``ok``); the
+    identity comparisons are informational and mismatching variants are
+    listed in ``disagreements`` rather than failing the report.
     """
 
     triple: tuple[int, int, int]
-    fig_checked: int = 0
-    fig_failures: list[str] = field(default_factory=list)
     bound_checked: int = 0
     bound_failures: list[str] = field(default_factory=list)
-    superadd_checked: int = 0
-    superadd_failures: list[str] = field(default_factory=list)
     identities: list[IdentityResult] = field(default_factory=list)
 
     @property
@@ -245,29 +232,7 @@ class IdentityReport:
 
     @property
     def ok(self) -> bool:
-        return not (self.fig_failures or self.bound_failures or self.superadd_failures)
-
-
-def _check_staircase_forms(bound: int, report: IdentityReport) -> None:
-    # cr(a^i b^j, a^i' b^j') = 2(i+j) for i<i', j<j'; 2(i+j'-1) for i<=i', j>=j'
-    for i in range(1, bound + 1):
-        for j in range(1, bound + 1):
-            w1 = _syl(i, j)
-            for i2 in range(i, bound + 1):
-                for j2 in range(1, bound + 1):
-                    w2 = _syl(i2, j2)
-                    if i < i2 and j < j2:
-                        expected = 2 * (i + j)
-                    elif i <= i2 and j >= j2 and (i, j) != (i2, j2):
-                        expected = 2 * (i + j2 - 1)
-                    else:
-                        continue
-                    report.fig_checked += 1
-                    got = word_crossing(w1, w2)
-                    if got != expected:
-                        report.fig_failures.append(
-                            f"cr({w1},{w2}) = {got}, closed form {expected}"
-                        )
+        return not self.bound_failures
 
 
 def _repeat_block_words(t: Triple) -> list[tuple[int, int, int, str]]:
@@ -331,34 +296,15 @@ def superadditivity_instances(samples: int, seed: int = 0) -> list[tuple[str, st
     return out
 
 
-def _check_superadditivity(samples: int, seed: int, report: IdentityReport) -> None:
-    for u, v, x in superadditivity_instances(samples, seed=seed):
-        report.superadd_checked += 1
-        whole = word_crossing(u + v, x)
-        parts = word_crossing(u, x) + word_crossing(v, x)
-        if whole < parts:
-            report.superadd_failures.append(
-                f"cr({u + v},{x}) = {whole} < cr({u},{x}) + cr({v},{x}) = {parts}"
-            )
-
-
-def check_identities(
-    t: Triple,
-    staircase_bound: int = 6,
-    superadd_samples: int = 50,
-    seed: int = 0,
-) -> IdentityReport:
-    """Exhaustive crossing closed forms, the refined lower bound, sampled
-    superadditivity, and the closed-form identity catalog, for one triple."""
+def check_identities(t: Triple) -> IdentityReport:
+    """The refined crossing lower bound and the closed-form identity catalog for one triple."""
     report = IdentityReport(triple=(t.p, t.q, t.r))
-    _check_staircase_forms(staircase_bound, report)
     _check_refined_bound(t, report)
-    _check_superadditivity(superadd_samples, seed, report)
-    for ident in CATALOG:
-        for label, w1, w2, value in ident.instances(t):
+    for name, instances in CATALOG.items():
+        for label, w1, w2, value in instances(t):
             report.identities.append(
                 IdentityResult(
-                    name=ident.name,
+                    name=name,
                     label=label,
                     pipeline=t.delta * template_linking(t, w1, w2),
                     closed_form=value,

@@ -133,7 +133,7 @@ def test_criterion_7_superadditivity_and_refined_bound():
         assert word_crossing(u + v, x) >= word_crossing(u, x) + word_crossing(v, x)
     bound_checks = 0
     for pqr in [(3, 3, 4), (3, 4, 5), (2, 5, 7)]:
-        rep = check_identities(Triple(*pqr), staircase_bound=2, superadd_samples=1)
+        rep = check_identities(Triple(*pqr))
         assert not rep.bound_failures, pqr
         bound_checks += rep.bound_checked
     _report(7, True, f"({len(instances)} cut instances, {bound_checks} bound checks)")

@@ -11,15 +11,14 @@ from hypothesis import strategies as st
 
 from oracles import oracle_crossing, shift_sequences
 from templink.census import (
-    MAX_CENSUS_WORDS,
     MAX_VERIFY_WORDS,
     PairReport,
     check_family_bound,
+    check_letter_budget,
     enumerate_admissible,
     extremal_families,
     extremal_orbits,
     extremality_crosscheck,
-    lyndon_totals,
     lyndon_words,
     range_triples,
     summarize,
@@ -60,10 +59,6 @@ def test_lyndon_words_below_length_one_are_none():
     assert lyndon_words(0) == [] and lyndon_words(-3) == []
 
 
-def test_lyndon_totals_match_generator():
-    assert list(lyndon_totals(12)) == [len(lyndon_words(n)) for n in range(1, 13)]
-
-
 def test_oversized_census_refused_before_generating(monkeypatch):
     import templink.census as census
 
@@ -71,7 +66,6 @@ def test_oversized_census_refused_before_generating(monkeypatch):
         raise AssertionError("generated words for an oversized census")
 
     monkeypatch.setattr(census, "lyndon_words", never)
-    assert list(lyndon_totals(24))[-1] <= MAX_CENSUS_WORDS < list(lyndon_totals(25))[-1]
     for max_len in (25, 64, 10**6):
         with pytest.raises(ValueError, match="census limit"):
             enumerate_admissible(Triple(3, 3, 4), max_len)
@@ -298,6 +292,33 @@ def test_letter_budget_refused_before_ranking(monkeypatch):
     # the largest family verified in the docs stays within the budget
     words = extremal_orbits(Triple(3, 3, 87))
     assert sum(map(len, words)) * 2 * max(map(len, words)) <= census.MAX_LETTERS
+
+
+def test_range_over_the_letter_budget_refused_before_any_triple_runs(monkeypatch):
+    import templink.census as census
+
+    def never(t):
+        raise AssertionError(f"verified {t} in a range over the letter budget")
+
+    monkeypatch.setattr(census, "verify_triple", never)
+    # the corner's family passes the word limit, but (2, 19, 43) onward cannot be ranked
+    assert check_family_bound(2, 41, 43) == 1_958
+    with pytest.raises(ValueError, match="958,447,640 letters"):
+        verify_range(2, 41, 43, jobs=1)
+
+
+def test_last_triple_of_a_box_holds_the_most_letters():
+    letters = {t: check_letter_budget(extremal_orbits(t)) for t in range_triples(6, 9, 12)}
+    boxes = 0
+    for p_max in range(2, 7):
+        for q_max in range(p_max, 10):
+            for r_max in range(q_max, 13):
+                for include_p2 in (True, False):
+                    triples = range_triples(p_max, q_max, r_max, include_p2=include_p2)
+                    if triples:
+                        boxes += 1
+                        assert letters[triples[-1]] == max(map(letters.get, triples)), triples[-1]
+    assert boxes > 100
 
 
 def test_oversized_extremal_family_refused_before_any_word_is_built(monkeypatch):

@@ -239,6 +239,17 @@ def test_verify_over_the_letter_budget_exits_2_before_ranking(monkeypatch, capsy
     assert "167,772,160 letters" in capsys.readouterr().err
 
 
+def test_verify_range_over_the_letter_budget_exits_2_before_any_triple_runs(monkeypatch, capsys):
+    import templink.census as census
+
+    def never(t):
+        raise AssertionError(f"verified {t} in a range over the letter budget")
+
+    monkeypatch.setattr(census, "verify_triple", never)
+    assert run(["verify", "--p-max", "2", "--q-max", "41", "--r-max", "43", "--jobs", "1"]) == 2
+    assert "958,447,640 letters" in capsys.readouterr().err
+
+
 def test_extremal_lists_large_families_and_refuses_over_the_letter_budget(monkeypatch, capsys):
     import templink.census as census
 

@@ -1,9 +1,11 @@
+import dataclasses
+import inspect
 from fractions import Fraction
 
 import pytest
 
 from templink.crossing import word_crossing
-from templink.identities import check_identities, superadditivity_instances
+from templink.identities import IdentityReport, check_identities, superadditivity_instances
 from templink.kneading import Triple
 
 
@@ -13,19 +15,24 @@ def by_name(report, name):
 
 @pytest.fixture(scope="module")
 def report_334():
-    return check_identities(Triple(3, 3, 4), superadd_samples=60, seed=2)
+    return check_identities(Triple(3, 3, 4))
 
 
 def test_hard_requirements_pass(report_334):
     assert report_334.ok
-    assert report_334.fig_checked > 0 and not report_334.fig_failures
     assert report_334.bound_checked == 49 and not report_334.bound_failures
-    assert report_334.superadd_checked >= 60 and not report_334.superadd_failures
+
+
+def test_check_identities_reads_only_its_triple():
+    assert list(inspect.signature(check_identities).parameters) == ["t"]
+    fields = [f.name for f in dataclasses.fields(IdentityReport)]
+    assert fields == ["triple", "bound_checked", "bound_failures", "identities"]
+    assert not IdentityReport((3, 3, 4), bound_failures=["cr(ab,ab) = 0 < 2"]).ok
 
 
 @pytest.mark.parametrize("pqr", [(3, 4, 5), (2, 5, 7), (4, 5, 6)])
 def test_hard_requirements_other_triples(pqr):
-    rep = check_identities(Triple(*pqr), superadd_samples=30, seed=5)
+    rep = check_identities(Triple(*pqr))
     assert rep.ok
 
 
@@ -60,16 +67,16 @@ def test_known_misprints_are_flagged(report_334):
 
 
 def test_fractional_variant_flagged_only_when_p_differs_from_q():
-    rep_eq = check_identities(Triple(3, 3, 5), superadd_samples=5, seed=0)
+    rep_eq = check_identities(Triple(3, 3, 5))
     assert all(r.match for r in by_name(rep_eq, "nested_bilinear_alt"))
-    rep_ne = check_identities(Triple(3, 4, 5), superadd_samples=5, seed=0)
+    rep_ne = check_identities(Triple(3, 4, 5))
     assert any(not r.match for r in by_name(rep_ne, "nested_bilinear_alt"))
 
 
 def test_mixed_pair_form_bounds_pipeline_from_above():
     # the mixed-family closed form is exact except at symmetric nested
     # parameters, where the pipeline value is strictly more negative
-    rep = check_identities(Triple(4, 5, 6), superadd_samples=5, seed=0)
+    rep = check_identities(Triple(4, 5, 6))
     results = by_name(rep, "mixed_pair_closed_form")
     assert results
     assert all(r.pipeline <= r.closed_form for r in results)
@@ -79,7 +86,7 @@ def test_mixed_pair_form_bounds_pipeline_from_above():
 def test_refined_bound_exhaustive_grids():
     # full grids for the three pinned triples, primitive parameter combos only
     for pqr, expected in [((3, 3, 4), 49), ((3, 4, 5), 121), ((2, 5, 7), 100)]:
-        rep = check_identities(Triple(*pqr), superadd_samples=1, seed=0)
+        rep = check_identities(Triple(*pqr))
         assert rep.bound_checked == expected
         assert not rep.bound_failures
 

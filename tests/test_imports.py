@@ -1,11 +1,16 @@
-"""Cold start: the census side of the package loads neither numpy nor a process pool."""
+"""Imports: the census side of the package loads neither numpy nor a process
+pool, and every name the benchmark looks up in the package exists."""
 
+import ast
+import importlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+BENCH = ROOT / "bench"
 
 # Runs in a fresh interpreter, so modules loaded by the test session cannot leak in.
 SCRIPT = """
@@ -48,3 +53,40 @@ def test_census_side_never_loads_numpy_or_a_process_pool():
         assert loaded[name] == [], name
     # the pair kernel does load numpy, so the check above can fail
     assert "numpy" in loaded["verify"]
+
+
+def _bench_lookups() -> set[tuple[str, str]]:
+    """(module, name) pairs the benchmark reads from templink, found by parsing its sources.
+
+    Covers the tracer's ``SPANNED``/``COUNTED`` qualnames, ``from templink.m
+    import name`` and ``census.<name>``-style attributes of templink modules.
+    """
+    tree = ast.parse((BENCH / "tracer.py").read_text())
+    qualnames = []
+    for node in tree.body:
+        target = getattr(node, "targets", [None])[0]
+        if getattr(target, "id", None) in ("SPANNED", "COUNTED"):
+            for elt in node.value.elts:
+                qualnames.append(elt.elts[0].value if isinstance(elt, ast.Tuple) else elt.value)
+    found = {tuple(q.split(".")) for q in qualnames}
+    modules = {path.stem for path in (SRC / "templink").glob("*.py")} - {"__init__"}
+    for source in ("workloads.py", "test_bench.py", "run.py"):
+        for node in ast.walk(ast.parse((BENCH / source).read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("templink."):
+                found |= {(node.module.removeprefix("templink."), a.name) for a in node.names}
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                found.add((node.value.id, node.attr))
+    return found
+
+
+def test_every_name_the_benchmark_looks_up_exists():
+    found = _bench_lookups()
+    # the tracer's layers and the workloads' calls are both covered
+    assert ("kneading", "satisfies_block_constraints") in found
+    assert ("words", "compare") in found and ("census", "verify_range") in found
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(found)
+        if not hasattr(importlib.import_module(f"templink.{module}"), name)
+    ]
+    assert missing == []
