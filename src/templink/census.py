@@ -227,9 +227,7 @@ def has_admissible_cut(w: str, k: KneadingData) -> bool:
     return any(is_admissible_cut(c, k) for c in iter_cuts(w))
 
 
-def extremality_crosscheck(
-    t: Triple, max_len: int = 12
-) -> tuple[list[CyclicWord], list[CyclicWord]]:
+def extremality_crosscheck(t: Triple, max_len: int) -> tuple[list[CyclicWord], list[CyclicWord]]:
     """Both characterizations of extremal orbits, restricted to length <= max_len.
 
     Returns (closed-form family words, admissible words with no admissible
@@ -325,15 +323,16 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
     return p
 
 
-def verify_pairs(t: Triple, words: list[str], include_self: bool = True) -> list[PairReport]:
+def verify_pairs(t: Triple, words: list[str]) -> list[PairReport]:
     """Evaluate the linking formula on all unordered pairs of the given words.
 
-    Self-pairs (translated-copy convention) are included when requested.
+    Each word is paired with itself (translated-copy convention) and with
+    every later word.
     The words are not required to be admissible, so non-admissible controls
     can be fed through the same pipeline; each report carries a negativity
     verdict.  Each word is primitive, no two are rotations of one word, and
-    each is reported as given.  More than ``MAX_VERIFY_WORDS`` words are
-    refused at once; :func:`_shift_ranks` checks the rest, the letter budget
+    each is reported as given.  No words, or more than ``MAX_VERIFY_WORDS``,
+    are refused at once; :func:`_shift_ranks` checks the rest, the letter budget
     ``MAX_LETTERS`` before any ranking.
 
     Crossing numbers count order swaps on the branch line (Birman-Williams,
@@ -350,10 +349,10 @@ def verify_pairs(t: Triple, words: list[str], include_self: bool = True) -> list
     shift of every word; for i = j this is the translated-copy count 2·P[i, i].
     Next to the reports, memory is O(N + W^2) for N shifts and W words.
     """
+    if not words:
+        raise ValueError("verify_pairs needs at least one word")
     if len(words) > MAX_VERIFY_WORDS:
         raise ValueError(f"{len(words):,} words exceed the verify limit of {MAX_VERIFY_WORDS:,}")
-    if not words:
-        return []
     # No fixed-width bound is needed: cr <= L_i * L_j leaves numpy as int64
     # and becomes a Python int in .tolist(); lk * 2*delta = 2*Q - delta*cr is
     # computed in Python ints.
@@ -363,12 +362,11 @@ def verify_pairs(t: Triple, words: list[str], include_self: bool = True) -> list
     d = t.delta
     reports: list[PairReport] = []
     for i, (w1, c1) in enumerate(zip(words, counts)):
-        j0 = i if include_self else i + 1
-        row_cr = cr[i, j0:].tolist()
+        row_cr = cr[i, i:].tolist()
         # one q_form call per pair through this module's global, so a wrapper put there sees each
-        two_q = map((2).__mul__, map(q_form, repeat(t), repeat(c1), counts[j0:]))
+        two_q = map((2).__mul__, map(q_form, repeat(t), repeat(c1), counts[i:]))
         keys = map(sub, two_q, map(d.__mul__, row_cr))
-        row = zip(repeat(w1), words[j0:], row_cr, keys, repeat(2 * d))
+        row = zip(repeat(w1), words[i:], row_cr, keys, repeat(2 * d))
         # tuple.__new__ fills each PairReport from its zipped fields without a Python frame
         reports.extend(map(tuple.__new__, repeat(PairReport), row))
     return reports
@@ -413,16 +411,13 @@ def summarize(
 ) -> TripleSummary:
     """Reduce one triple's pair reports to its verdict: violations and the worst pair.
 
-    The reports must come from :func:`verify_pairs` on ``t``.  With no pairs
-    the worst value is 0 and the worst pair is empty.
+    The reports must come from :func:`verify_pairs` on ``t``, so there is at
+    least one.
     """
     # lk2d = lk * 2*delta is an exact integer key; max keeps the first maximal report
-    worst = max(reports, key=attrgetter("lk2d"), default=None)
+    worst = max(reports, key=attrgetter("lk2d"))
     # a violation has lk2d >= 0, so a negative maximum means there is none to collect
-    if worst is None or worst.lk2d < 0:
-        violations = ()
-    else:
-        violations = tuple(r for r in reports if r.lk2d >= 0)
+    violations = () if worst.lk2d < 0 else tuple(r for r in reports if r.lk2d >= 0)
     return TripleSummary(
         p=t.p,
         q=t.q,
@@ -430,8 +425,8 @@ def summarize(
         n_words=n_words,
         n_pairs=len(reports),
         violations=violations,
-        worst=Fraction(0) if worst is None else worst.lk,
-        worst_pair=("", "") if worst is None else (worst.word1, worst.word2),
+        worst=worst.lk,
+        worst_pair=(worst.word1, worst.word2),
         elapsed_s=elapsed_s,
     )
 

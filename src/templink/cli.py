@@ -144,7 +144,7 @@ def _verify_single(args) -> int:
         census.check_family_bound(t.p, t.q, t.r)
         words = census.extremal_orbits(t)
     start = time.perf_counter()
-    reports = census.verify_pairs(t, words, include_self=args.self)
+    reports = census.verify_pairs(t, words)
     summary = census.summarize(t, len(words), reports, time.perf_counter() - start)
     rows = [r.as_dict() for r in reports]
     _emit(_render(rows, args.format, {**summary.as_dict(), "reports": rows}), args.out)
@@ -172,8 +172,6 @@ def _cmd_verify(args) -> int:
             raise ValueError("range mode needs --p-max, --q-max and --r-max")
         if args.words:
             raise ValueError("explicit words only make sense with a single triple")
-        if not args.self:
-            raise ValueError("--no-self only makes sense with a single triple")
         return _verify_over_range(args)
     if args.q is None or args.r is None:
         raise ValueError("single-triple mode needs --p, --q and --r")
@@ -243,12 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q-max", type=int, default=None)
     sp.add_argument("--r-max", type=int, default=None)
     sp.add_argument("--no-p2", action="store_true", help="skip the p = 2 families in range mode")
-    sp.add_argument(
-        "--self",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="include self-pairs (single-triple mode)",
-    )
     sp.add_argument(
         "--jobs",
         type=int,

@@ -274,7 +274,7 @@ def _check_refined_bound(t: Triple, report: IdentityReport) -> None:
                 )
 
 
-def superadditivity_instances(samples: int, seed: int = 0) -> list[tuple[str, str, str]]:
+def superadditivity_instances(samples: int, seed: int) -> list[tuple[str, str, str]]:
     """Seeded random (u, v, probe) cut instances for the superadditivity check:
     up to three cuts of each random word of length 4 to 14, each against a
     random probe of length 1 to 10."""

@@ -14,6 +14,15 @@ from dataclasses import dataclass, field
 from .words import PeriodicSequence, compare
 
 
+# Most letters a kneading table may hold, by the bound 2r(p+q) on its four
+# sequences.  The block screen repeats each word to about r·q/2 letters, and
+# is_admissible slices shifts of about r·q letters, so census cost grows with
+# it.  On a 2-vCPU KVM guest the worst admitted command, `enumerate --p 3 --q 89
+# --r 89 --max-len 24` (16,376 letters, 217,044 words), took 13.5 s and 141 MB
+# peak RSS, against 7.6 s for (3, 24, 24) at 1,296; (3, 179, 180) at 65,520 took 36 s.
+MAX_TABLE_LETTERS = 2**14
+
+
 class TemplateDomainError(ValueError):
     """Raised for parameters outside the domain of the kneading table."""
 
@@ -105,9 +114,17 @@ def kneading(t: Triple) -> KneadingData:
     """Kneading data of the template with parameters (p, q, r), r finite.
 
     The p = 2 rows of the table need q > 2 and r > 4, both of which are
-    already forced by hyperbolicity, so every Triple has kneading data.
+    already forced by hyperbolicity, so every Triple has kneading data.  A
+    table whose four sequences may hold over ``MAX_TABLE_LETTERS`` letters,
+    by the bound 2r(p+q), is refused before any sequence is built.
     """
     p, q, r = t.p, t.q, t.r
+    letters = 2 * r * (p + q)
+    if letters > MAX_TABLE_LETTERS:
+        raise ValueError(
+            f"the kneading table of {t} may hold {letters:,} letters, "
+            f"over the limit of {MAX_TABLE_LETTERS:,}"
+        )
     A, B = "a" * (p - 1), "b" * (q - 1)
     if p >= 3:
         if r % 2 == 1:

@@ -107,14 +107,6 @@ class PeriodicSequence:
     def __str__(self) -> str:
         return f"{self.preperiod}|{self.period}"
 
-    @classmethod
-    def parse(cls, text: str) -> "PeriodicSequence":
-        """Parse the ``"pre|period"`` serialization."""
-        if "|" not in text:
-            raise ValueError(f"sequence must be written as 'pre|period', got {text!r}")
-        pre, _, per = text.partition("|")
-        return cls(pre, per)
-
     @property
     def head(self) -> str:
         return (self.preperiod + self.period)[0]

@@ -120,7 +120,7 @@ def test_criterion_6_small_census_negative():
     for pqr in [(3, 3, 4), (2, 3, 7)]:
         t = Triple(*pqr)
         words = enumerate_admissible(t, 12)
-        reports = verify_pairs(t, words, include_self=True)
+        reports = verify_pairs(t, words)
         assert all(r.negative for r in reports), pqr
         total += len(reports)
     _report(6, True, f"({total} pairs over both censuses)")

@@ -209,7 +209,7 @@ def test_extremal_family_words_admissible_for_odd_r():
 
 def test_verify_pairs_334_all_negative():
     t = Triple(3, 3, 4)
-    reports = verify_pairs(t, extremal_orbits(t), include_self=True)
+    reports = verify_pairs(t, extremal_orbits(t))
     assert len(reports) == 28
     assert all(r.negative for r in reports)
     assert max(r.lk for r in reports) == Fraction(-1, 3)
@@ -217,7 +217,7 @@ def test_verify_pairs_334_all_negative():
 
 def test_verify_pairs_positive_control():
     t = Triple(3, 3, 4)
-    reports = verify_pairs(t, ["aab"], include_self=True)
+    reports = verify_pairs(t, ["aab"])
     assert len(reports) == 1
     assert reports[0].lk == 1 and not reports[0].negative
 
@@ -268,6 +268,17 @@ def test_verify_pairs_rejects_duplicates():
 def test_verify_pairs_rejects_words_that_are_not_distinct_primitive_cyclic_words(words):
     with pytest.raises(ValueError):
         verify_pairs(Triple(3, 3, 4), words)
+
+
+def test_verify_pairs_refuses_no_words(monkeypatch):
+    import templink.census as census
+
+    def never(*args, **kwargs):
+        raise AssertionError("the pair kernel ran on no words")
+
+    monkeypatch.setattr(census, "_crossing_matrix", never)
+    with pytest.raises(ValueError, match="at least one word"):
+        verify_pairs(Triple(3, 3, 4), [])
 
 
 def test_verify_pairs_reports_any_rotation_as_given():
@@ -363,7 +374,7 @@ def test_pair_engine_matches_definition_oracle():
         root, power = canonicalize(raw)
         if power == 1 and "a" in root and "b" in root and root not in words:
             words.append(root)
-    reports = verify_pairs(t, words, include_self=True)
+    reports = verify_pairs(t, words)
     for r in reports:
         assert r.cr == oracle_crossing(r.word1, r.word2)
 
@@ -376,19 +387,14 @@ primitive_words = st.text(alphabet="ab", min_size=1, max_size=10).map(
 @given(
     st.sampled_from([Triple(3, 3, 4), Triple(2, 3, 7), Triple(4, 5, 6)]),
     st.lists(primitive_words, min_size=1, max_size=7, unique=True),
-    st.booleans(),
 )
 @settings(max_examples=100, deadline=None)
-def test_pair_kernel_matches_oracle_and_exact_formula(t, words, include_self):
-    reports = verify_pairs(t, words, include_self=include_self)
+def test_pair_kernel_matches_oracle_and_exact_formula(t, words):
+    reports = verify_pairs(t, words)
     n = len(words)
-    expected_order = [
-        (words[i], words[j])
-        for i in range(n)
-        for j in range(i if include_self else i + 1, n)
-    ]
+    expected_order = [(words[i], words[j]) for i in range(n) for j in range(i, n)]
     assert [(r.word1, r.word2) for r in reports] == expected_order
-    assert len(reports) == (n * (n + 1) if include_self else n * (n - 1)) // 2
+    assert len(reports) == n * (n + 1) // 2
     for r in reports:
         assert r.cr == oracle_crossing(r.word1, r.word2)
         q = q_form(t, *((w.count("a"), w.count("b")) for w in (r.word1, r.word2)))
@@ -396,13 +402,10 @@ def test_pair_kernel_matches_oracle_and_exact_formula(t, words, include_self):
         assert r.lk2d == r.lk * r.two_delta and r.two_delta == 2 * t.delta
         assert r.negative == (r.lk < 0)
     summary = summarize(t, n, reports, 0.0)
-    if reports:
-        worst = max(r.lk for r in reports)
-        first = next(r for r in reports if r.lk == worst)
-        assert summary.worst == worst
-        assert summary.worst_pair == (first.word1, first.word2)
-    else:
-        assert summary.worst == 0 and summary.worst_pair == ("", "")
+    worst = max(r.lk for r in reports)
+    first = next(r for r in reports if r.lk == worst)
+    assert summary.worst == worst
+    assert summary.worst_pair == (first.word1, first.word2)
 
 
 def test_only_a_shift_b_shift_pairs_swap_order():
@@ -428,7 +431,6 @@ def test_only_a_shift_b_shift_pairs_swap_order():
         assert oracle_crossing(v, x) == inversions, (v, x)
 
 
-@pytest.mark.parametrize("include_self", [True, False])
 @pytest.mark.parametrize(
     "texts",
     [
@@ -440,13 +442,13 @@ def test_only_a_shift_b_shift_pairs_swap_order():
         ["ab", "aab", "abb", "b", "a"],
     ],
 )
-def test_pair_kernel_words_missing_a_letter(texts, include_self):
+def test_pair_kernel_words_missing_a_letter(texts):
     # single-letter words have no b-shifts (or no a-shifts) at the start, the
     # middle or the end of the word list; each must count zero there
     t = Triple(3, 3, 4)
-    reports = verify_pairs(t, texts, include_self=include_self)
+    reports = verify_pairs(t, texts)
     n = len(texts)
-    assert len(reports) == (n * (n + 1) if include_self else n * (n - 1)) // 2
+    assert len(reports) == n * (n + 1) // 2
     for r in reports:
         assert r.cr == oracle_crossing(r.word1, r.word2), (r.word1, r.word2)
 

@@ -154,8 +154,9 @@ def test_usage_and_domain_errors_exit_2(capsys):
     assert run(["lk", "--p", "2", "--q", "2", "--r", "9", "ab", "ab"]) == 2
     assert run(["table", "--p", "2", "--q", "5", "--r", "4"]) == 2
     assert run(["verify", "--p", "3", "--q", "3"]) == 2
-    range_args = ["verify", "--p-max", "3", "--q-max", "3", "--r-max", "5", "--jobs", "1"]
-    assert run([*range_args, "--no-self"]) == 2
+    # self-pairs are always verified: the positive control cannot be emptied of pairs
+    assert run(["verify", "--p", "3", "--q", "3", "--r", "4", "--no-self", "aab"]) == 2
+    assert capsys.readouterr().out == ""
     assert run(["verify", "--p", "3", "--q", "3", "--r", "4", "--no-p2"]) == 2
     assert run(["verify", "--p", "3", "--q", "3", "--r", "4", "--jobs", "0"]) == 2
     assert run(["nonsense"]) == 2
@@ -264,6 +265,30 @@ def test_extremal_lists_large_families_and_refuses_over_the_letter_budget(monkey
     assert "over the limit of 134,217,728 letters" in capsys.readouterr().err
 
 
+def test_oversized_kneading_table_exits_2_before_any_sequence_is_built(monkeypatch, capsys):
+    import importlib
+
+    # the package re-exports a function named kneading, so take the module itself
+    kneading = importlib.import_module("templink.kneading")
+
+    def never(*args, **kwargs):
+        raise AssertionError("built a kneading sequence over the table budget")
+
+    monkeypatch.setattr(kneading, "PeriodicSequence", never)
+    triple = ["--p", "3", "--q", "3", "--r", "1000000000"]
+    for argv in (
+        ["admissible", *triple, "ab"],
+        ["table", *triple],
+        ["enumerate", *triple, "--max-len", "4"],
+    ):
+        assert run(argv) == 2, argv[0]
+        assert "12,000,000,000 letters, over the limit of 16,384" in capsys.readouterr().err
+    # lk and cr build no kneading data, so the table budget does not bound them
+    assert run(["lk", *triple, "ab", "ab"]) == 0
+    assert run(["cr", "ab", "aabb"]) == 0
+    capsys.readouterr()
+
+
 def test_empty_range_exits_2(capsys):
     assert run(["verify", "--p-max", "3", "--q-max", "3", "--r-max", "3"]) == 2
     err = capsys.readouterr().err
@@ -295,6 +320,27 @@ def test_oversized_word_exits_2_before_any_engine_runs(monkeypatch, capsys):
     ):
         assert run(argv) == 2, argv[0]
         assert "exceeds the limit of 4,096" in capsys.readouterr().err
+
+
+def test_no_p2_drops_exactly_the_p2_triples(capsys):
+    from templink.census import range_triples, verify_range
+
+    def triples(extra):
+        args = ["verify", "--p-max", "4", "--q-max", "5", "--r-max", "7", "--jobs", "1"]
+        assert run([*args, *extra, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["triples"]
+        for row in rows:
+            row.pop("elapsed_s")
+        return rows
+
+    main = verify_range(4, 5, 7, include_p2=False, jobs=1).as_dict()["triples"]
+    for row in main:
+        row.pop("elapsed_s")
+    assert triples(["--no-p2"]) == main
+    p2 = [(t.p, t.q, t.r) for t in range_triples(4, 5, 7) if t.p == 2]
+    full = triples([])
+    assert p2 and [(s["p"], s["q"], s["r"]) for s in full if s["p"] == 2] == p2
+    assert [s for s in full if s["p"] > 2] == main
 
 
 def test_json_reports_stable(capsys):

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_admissible, oracle_block_constraints, syllables
 from templink.kneading import (
+    MAX_TABLE_LETTERS,
     KneadingData,
     Triple,
     is_admissible,
@@ -56,6 +57,23 @@ def canonical_prepend(letter, seq):
     from templink.words import PeriodicSequence
 
     return PeriodicSequence(letter + seq.preperiod, seq.period)
+
+
+def test_table_letter_bound_covers_every_table():
+    # the refusal's bound 2r(p+q) must cover the four sequences of every table it admits
+    for p in (2, 3, 5):
+        for q in range(p, 12):
+            for r in range(q, 40):
+                try:
+                    k = kneading(Triple(p, q, r))
+                except ValueError:  # not hyperbolic
+                    continue
+                bounds = (k.u_L, k.u_R, k.v_L, k.v_R)
+                assert sum(len(b.preperiod) + len(b.period) for b in bounds) <= 2 * r * (p + q)
+    assert 2 * 89 * (3 + 89) <= MAX_TABLE_LETTERS < 2 * 90 * (3 + 89)
+    kneading(Triple(3, 89, 89))
+    with pytest.raises(ValueError, match="16,560 letters, over the limit of 16,384"):
+        kneading(Triple(3, 89, 90))
 
 
 def test_table_domain_implied_by_hyperbolicity():

@@ -94,16 +94,6 @@ def test_sequence_normalization():
     assert PeriodicSequence("a", "b").preperiod == "a"
 
 
-def test_sequence_parse_roundtrip():
-    s = PeriodicSequence.parse("b|aab")
-    assert str(s) == f"{s.preperiod}|{s.period}"
-    assert str(PeriodicSequence.parse("|ab")) == "|ab"
-    with pytest.raises(ValueError):
-        PeriodicSequence.parse("ab")
-    with pytest.raises(ValueError):
-        PeriodicSequence.parse("a|")
-
-
 def test_compare_examples():
     ab = PeriodicSequence("", "ab")
     aab = PeriodicSequence("", "aab")
