@@ -18,7 +18,7 @@ from itertools import repeat
 from operator import attrgetter, eq, sub
 from typing import NamedTuple
 
-from .crossing import is_admissible_cut, iter_cuts
+from . import crossing
 from .kneading import (
     KneadingData,
     TemplateDomainError,
@@ -91,43 +91,88 @@ class PairReport(NamedTuple):
         }
 
 
-def lyndon_words(max_len: int) -> list[str]:
-    """All Lyndon words over {a, b} of length <= max_len (Duval's generator).
+def lyndon_words(max_len: int, runs: tuple[int, int] | None = None) -> list[str]:
+    """Lyndon words over {a, b} of length <= max_len in lexicographic order (Duval's generator).
 
     Lyndon words are exactly the canonical forms of primitive cyclic words.
-    A ``max_len`` below 1 gives no word.
+    A ``max_len`` below 1 gives no word.  With ``runs = (p, q)``, p, q >= 2,
+    only the words with both letters and no cyclic ``a^p`` or ``b^q`` come,
+    in the same order, and the walk passes over no other word but those
+    ending in ``b^q``.
+
+    Duval's step takes a Lyndon word ``w`` to the next one: extend ``w``
+    periodically to ``max_len`` letters, drop the trailing b's, and turn the
+    last letter, an a, into b; any prefix of ``w^inf`` that ends in a turns
+    into a Lyndon word so.  A Lyndon word with both letters starts with a
+    and ends with b, so its cyclic runs are its runs, and it starts with its
+    longest run of a's.  With ``runs``:
+
+    - The walk starts at ``a^s b``, ``s = min(p-1, max_len-1)``.  A word
+      that sorts below it is a power of a or starts with ``a^(s+1)``, so it
+      has one letter or holds ``a^p``; every later word starts with at most
+      s a's.
+    - Before the step, the extension is cut before its first ``b^q``, which
+      follows an a.  Every word from Duval's next word up to the cut
+      prefix's step starts with the prefix and then letters that sort at or
+      above ``b^q``, so it holds ``b^q``.
+    - The cut prefix holds no ``b^q``, so a stepped word holds one only as
+      its suffix.  Such a word is not listed, and since that suffix is the
+      first ``b^q`` of its extension, its step passes over every word that
+      starts with it.
+    - The walk ends at ``b``, which has one letter.
     """
+    if runs is None:
+        w, shortest, q = "a", 1, max_len + 1
+    else:
+        p, q = runs
+        w, shortest = "a" * min(p - 1, max_len - 1) + "b", 2
+    bq = "b" * q
     out: list[str] = []
-    w = ["a"] if max_len >= 1 else []
-    while w:
-        out.append("".join(w))
-        m = len(w)
-        while len(w) < max_len:
-            w.append(w[len(w) - m])
-        while w and w[-1] == "b":
-            w.pop()
-        if w:
-            w[-1] = "b"
+    while shortest <= len(w) <= max_len:
+        if not w.endswith(bq):
+            out.append(w)
+        x = (w * (max_len // len(w) + 1))[:max_len].partition(bq)[0].rstrip("b")
+        w = x[:-1] + "b" if x else ""
     return out
 
 
-def enumerate_admissible(t: Triple, max_len: int) -> list[str]:
+class _Verdicts(dict):
+    """``is_admissible`` verdicts under one kneading data, keyed by word, each computed once.
+
+    A table is made for one call and dropped with it.
+    """
+
+    def __init__(self, k: KneadingData) -> None:
+        self.k = k
+
+    def __missing__(self, word: str) -> bool:
+        verdict = self[word] = is_admissible(word, self.k)
+        return verdict
+
+
+def enumerate_admissible(
+    t: Triple, max_len: int, *, verdicts: _Verdicts | None = None
+) -> list[str]:
     """The admissible Lyndon words of length <= max_len that pass the block screen.
 
     Lyndon words are the primitive least rotations, so they are the census
-    words as generated; the screen rejects single letters, and admissible
-    words it wrongly rejects are missing (ROADMAP item 1).  A ``max_len`` over
-    ``MAX_CENSUS_LEN`` is refused before any word is generated.
+    words as generated.  Duval's generator builds only the words with both
+    letters and no cyclic ``a^p`` or ``b^q``, which are the words the
+    screen's run tests pass; the screen's syllable tests still reject some
+    admissible words, which are then missing (ROADMAP item 1).  A
+    ``max_len`` over ``MAX_CENSUS_LEN`` is refused before any word is generated.
+    ``verdicts``, a table under ``kneading(t)``, keeps the verdict of every
+    screened word for the caller (:func:`extremality_crosscheck`).
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if max_len > MAX_CENSUS_LEN:
         raise ValueError(f"max_len {max_len} exceeds the census limit of length {MAX_CENSUS_LEN}")
-    k = kneading(t)
+    admissible = _Verdicts(kneading(t)) if verdicts is None else verdicts
     words = [
         word
-        for word in lyndon_words(max_len)
-        if satisfies_block_constraints(word, t) and is_admissible(word, k)
+        for word in lyndon_words(max_len, runs=(t.p, t.q))
+        if satisfies_block_constraints(word, t) and admissible[word]
     ]
     # Duval's generator yields lexicographic order, so a stable sort by length gives (length, text)
     return sorted(words, key=len)
@@ -223,21 +268,45 @@ def extremal_orbits(t: Triple) -> list[str]:
     return sorted((e.word for e in extremal_families(t)), key=lambda w: (len(w), w))
 
 
+def _cutless(words: list[str], admissible: _Verdicts) -> list[str]:
+    """The words, primitive least rotations, that have no admissible cut, in order.
+
+    A candidate split of :func:`crossing._candidate_splits` is an admissible
+    cut iff both factors are admissible and it is valid.  The verdict does
+    not depend on the order of the tests, and the cheap one comes first:
+    a factor is looked up in ``admissible``, which tests each string once.
+    """
+    candidates, valid = crossing._candidate_splits, crossing._is_valid_cut
+    return [
+        w
+        for w in words
+        if not any(
+            admissible[u] and admissible[v] and valid(u, v, len(w)) for _, u, v in candidates(w)
+        )
+    ]
+
+
 def has_admissible_cut(w: str, k: KneadingData) -> bool:
-    return any(is_admissible_cut(c, k) for c in iter_cuts(w))
+    """True iff some cut of ``w`` (see :func:`crossing.iter_cuts`) has two admissible factors.
+
+    The search stops at the first such cut and tests admissibility before
+    validity, see :func:`_cutless`.
+    """
+    return not _cutless([w], _Verdicts(k))
 
 
 def extremality_crosscheck(t: Triple, max_len: int) -> tuple[list[CyclicWord], list[CyclicWord]]:
     """Both characterizations of extremal orbits, restricted to length <= max_len.
 
     Returns (closed-form family words, admissible words with no admissible
-    cut) as ``CyclicWord``s; the two lists must coincide.
+    cut) as ``CyclicWord``s; the two lists must coincide.  The census and
+    the cut search share one verdict table, so no string is tested for
+    admissibility twice in a call, and the table is dropped on return.
     """
     family = [CyclicWord(w) for w in extremal_orbits(t) if len(w) <= max_len]
-    k = kneading(t)
-    independent = [
-        CyclicWord(w) for w in enumerate_admissible(t, max_len) if not has_admissible_cut(w, k)
-    ]
+    admissible = _Verdicts(kneading(t))
+    words = enumerate_admissible(t, max_len, verdicts=admissible)
+    independent = [CyclicWord(w) for w in _cutless(words, admissible)]
     return family, independent
 
 

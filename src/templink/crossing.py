@@ -90,16 +90,13 @@ def _is_valid_cut(u: str, v: str, horizon: int) -> bool:
     return True
 
 
-def iter_cuts(w: str) -> Iterator[Cut]:
-    """The cuts of ``w``, a primitive least rotation, by ascending rotation, then split.
+def _candidate_splits(w: str) -> Iterator[tuple[int, str, str]]:
+    """``(rotation, u, v)`` for every split of ``w`` that may be a cut, in cut order.
 
-    Factors need not be primitive (e.g. the cut aa|bb of aabb) nor code
-    template orbits; admissibility is a separate question, see
-    :func:`is_admissible_cut`.  The factors of every split add up to
-    ``len(w)`` letters, so one horizon of ``len(w)`` serves every candidate.
-    A candidate is validated only when the consumer asks for the next cut,
-    and :func:`_is_valid_cut` decides every candidate; the lemma below only
-    leaves out splits that cannot pass.
+    ``w`` is a primitive least rotation; candidates come by ascending
+    rotation, then split, and each is found only when the consumer asks for
+    the next one.  :func:`_is_valid_cut` (horizon ``len(w)``) decides which
+    are cuts; the lemma below only leaves out splits that cannot pass.
 
     Lemma.  Let ``n = len(w)``, ``X_k`` the shift of ``w^inf`` by ``k``, and
     let a valid cut at rotation ``x`` with split ``l`` have ``u = z^j``,
@@ -158,9 +155,25 @@ def iter_cuts(w: str) -> Iterator[Cut]:
             while splits[-1] + d < n and rot.startswith(rot[:d], splits[-1]):
                 splits.append(splits[-1] + d)
         for split in splits:
-            u, v = rot[:split], rot[split:]
-            if _is_valid_cut(u, v, n):
-                yield Cut(u=u, v=v, rotation=k, split=split)
+            yield k, rot[:split], rot[split:]
+
+
+def iter_cuts(w: str) -> Iterator[Cut]:
+    """The cuts of ``w``, a primitive least rotation, by ascending rotation, then split.
+
+    Factors need not be primitive (e.g. the cut aa|bb of aabb) nor code
+    template orbits; admissibility is a separate question, see
+    :func:`is_admissible_cut`.  The cuts are the candidates of
+    :func:`_candidate_splits` that :func:`_is_valid_cut` accepts: the factors
+    of every split add up to ``len(w)`` letters, so one horizon of
+    ``len(w)`` serves every candidate.  A candidate is validated only when
+    the consumer asks for the next cut.  Input that is not a primitive least
+    rotation over {a, b} raises ``ValueError``.
+    """
+    n = len(w)
+    for k, u, v in _candidate_splits(w):
+        if _is_valid_cut(u, v, n):
+            yield Cut(u=u, v=v, rotation=k, split=len(u))
 
 
 def enumerate_cuts(w: str) -> list[Cut]:

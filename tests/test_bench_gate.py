@@ -43,3 +43,15 @@ def test_traced_range_sees_one_q_form_call_per_pair():
 
 def test_traced_crosscheck_counts_sequence_comparisons():
     assert _traced("census-crosscheck")["words.compare.calls"] > 0
+
+
+def test_traced_crosscheck_sees_every_census_layer():
+    metrics = _traced("census-crosscheck")
+    triples = WORKLOADS["census-crosscheck"].inputs("tiny", SEED)[0]
+    assert metrics["census.lyndon_words.calls"] == len(triples)
+    for name in (
+        "census.enumerate_admissible",
+        "kneading.satisfies_block_constraints",
+        "kneading.is_admissible",
+    ):
+        assert metrics[f"{name}.calls"] > 0, name

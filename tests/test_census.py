@@ -59,6 +59,28 @@ def test_lyndon_words_below_length_one_are_none():
     assert lyndon_words(0) == [] and lyndon_words(-3) == []
 
 
+def _cyclic(word: str, factor: str) -> bool:
+    return factor in word + word
+
+
+def test_run_limited_lyndon_words_are_the_filtered_list():
+    for max_len in range(15):
+        every = lyndon_words(max_len)
+        for p in range(2, 10):
+            for q in range(p, 10):
+                want = [
+                    w
+                    for w in every
+                    if "a" in w and "b" in w
+                    and not _cyclic(w, "a" * p) and not _cyclic(w, "b" * q)
+                ]
+                assert lyndon_words(max_len, runs=(p, q)) == want, (max_len, p, q)
+    assert lyndon_words(2, runs=(3, 3)) == ["ab"]
+    assert lyndon_words(3, runs=(2, 2)) == ["ab"]
+    for max_len in (1, 0, -3):
+        assert lyndon_words(max_len, runs=(2, 3)) == []
+
+
 def test_oversized_census_refused_before_generating(monkeypatch):
     import templink.census as census
 
@@ -493,6 +515,28 @@ def test_linking_subadditive_under_admissible_cuts():
             for x in probes:
                 lk_w = template_linking(t, w, x)
                 assert lk_w <= template_linking(t, u, x) + template_linking(t, v, x)
+
+
+@pytest.mark.parametrize("pqr", [(3, 3, 4), (2, 5, 7), (4, 4, 5)])
+def test_crosscheck_tests_each_string_once_per_call(monkeypatch, pqr):
+    import templink.census as census
+    from collections import Counter
+
+    tested = Counter()
+    admissible = census.is_admissible
+
+    def counted(word, k):
+        tested[word] += 1
+        return admissible(word, k)
+
+    monkeypatch.setattr(census, "is_admissible", counted)
+    t = Triple(*pqr)
+    first = extremality_crosscheck(t, 12)
+    once, tested = tested, Counter()
+    assert once and max(once.values()) == 1
+    # no verdict outlives the call: the same call tests the same strings again
+    assert extremality_crosscheck(t, 12) == first
+    assert tested == once
 
 
 def test_csv_schema(capsys):

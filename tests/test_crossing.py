@@ -185,9 +185,9 @@ def test_extremal_words_have_no_admissible_cut():
 def _census_words():
     from templink.census import enumerate_admissible
 
-    for pqr in ((3, 3, 4), (2, 5, 7)):
+    for pqr in ((3, 3, 4), (3, 3, 5), (2, 5, 7), (4, 4, 5)):
         t = Triple(*pqr)
-        for w in enumerate_admissible(t, 10):
+        for w in enumerate_admissible(t, 11):
             yield kneading(t), w
 
 
