@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import os
 import time
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import attrgetter, eq, sub
+from itertools import chain, repeat
+from operator import eq, index
 from typing import NamedTuple
 
 from . import crossing
@@ -39,11 +41,12 @@ from .words import CyclicWord, _check_letters, shift_prefixes
 MAX_CENSUS_LEN = 24
 
 # Most words verify_pairs takes, and so the largest extremal family a triple or
-# a range may have: the pair reports grow with its square.  On a 2-vCPU KVM
+# a range may have: the pair table grows with its square.  On a 2-vCPU KVM
 # guest verify_triple(Triple(3, 3, 87)), 1,934 words and 1,871,145 pairs, took
-# 10.4 s and 478 MB peak RSS; (3, 3, 301) would hold about 260 M pairs.  That
-# bounds verify_triple only: single-triple `templink verify` renders every
-# report, and on (3, 3, 87) it took 44 s and peaked at 5.4 GB.
+# 9.0-10.0 s and 221 MB peak RSS, 7.8 s of it in the crossing matrix;
+# (3, 3, 301) would hold about 260 M pairs.  That bounds verify_triple only:
+# single-triple `templink verify` still builds and renders every report, and
+# on (3, 3, 87) it took 44 s and peaked at 5.4 GB.
 MAX_VERIFY_WORDS = 2_000
 
 # Most letters one call may hold: verify_pairs' shift prefixes (total length x
@@ -58,6 +61,8 @@ class PairReport(NamedTuple):
     The linking number is kept as the integer ``lk2d = lk * two_delta =
     2*Q - delta*cr`` over ``two_delta = 2*delta``; ``lk`` builds the
     ``Fraction`` only when it is read.  Letter counts are read from the words.
+    Every field is a plain ``str`` or Python ``int``.  :class:`PairTable`
+    builds a report only when one is read.
     """
 
     word1: str
@@ -392,7 +397,68 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
     return p
 
 
-def verify_pairs(t: Triple, words: list[str]) -> list[PairReport]:
+def _lk2d_dtype(t: Triple, longest: int):
+    """The dtype of :func:`verify_pairs`' arrays: int64 where every value provably fits, else object.
+
+    Let two words have n, n' <= ``longest`` letters, u, u' a's and v, v' b's.
+    Then cr = P[i, j] + P[j, i] <= u·v' + u'·v <= n·n'.  Each term of
+    Q = (qr-q-r)·u·u' - r·(u·v' + v·u') + (pr-p-r)·v·v' is at most its
+    coefficient times n·n' in size, and 0 <= qr-q-r <= qr, 0 <= pr-p-r <= pr
+    as p, q, r >= 2.  So |Q|, |2Q|, |delta·cr| and |lk2d| = |2Q - delta·cr|
+    are all at most ``(2(qr + 2r + pr) + delta)·longest^2``.  Above int64
+    that bound is met with object arrays of Python ints, which compute the
+    same values exactly on the same code path.
+    """
+    import numpy as np
+
+    bound = (2 * (t.q * t.r + 2 * t.r + t.p * t.r) + t.delta) * longest**2
+    return np.int64 if bound <= np.iinfo(np.int64).max else object
+
+
+class PairTable(Sequence):
+    """The pair reports of one :func:`verify_pairs` call, in the order (i, j >= i).
+
+    The table holds the words, ``two_delta`` and, in pair order, the crossing
+    numbers ``cr`` and the integer keys ``lk2d`` as two read-only numpy
+    arrays (int64, or object holding Python ints, see :func:`_lk2d_dtype`).
+    A :class:`PairReport`, with Python ``int`` fields, is built only when one
+    is read, by index or by iteration; indices run over ``range(len(table))``
+    and may be negative, as for a list.
+    """
+
+    __slots__ = ("words", "cr", "lk2d", "two_delta", "_starts")
+
+    def __init__(self, words: list[str], cr, lk2d, two_delta: int) -> None:
+        n = len(words)
+        self.words = tuple(words)
+        self.cr, self.lk2d, self.two_delta = cr, lk2d, two_delta
+        cr.flags.writeable = lk2d.flags.writeable = False
+        # row i, the pairs (i, j >= i), starts n + (n-1) + ... + (n-i+1) pairs in
+        self._starts = [i * n - i * (i - 1) // 2 for i in range(n)]
+
+    def __len__(self) -> int:
+        return len(self.cr)
+
+    def __getitem__(self, k) -> PairReport:
+        k = index(k)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("pair index out of range")
+        i = bisect_right(self._starts, k) - 1
+        j = i + k - self._starts[i]
+        w = self.words
+        return PairReport(w[i], w[j], int(self.cr[k]), int(self.lk2d[k]), self.two_delta)
+
+    def __iter__(self):
+        w = self.words
+        pairs = ((w1, w2) for i, w1 in enumerate(w) for w2 in w[i:])
+        # tolist gives Python ints from either dtype
+        for (w1, w2), cr, lk2d in zip(pairs, self.cr.tolist(), self.lk2d.tolist()):
+            yield PairReport(w1, w2, cr, lk2d, self.two_delta)
+
+
+def verify_pairs(t: Triple, words: list[str]) -> PairTable:
     """Evaluate the linking formula on all unordered pairs of the given words.
 
     Each word is paired with itself (translated-copy convention) and with
@@ -416,29 +482,25 @@ def verify_pairs(t: Triple, words: list[str]) -> list[PairReport]:
 
     with ``P`` from :func:`_crossing_matrix` over one global ranking of every
     shift of every word; for i = j this is the translated-copy count 2·P[i, i].
-    Next to the reports, memory is O(N + W^2) for N shifts and W words.
+    The result is a :class:`PairTable`: ``cr`` and ``lk2d = 2·Q - delta·cr``
+    as two arrays in pair order, one ``q_form`` call per pair, and no
+    report built.  Memory is O(N + W^2) for N shifts and W words.
     """
     if not words:
         raise ValueError("verify_pairs needs at least one word")
     if len(words) > MAX_VERIFY_WORDS:
         raise ValueError(f"{len(words):,} words exceed the verify limit of {MAX_VERIFY_WORDS:,}")
-    # No fixed-width bound is needed: cr <= L_i * L_j leaves numpy as int64
-    # and becomes a Python int in .tolist(); lk * 2*delta = 2*Q - delta*cr is
-    # computed in Python ints.
-    cr = _crossing_matrix(words)
-    cr = cr + cr.T
+    import numpy as np
+
+    dtype = _lk2d_dtype(t, max(map(len, words)))
+    p = _crossing_matrix(words)
+    cr = (p + p.T)[np.triu_indices(len(words))].astype(dtype)
     counts = [(w.count("a"), w.count("b")) for w in words]
-    d = t.delta
-    reports: list[PairReport] = []
-    for i, (w1, c1) in enumerate(zip(words, counts)):
-        row_cr = cr[i, i:].tolist()
-        # one q_form call per pair through this module's global, so a wrapper put there sees each
-        two_q = map((2).__mul__, map(q_form, repeat(t), repeat(c1), counts[i:]))
-        keys = map(sub, two_q, map(d.__mul__, row_cr))
-        row = zip(repeat(w1), words[i:], row_cr, keys, repeat(2 * d))
-        # tuple.__new__ fills each PairReport from its zipped fields without a Python frame
-        reports.extend(map(tuple.__new__, repeat(PairReport), row))
-    return reports
+    # one q_form call per pair, in pair order, through this module's global,
+    # so a wrapper put there sees each
+    rows = (map(q_form, repeat(t), repeat(c), counts[i:]) for i, c in enumerate(counts))
+    q = np.fromiter(chain.from_iterable(rows), dtype=dtype, count=len(cr))
+    return PairTable(words, cr, 2 * q - t.delta * cr, 2 * t.delta)
 
 
 @dataclass(frozen=True)
@@ -476,17 +538,19 @@ class TripleSummary:
 
 
 def summarize(
-    t: Triple, n_words: int, reports: list[PairReport], elapsed_s: float
+    t: Triple, n_words: int, reports: PairTable, elapsed_s: float
 ) -> TripleSummary:
-    """Reduce one triple's pair reports to its verdict: violations and the worst pair.
+    """Reduce one triple's pair table to its verdict: violations and the worst pair.
 
-    The reports must come from :func:`verify_pairs` on ``t``, so there is at
-    least one.
+    The table must come from :func:`verify_pairs` on ``t``, so it holds at
+    least one pair.  lk2d = lk·2·delta is an exact integer key, and the
+    worst pair is its first maximum, the report ``max(reports, key=lk2d)``
+    would give.  Reports are built only for the worst pair and for the
+    violations, the pairs with lk2d >= 0, in pair order; one ``Fraction``
+    is built, the worst ``lk``.
     """
-    # lk2d = lk * 2*delta is an exact integer key; max keeps the first maximal report
-    worst = max(reports, key=attrgetter("lk2d"))
-    # a violation has lk2d >= 0, so a negative maximum means there is none to collect
-    violations = () if worst.lk2d < 0 else tuple(r for r in reports if r.lk2d >= 0)
+    worst = reports[reports.lk2d.argmax()]
+    violations = tuple(map(reports.__getitem__, (reports.lk2d >= 0).nonzero()[0]))
     return TripleSummary(
         p=t.p,
         q=t.q,

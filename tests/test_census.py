@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import oracle_crossing, shift_sequences
@@ -29,7 +29,7 @@ from templink.census import (
 from templink.cli import run
 from templink.crossing import word_crossing
 from templink.kneading import TemplateDomainError, Triple
-from templink.linking import q_form
+from templink.linking import q_form, template_linking
 from templink.words import CyclicWord, canonicalize, compare
 
 
@@ -280,6 +280,79 @@ def test_fraction_built_only_when_lk_is_read(monkeypatch):
     assert len(built) == 1 and summary.worst == 1  # the worst value only
     assert summary.violations[0].lk == 1 and len(built) == 2
 
+@pytest.mark.parametrize(
+    "t, words",
+    [
+        (Triple(3, 3, 4), ["aab"]),
+        (Triple(3, 3, 4), ["abb", "aab", "ab"]),
+        (Triple(3, 4, 5), extremal_orbits(Triple(3, 4, 5))),
+    ],
+)
+def test_pair_table_is_a_faithful_lazy_sequence(t, words):
+    table = verify_pairs(t, words)
+    n = len(words)
+    pairs = [(words[i], words[j]) for i in range(n) for j in range(i, n)]
+    assert len(table) == len(pairs) == n * (n + 1) // 2
+    rows = list(table)
+    assert [(r.word1, r.word2) for r in rows] == pairs
+    for r in rows:
+        cr = word_crossing(r.word1, r.word2)
+        q = q_form(t, *((w.count("a"), w.count("b")) for w in (r.word1, r.word2)))
+        assert r == PairReport(r.word1, r.word2, cr, 2 * q - t.delta * cr, 2 * t.delta)
+        assert [type(f) for f in r] == [str, str, int, int, int]
+    assert [table[k] for k in range(len(table))] == rows
+    assert table[-1] == rows[-1] and table[-len(table)] == rows[0]
+    for k in (len(table), -len(table) - 1):
+        with pytest.raises(IndexError):
+            table[k]
+    # bench/workloads.py samples the reports of a few triples
+    sample = random.Random(0).sample(table, min(5, len(table)))
+    assert len(sample) == min(5, len(table)) and all(r in rows for r in sample)
+
+
+def test_summary_builds_only_the_worst_report(monkeypatch):
+    import templink.census as census
+
+    built = []
+
+    class CountingReport(PairReport):
+        __slots__ = ()
+
+        def __new__(cls, *fields):
+            built.append(fields[:2])
+            return super().__new__(cls, *fields)
+
+    monkeypatch.setattr(census, "PairReport", CountingReport)
+    s = verify_triple(Triple(4, 5, 6))
+    assert s.ok and s.n_pairs > 1
+    assert built == [s.worst_pair]
+
+
+@pytest.mark.parametrize("r", [10**17, 10**20])
+def test_pair_values_exact_past_int64(r):
+    # delta·cr > 2^63 here: int64 keys would wrap (10^17) or refuse delta (10^20)
+    t = Triple(3, 3, r)
+    words = ["aabababbab", "aaababbabb", "aababbabbb"]
+    table = verify_pairs(t, words)
+    assert table.lk2d.dtype == object and min(table.cr) >= 30
+    lks = [template_linking(t, w1, w2) for w1, w2, *_ in table]
+    assert [rep.lk for rep in table] == lks
+    assert summarize(t, len(words), table, 0.0).worst == max(lks)
+
+
+def test_range_pairs_take_the_int64_path():
+    # the benchmark's range must measure the fast path, not the object fallback
+    import numpy as np
+    from templink.census import _lk2d_dtype
+
+    triples = range_triples(6, 8, 10)
+    for t in triples:
+        assert _lk2d_dtype(t, max(map(len, extremal_orbits(t)))) is np.int64, t
+    t = triples[-1]
+    table = verify_pairs(t, extremal_orbits(t))
+    assert table.cr.dtype == table.lk2d.dtype == np.int64
+
+
 def test_verify_pairs_rejects_duplicates():
     t = Triple(3, 3, 4)
     with pytest.raises(ValueError):
@@ -411,6 +484,9 @@ primitive_words = st.text(alphabet="ab", min_size=1, max_size=10).map(
     st.lists(primitive_words, min_size=1, max_size=7, unique=True),
 )
 @settings(max_examples=100, deadline=None)
+# positive controls: lk(aab, aab) = 1 on (3,3,4), so violations are not empty
+@example(Triple(3, 3, 4), ["aab"])
+@example(Triple(3, 3, 4), ["ab", "aab", "abb", "aaab"])
 def test_pair_kernel_matches_oracle_and_exact_formula(t, words):
     reports = verify_pairs(t, words)
     n = len(words)
@@ -428,6 +504,7 @@ def test_pair_kernel_matches_oracle_and_exact_formula(t, words):
     first = next(r for r in reports if r.lk == worst)
     assert summary.worst == worst
     assert summary.worst_pair == (first.word1, first.word2)
+    assert summary.violations == tuple(r for r in reports if r.lk >= 0)
 
 
 def test_only_a_shift_b_shift_pairs_swap_order():
