@@ -17,7 +17,6 @@ from .census import (
     extremal_families,
     extremal_orbits,
     extremality_crosscheck,
-    has_admissible_cut,
     summarize,
     verify_pairs,
     verify_range,
@@ -25,15 +24,7 @@ from .census import (
 )
 from .crossing import Cut, enumerate_cuts, is_admissible_cut, word_crossing
 from .identities import IdentityReport, check_identities
-from .kneading import (
-    KneadingData,
-    TemplateDomainError,
-    Triple,
-    is_admissible,
-    kneading,
-    kneading_unbounded,
-    lorenz_kneading,
-)
+from .kneading import KneadingData, TemplateDomainError, Triple, is_admissible, kneading
 from .linking import (
     HopfLinkingVector,
     fiber_linking,
@@ -70,13 +61,10 @@ __all__ = [
     "extremal_orbits",
     "extremality_crosscheck",
     "fiber_linking",
-    "has_admissible_cut",
     "homology_order",
     "is_admissible",
     "is_admissible_cut",
     "kneading",
-    "kneading_unbounded",
-    "lorenz_kneading",
     "q_form",
     "qprime_form",
     "qprime_matrix",

@@ -291,15 +291,6 @@ def _cutless(words: list[str], admissible: _Verdicts) -> list[str]:
     ]
 
 
-def has_admissible_cut(w: str, k: KneadingData) -> bool:
-    """True iff some cut of ``w`` (see :func:`crossing.iter_cuts`) has two admissible factors.
-
-    The search stops at the first such cut and tests admissibility before
-    validity, see :func:`_cutless`.
-    """
-    return not _cutless([w], _Verdicts(k))
-
-
 def extremality_crosscheck(t: Triple, max_len: int) -> tuple[list[CyclicWord], list[CyclicWord]]:
     """Both characterizations of extremal orbits, restricted to length <= max_len.
 

@@ -158,7 +158,7 @@ def _candidate_splits(w: str) -> Iterator[tuple[int, str, str]]:
             yield k, rot[:split], rot[split:]
 
 
-def iter_cuts(w: str) -> Iterator[Cut]:
+def enumerate_cuts(w: str) -> list[Cut]:
     """The cuts of ``w``, a primitive least rotation, by ascending rotation, then split.
 
     Factors need not be primitive (e.g. the cut aa|bb of aabb) nor code
@@ -166,19 +166,14 @@ def iter_cuts(w: str) -> Iterator[Cut]:
     :func:`is_admissible_cut`.  The cuts are the candidates of
     :func:`_candidate_splits` that :func:`_is_valid_cut` accepts: the factors
     of every split add up to ``len(w)`` letters, so one horizon of
-    ``len(w)`` serves every candidate.  A candidate is validated only when
-    the consumer asks for the next cut.  Input that is not a primitive least
+    ``len(w)`` serves every candidate.  Input that is not a primitive least
     rotation over {a, b} raises ``ValueError``.
     """
-    n = len(w)
-    for k, u, v in _candidate_splits(w):
-        if _is_valid_cut(u, v, n):
-            yield Cut(u=u, v=v, rotation=k, split=len(u))
-
-
-def enumerate_cuts(w: str) -> list[Cut]:
-    """All cuts of ``w``, in the order of :func:`iter_cuts`."""
-    return list(iter_cuts(w))
+    return [
+        Cut(u=u, v=v, rotation=k, split=len(u))
+        for k, u, v in _candidate_splits(w)
+        if _is_valid_cut(u, v, len(w))
+    ]
 
 
 def is_admissible_cut(c: Cut, k: KneadingData) -> bool:

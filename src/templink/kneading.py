@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 from .words import PeriodicSequence, compare
 
 
-# Most letters a kneading table may hold, by the bound 2r(p+q) on its four
-# sequences.  The block screen repeats each word to about r·q/2 letters, and
-# is_admissible slices shifts of about r·q letters, so census cost grows with
-# it.  On a 2-vCPU KVM guest the worst admitted command, `enumerate --p 3 --q 89
-# --r 89 --max-len 24` (16,376 letters, 217,044 words), took 13.5 s and 141 MB
-# peak RSS, against 7.6 s for (3, 24, 24) at 1,296; (3, 179, 180) at 65,520 took 36 s.
+# Most letters a kneading table may hold, by the bound 2r(p+q) on its two
+# stored sequences and the two derived from them.  The block screen repeats
+# each word to about r·q/2 letters, and is_admissible slices shifts of about
+# r·q letters, so census cost grows with it.  On a 2-vCPU KVM guest the worst
+# admitted command, `enumerate --p 3 --q 89 --r 89 --max-len 24` (16,376
+# letters, 217,044 words), took 13.5 s and 141 MB peak RSS, against 7.6 s for
+# (3, 24, 24) at 1,296; (3, 179, 180) at 65,520 took 36 s.
 MAX_TABLE_LETTERS = 2**14
 
 
@@ -72,42 +73,47 @@ class Triple:
 
 @dataclass(frozen=True)
 class KneadingData:
-    """The four boundary sequences of the template, with v_L = b.u_L, u_R = a.v_R."""
+    """The template's boundary sequences: u_L and v_R stored, v_L = b.u_L and u_R = a.v_R derived.
+
+    The validation ``u_L <= u_R`` and ``v_L <= v_R`` forces u_L to start with
+    ``a`` (one that starts with ``b`` lies above every ``a``-sequence, such
+    as u_R) and v_R to start with ``b`` (likewise below v_L).
+    """
 
     u_L: PeriodicSequence
-    u_R: PeriodicSequence
-    v_L: PeriodicSequence
     v_R: PeriodicSequence
-    # Longest preperiod-plus-period among the bounds: see is_admissible.
+    # Longest preperiod-plus-period of the two bounds: see is_admissible.
     reach: int = field(init=False, compare=False, repr=False)
-    # Prefixes of the four bounds keyed by horizon; they depend on the bounds
+    # Prefixes of u_L and v_R keyed by horizon; they depend on the bounds
     # alone, so equality, hash and repr ignore them.
-    _prefixes: dict[int, tuple[str, ...]] = field(
+    _prefixes: dict[int, tuple[str, str]] = field(
         default_factory=dict, init=False, compare=False, hash=False, repr=False
     )
 
     def __post_init__(self) -> None:
         if compare(self.u_L, self.u_R) > 0 or compare(self.v_L, self.v_R) > 0:
             raise ValueError("kneading bounds out of order")
-        bounds = (self.u_L, self.u_R, self.v_L, self.v_R)
         object.__setattr__(
-            self, "reach", max(len(b.preperiod) + len(b.period) for b in bounds)
+            self, "reach", max(len(b.preperiod) + len(b.period) for b in (self.u_L, self.v_R))
         )
 
-    def bound_prefixes(self, horizon: int) -> tuple[str, ...]:
-        """The first ``horizon`` letters of u_L, u_R, v_L and v_R, built once per horizon."""
+    @property
+    def u_R(self) -> PeriodicSequence:
+        return PeriodicSequence("a" + self.v_R.preperiod, self.v_R.period)
+
+    @property
+    def v_L(self) -> PeriodicSequence:
+        return PeriodicSequence("b" + self.u_L.preperiod, self.u_L.period)
+
+    def bound_prefixes(self, horizon: int) -> tuple[str, str]:
+        """The first ``horizon`` letters of u_L and v_R, built once per horizon."""
         prefixes = self._prefixes.get(horizon)
         if prefixes is None:
-            bounds = (self.u_L, self.u_R, self.v_L, self.v_R)
-            prefixes = self._prefixes[horizon] = tuple(b.prefix(horizon) for b in bounds)
+            prefixes = self._prefixes[horizon] = (
+                self.u_L.prefix(horizon),
+                self.v_R.prefix(horizon),
+            )
         return prefixes
-
-def _prepend(letter: str, s: PeriodicSequence) -> PeriodicSequence:
-    return PeriodicSequence(letter + s.preperiod, s.period)
-
-
-def _pack(u_L: PeriodicSequence, v_R: PeriodicSequence) -> KneadingData:
-    return KneadingData(u_L=u_L, u_R=_prepend("a", v_R), v_L=_prepend("b", u_L), v_R=v_R)
 
 
 def kneading(t: Triple) -> KneadingData:
@@ -134,63 +140,50 @@ def kneading(t: Triple) -> KneadingData:
             half = (r - 2) // 2
             u = (A + "b") * half + "a" * (p - 2) + ("b" + A) * half + "bb"
             v = (B + "a") * half + "b" * (q - 2) + ("a" + B) * half + "aa"
-        return _pack(PeriodicSequence("", u), PeriodicSequence("", v))
+        return KneadingData(PeriodicSequence("", u), PeriodicSequence("", v))
     u_half = (r - 3) // 2 if r % 2 == 1 else (r - 4) // 2
     v_half = (r - 5) // 2 if r % 2 == 1 else (r - 4) // 2
     u = "ab" * u_half + "abb"
     v_rep = ("a" + B) * v_half + "a" + "b" * (q - 2)
-    return _pack(PeriodicSequence("", u), PeriodicSequence(B, v_rep))
-
-
-def kneading_unbounded(p: int, q: int) -> KneadingData:
-    """Kneading data of the open template with the top surgery removed.
-
-    The bounds are the pure syllable sequences (a^(p-1) b)^inf and
-    (b^(q-1) a)^inf.  This data carries no homology order, so it supports
-    admissibility questions only, never linking arithmetic.
-    """
-    if p < 2 or q < 2:
-        raise TemplateDomainError("need p, q >= 2")
-    u = PeriodicSequence("", "a" * (p - 1) + "b")
-    v = PeriodicSequence("", "b" * (q - 1) + "a")
-    return _pack(u, v)
-
-
-def lorenz_kneading() -> KneadingData:
-    """Trivial bounds (a^inf and b^inf): every binary word is admissible.
-
-    This is the full Lorenz template, used when evaluating formal words that
-    do not lie on any (p, q, r)-template.
-    """
-    return _pack(PeriodicSequence("", "a"), PeriodicSequence("", "b"))
+    return KneadingData(PeriodicSequence("", u), PeriodicSequence(B, v_rep))
 
 
 def is_admissible(word: str, k: KneadingData) -> bool:
     """True iff every shift of ``w^inf`` lies between the kneading bounds.
 
-    Shifts starting with ``a`` must satisfy u_L <= s <= u_R, shifts starting
-    with ``b`` must satisfy v_L <= s <= v_R (bounds inclusive: the template
-    contains its boundary orbits).  ``word`` may be any nonempty string over
-    {a, b}: every rotation and every power of a word has the same shifts, so
-    the answer is the same for each of them.
+    By definition, shifts starting with ``a`` must satisfy u_L <= s <= u_R and
+    shifts starting with ``b`` must satisfy v_L <= s <= v_R (bounds inclusive:
+    the template contains its boundary orbits).  That holds exactly when
+    every shift satisfies u_L <= s <= v_R:
+
+    - u_L starts with ``a`` and v_R with ``b`` (see :class:`KneadingData`), so
+      an ``a``-shift lies below v_R and a ``b``-shift lies above u_L.
+    - An ``a``-shift ``s = a.t`` has ``s <= a.v_R`` iff ``t <= v_R``, and a
+      ``b``-shift ``s = b.t`` has ``s >= b.u_L`` iff ``t >= u_L``; in both
+      cases ``t`` is the next shift of ``w^inf``.
+    - So the definition asks u_L <= s of each ``a``-shift, s <= v_R of each
+      ``b``-shift, and the other end of the interval of each next shift:
+      every shift lies in [u_L, v_R], and conversely.
+
+    ``word`` may be any nonempty string over {a, b}: every rotation and every
+    power of a word has the same shifts, so the answer is the same for each
+    of them.  An empty word raises ``ValueError``.
 
     A shift (period ``len(w)``) and a bound (``preperiod . period^inf``)
     that agree on ``len(w) + len(preperiod) + len(period)`` letters agree
     everywhere (past the preperiod both are periodic, and Fine-Wilf applies),
-    so prefixes at ``len(w)`` plus the longest such bound length compare as
+    so prefixes at ``len(w)`` plus the longer such bound length compare as
     plain strings exactly as the sequences do, equality included.  That
-    longest bound length is ``k.reach``.
+    longer bound length is ``k.reach``.
     """
+    if not word:
+        raise ValueError("admissibility needs a nonempty word")
     horizon = len(word) + k.reach
-    u_L, u_R, v_L, v_R = k.bound_prefixes(horizon)
+    u_L, v_R = k.bound_prefixes(horizon)
     reps = word * (horizon // len(word) + 2)
     # sliced inline, not by shift_prefixes: most words fail early (shared prefixes: 15-30% slower)
     for i in range(len(word)):
-        s = reps[i : i + horizon]
-        if s[0] == "a":
-            if not u_L <= s <= u_R:
-                return False
-        elif not v_L <= s <= v_R:
+        if not u_L <= reps[i : i + horizon] <= v_R:
             return False
     return True
 
@@ -224,6 +217,8 @@ def satisfies_block_constraints(word: str, t: Triple) -> bool:
       S, the word is a pure syllable word, and ``b S^R a`` is a substring
       too, because the repetition holds at least (R + 1)|S| + 1 letters.
     """
+    if not word:
+        raise ValueError("block constraints need a nonempty word")
     reps = t.max_repeats + 1
     hay = word * ((reps * t.q + 2) // len(word) + 2)
     if "a" * t.p in hay or "b" * t.q in hay:

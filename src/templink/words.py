@@ -107,10 +107,6 @@ class PeriodicSequence:
     def __str__(self) -> str:
         return f"{self.preperiod}|{self.period}"
 
-    @property
-    def head(self) -> str:
-        return (self.preperiod + self.period)[0]
-
     def prefix(self, n: int) -> str:
         """The first ``n`` letters."""
         tail_len = n - len(self.preperiod)

@@ -2,11 +2,13 @@
 
 These deliberately reuse only the sequence-comparison primitive and count
 everything by definition, so they stay independent of the rank-based engines
-they validate.
+they validate.  The kneading data that only tests use, of the open and the
+Lorenz templates, are built here from their two stored bounds.
 """
 
 from itertools import product
 
+from templink.kneading import KneadingData
 from templink.words import PeriodicSequence, compare
 
 
@@ -27,10 +29,22 @@ def oracle_crossing(v: str, x: str) -> int:
     return count
 
 
+def kneading_unbounded(p: int, q: int) -> KneadingData:
+    """Bounds of the open template with the top surgery removed: the pure
+    syllable sequences (a^(p-1) b)^inf and (b^(q-1) a)^inf."""
+    u_L = PeriodicSequence("", "a" * (p - 1) + "b")
+    return KneadingData(u_L, PeriodicSequence("", "b" * (q - 1) + "a"))
+
+
+def lorenz_kneading() -> KneadingData:
+    """Trivial bounds a^inf and b^inf of the full Lorenz template: every word is admissible."""
+    return KneadingData(PeriodicSequence("", "a"), PeriodicSequence("", "b"))
+
+
 def oracle_admissible(word: str, k) -> bool:
     """Definition-level admissibility: every shift between its ribbon's bounds."""
     for s in shift_sequences(word):
-        if s.head == "a":
+        if s.prefix(1) == "a":
             ok = compare(k.u_L, s) <= 0 and compare(s, k.u_R) <= 0
         else:
             ok = compare(k.v_L, s) <= 0 and compare(s, k.v_R) <= 0

@@ -35,11 +35,17 @@ def test_admissible_command(capsys):
     assert out == ["ab true", "aab false"]
 
 
+TABLES = {
+    (3, 3, 4): ["u_L = |aababaabb", "u_R = |abbababba", "v_L = |baababaab", "v_R = |bbababbaa"],
+    (2, 5, 7): ["u_L = |abababb", "u_R = ab|bbbabbbba", "v_L = |bababab", "v_R = b|bbbabbbba"],
+}
+
+
 def test_table_command(capsys):
-    assert run(["table", "--p", "3", "--q", "3", "--r", "4"]) == 0
-    out = capsys.readouterr().out
-    assert "u_L = |aababaabb" in out
-    assert "v_R = |bbababbaa" in out
+    # u_R = a.v_R and v_L = b.u_L are derived from the stored bounds
+    for (p, q, r), lines in TABLES.items():
+        assert run(["table", "--p", str(p), "--q", str(q), "--r", str(r)]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
 
 
 def test_enumerate_and_extremal(capsys):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_crossing, oracle_cuts, shift_sequences
-from templink import crossing
+from oracles import lorenz_kneading, oracle_crossing, oracle_cuts, shift_sequences
+from templink import census, crossing
 from templink.census import lyndon_words
-from templink.crossing import Cut, enumerate_cuts, is_admissible_cut, iter_cuts, word_crossing
-from templink.kneading import Triple, kneading, lorenz_kneading
+from templink.crossing import Cut, enumerate_cuts, is_admissible_cut, word_crossing
+from templink.kneading import Triple, kneading
 from templink.words import CyclicWord, canonicalize, compare, primitive_root
 
 words = st.text(alphabet="ab", min_size=1, max_size=10)
@@ -143,7 +143,7 @@ def test_cuts_match_oracle_on_every_word_up_to_12():
 
 
 def test_shifts_between_the_factors_of_a_cut_are_the_power_chains():
-    # the lemma of iter_cuts, checked by definition: with u = z^j and v = y^m,
+    # the lemma of _candidate_splits, checked by definition: with u = z^j and v = y^m,
     # the shifts strictly between X = (uv)^inf and Y = (vu)^inf are z^(j-i)Y
     # and y^(m-i)X, so the successor of X starts at x+|z|, x+n-|y| or x+l
     for word in _two_letter_lyndon_words(10):
@@ -174,12 +174,9 @@ def test_admissible_cut_examples():
 
 
 def test_extremal_words_have_no_admissible_cut():
-    from templink.census import extremal_orbits, has_admissible_cut
-
     t = Triple(3, 3, 4)
-    k = kneading(t)
-    for w in extremal_orbits(t):
-        assert not has_admissible_cut(w, k)
+    words = census.extremal_orbits(t)
+    assert census._cutless(words, census._Verdicts(kneading(t))) == words
 
 
 def _census_words():
@@ -192,17 +189,13 @@ def _census_words():
 
 
 def test_lazy_cuts_match_the_full_list():
-    from templink.census import has_admissible_cut
-
+    # the cut search walks the candidates lazily; its verdict is the full list's
     for k, w in _census_words():
-        cuts = enumerate_cuts(w)
-        assert list(iter_cuts(w)) == cuts
-        assert has_admissible_cut(w, k) == any(is_admissible_cut(c, k) for c in cuts)
+        cutless = census._cutless([w], census._Verdicts(k)) == [w]
+        assert cutless == (not any(is_admissible_cut(c, k) for c in enumerate_cuts(w)))
 
 
 def test_admissible_cut_search_stops_at_the_first(monkeypatch):
-    from templink.census import has_admissible_cut
-
     validated = [0]
     valid = crossing._is_valid_cut
 
@@ -216,7 +209,7 @@ def test_admissible_cut_search_stops_at_the_first(monkeypatch):
     w = CyclicWord("aababbabab")
     enumerate_cuts(w)
     listed, validated[0] = validated[0], 0
-    assert has_admissible_cut(w, k)
+    assert census._cutless([w], census._Verdicts(k)) == []
     assert 0 < validated[0] < listed
 
 

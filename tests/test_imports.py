@@ -1,5 +1,6 @@
 """Imports: the census side of the package loads neither numpy nor a process
-pool, and every name the benchmark looks up in the package exists."""
+pool, every name the benchmark looks up in the package exists, and every
+name the package exports resolves."""
 
 import ast
 import importlib
@@ -90,3 +91,14 @@ def test_every_name_the_benchmark_looks_up_exists():
         if not hasattr(importlib.import_module(f"templink.{module}"), name)
     ]
     assert missing == []
+
+
+def test_every_exported_name_resolves():
+    import templink
+
+    names = templink.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(templink, name)] == []
+    # a fresh interpreter, so a name bound only by an earlier test's import cannot hide a gap
+    star = "import sys; sys.path.insert(0, sys.argv[1]); from templink import *"
+    subprocess.run([sys.executable, "-c", star, str(SRC)], check=True)

@@ -2,18 +2,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_admissible, oracle_block_constraints, syllables
+from oracles import (
+    kneading_unbounded,
+    lorenz_kneading,
+    oracle_admissible,
+    oracle_block_constraints,
+    syllables,
+)
+from templink.crossing import Cut, is_admissible_cut
 from templink.kneading import (
     MAX_TABLE_LETTERS,
     KneadingData,
     Triple,
     is_admissible,
     kneading,
-    kneading_unbounded,
-    lorenz_kneading,
     satisfies_block_constraints,
 )
-from templink.words import CyclicWord, canonicalize, compare
+from templink.words import CyclicWord, PeriodicSequence, canonicalize, compare
 
 
 def test_triple_validation():
@@ -54,8 +59,6 @@ def test_kneading_structure_relations():
 
 
 def canonical_prepend(letter, seq):
-    from templink.words import PeriodicSequence
-
     return PeriodicSequence(letter + seq.preperiod, seq.period)
 
 
@@ -116,7 +119,8 @@ def test_boundary_periods_admissible(pqr):
 
 
 # Every bound shape: p >= 3 with odd and even r, p = 2 (v_R has a nonempty
-# preperiod) with odd and even r, the open template and the Lorenz bounds.
+# preperiod) with odd and even r, the open template, the Lorenz bounds, and
+# hand-built bounds whose u_L has a nonempty preperiod, which no table row has.
 KNEADINGS = [
     kneading(Triple(3, 3, 4)),
     kneading(Triple(3, 4, 7)),
@@ -127,6 +131,7 @@ KNEADINGS = [
     kneading_unbounded(3, 4),
     kneading_unbounded(2, 3),
     lorenz_kneading(),
+    KneadingData(PeriodicSequence("a", "ab"), PeriodicSequence("", "bba")),
 ]
 
 
@@ -214,15 +219,25 @@ def test_no_p_run_in_admissible_words():
 
 
 def test_kneading_data_validates_order():
-    from templink.words import PeriodicSequence
+    # the premises of is_admissible's interval test: u_L starts with a
+    # (else u_L > u_R = a.v_R) and v_R starts with b (else v_L = b.u_L > v_R)
+    a, b = PeriodicSequence("", "a"), PeriodicSequence("", "b")
+    for u_L, v_R in ((b, b), (a, a)):
+        with pytest.raises(ValueError, match="out of order"):
+            KneadingData(u_L=u_L, v_R=v_R)
 
-    with pytest.raises(ValueError):
-        KneadingData(
-            u_L=PeriodicSequence("", "b"),
-            u_R=PeriodicSequence("", "a"),
-            v_L=PeriodicSequence("", "b"),
-            v_R=PeriodicSequence("", "b"),
-        )
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_admissible("", kneading(Triple(3, 3, 4))),
+        lambda: satisfies_block_constraints("", Triple(3, 3, 4)),
+        lambda: is_admissible_cut(Cut("", "ab", 0, 0), kneading(Triple(3, 3, 4))),
+    ],
+)
+def test_empty_word_raises_value_error(call):
+    with pytest.raises(ValueError, match="nonempty word"):
+        call()
 
 
 PREFIX_STORE_TRIPLES = [(3, 3, 4), (2, 5, 7), (2, 5, 6), (4, 5, 6)]
