@@ -43,7 +43,8 @@ MAX_CENSUS_LEN = 24
 # Most words verify_pairs takes, and so the largest extremal family a triple or
 # a range may have: the pair table grows with its square.  On a 2-vCPU KVM
 # guest verify_triple(Triple(3, 3, 87)), 1,934 words and 1,871,145 pairs, took
-# 9.0-10.0 s and 221 MB peak RSS, 7.8 s of it in the crossing matrix;
+# 3.4-3.7 s and 222 MB peak RSS: 0.6 s ranking the shifts, 1.6 s in the
+# crossing matrix's sweep and 1.2-1.3 s in the pair arrays and q_form calls;
 # (3, 3, 301) would hold about 260 M pairs.  That bounds verify_triple only:
 # single-triple `templink verify` still builds and renders every report, and
 # on (3, 3, 87) it took 44 s and peaked at 5.4 GB.
@@ -53,6 +54,10 @@ MAX_VERIFY_WORDS = 2_000
 # 2 x longest) or one extremal family (words x longest).  (3, 3, 87) needs 120.4 M;
 # (2, 41, 43) would need 958 M, where (2, 27, 29) at 80.7 M peaked at 161 MB.
 MAX_LETTERS = 2**27
+
+# Cells of one column chunk of _crossing_matrix's prefix table and its gathered
+# rows, 4 bytes each: the largest chunk holds 1 MB.
+_CHUNK_CELLS = 2**18
 
 
 class PairReport(NamedTuple):
@@ -345,7 +350,8 @@ def _shift_ranks(words: list[str]) -> np.ndarray:
     ordered = list(map(prefixes.__getitem__, order))
     if any(map(eq, ordered, ordered[1:])):
         raise ValueError("a word is a proper power, or two words are rotations of one word")
-    # the narrowest dtype that holds every rank keeps the pair kernel's comparisons small
+    # the narrowest dtype that holds the number of shifts keeps the index arrays
+    # of _crossing_matrix's sweep small; ranks are indices there, never compared in bulk
     rank = np.empty(len(prefixes), dtype=np.min_scalar_type(len(prefixes)))
     rank[order] = np.arange(len(prefixes))
     return rank
@@ -354,37 +360,67 @@ def _shift_ranks(words: list[str]) -> np.ndarray:
 def _crossing_matrix(words: list[str]) -> np.ndarray:
     """``P[i, j]``, the number of a-shifts x of word i and b-shifts y of word j with σx > σy.
 
-    One ``|A_i| x |B|`` comparison per row word i, where ``A_i`` holds the
-    successor ranks of word i's a-shifts and ``B`` those of the b-shifts of
-    every word, in word order.  Its column sums are cumulated and differenced
-    at the words' b-shift boundaries, which gives 0 to a word without b-shifts;
-    a row word without a-shifts has an empty comparison and a zero row.
-    For N shifts and W words the arrays take O(N + W^2) memory, plus one row
-    word's ``|A_i| x |B|`` boolean comparison at a time; no table is indexed
-    by shifts and words together.
+    One sweep in successor-rank order.  The successor ranks σx are distinct,
+    a permutation of the N shifts, so scattering the b-indicator by rank
+    sorts it with no argsort.  Its exclusive cumsum gives ``below[x]``, the
+    number of b-shifts whose successors rank below σx, for each a-shift x,
+    and each b-shift's place among the b-shifts in rank order.  Let
+    ``C[c, j]`` be the number of word j's b-shifts among the first c b-shifts
+    in rank order, a one-hot table cumulated down its columns.  A b-shift y
+    has σy < σx iff it is among the first ``below[x]``, as the ranks are
+    distinct, so ``#{y in B_j : σy < σx} = C[below[x], j]`` and
+
+        P[i, j] = sum over a-shifts x of word i of C[below[x], j],
+
+    the rows of ``C`` gathered at ``below`` and summed over each word's
+    a-shifts.  Words without b-shifts have zero columns in ``C``, words
+    without a-shifts empty segments and zero rows.
+
+    For W words that is (N + 1)·W table cells, N²/L̄ for mean length L̄, in
+    place of the N_a·N_b ≈ N²/4 shift comparisons of the direct count.  The
+    columns are swept in chunks whose table and gathered rows hold at most
+    ``_CHUNK_CELLS`` cells, one column when N is larger, so beside the W x W
+    result memory is O(N) plus that budget.
     """
     import numpy as np
 
     rank = _shift_ranks(words)
-    starts = np.cumsum([0] + [len(w) for w in words])
+    n, w = len(rank), len(words)
+    starts = np.cumsum([0] + [len(word) for word in words])
     # each shift's successor is the next one in its word, wrapping at the word's end
-    succ = np.arange(1, len(rank) + 1)
+    succ = np.arange(1, n + 1)
     succ[starts[1:] - 1] = starts[:-1]
     nxt = rank[succ]
     is_a = np.frombuffer("".join(words).encode(), dtype=np.uint8) == ord("a")
     nxt_a, nxt_b = nxt[is_a], nxt[~is_a]
-    a_counts = [w.count("a") for w in words]
-    a_starts = np.cumsum([0] + a_counts)
-    b_starts = np.cumsum([0] + [w.count("b") for w in words])
-    lo, hi = b_starts[:-1], b_starts[1:]
-    # a column sum counts at most one row word's a-shifts
-    column = np.min_scalar_type(max(a_counts))
-    below = np.zeros(len(nxt_b) + 1, dtype=np.int64)
-    p = np.empty((len(words), len(words)), dtype=np.int64)
-    for i in range(len(words)):
-        above = nxt_a[a_starts[i] : a_starts[i + 1], None] > nxt_b
-        np.cumsum(above.sum(axis=0, dtype=column), out=below[1:])
-        np.subtract(below[hi], below[lo], out=p[i])
+    # ranked[r + 1] is 1 where rank r is a b-shift's successor; cumulated, ranked[r]
+    # counts the b-shifts whose successors rank below r, at most N as the ranks' dtype holds
+    ranked = np.zeros(n + 1, dtype=rank.dtype)
+    ranked[1:][nxt_b] = 1
+    np.cumsum(ranked, dtype=ranked.dtype, out=ranked)
+    below, place = ranked[nxt_a], ranked[nxt_b]
+    b_counts = [word.count("b") for word in words]
+    b_starts = np.cumsum([0] + b_counts)
+    b_word = np.repeat(np.arange(w), b_counts)
+    a_counts = np.diff(starts) - b_counts
+    # reduceat sums an empty segment as one element, so only words with a-shifts are reduced
+    rows = a_counts.nonzero()[0]
+    first = (np.cumsum(a_counts) - a_counts)[rows]
+    width = max(1, _CHUNK_CELLS // (n + 1))
+    p = np.zeros((w, w), dtype=np.int64)
+    for lo in range(0, w, width):
+        hi = min(lo + width, w)
+        # check_letter_budget gives 2·L·N <= 2^27 with N >= L for the longest
+        # length L, so L <= 2^13: C[c, j] <= |B_j| <= L, and a segment sum is at
+        # most |A_i|·|B_j| <= L^2 <= 2^26.  C would fit uint16, but reduceat
+        # copies a block whole to sum it in another dtype, so the table is
+        # uint32, the sums' dtype: no more bytes at the peak, and no copy.
+        table = np.zeros((len(nxt_b) + 1, hi - lo), dtype=np.uint32)
+        chunk = slice(b_starts[lo], b_starts[hi])
+        table[1:][place[chunk], b_word[chunk] - lo] = 1
+        np.cumsum(table, axis=0, dtype=np.uint32, out=table)
+        p[rows, lo:hi] = np.add.reduceat(table.take(below, axis=0), first, axis=0, dtype=np.uint32)
+        del table  # before the next chunk's table is allocated
     return p
 
 
@@ -475,7 +511,9 @@ def verify_pairs(t: Triple, words: list[str]) -> PairTable:
     shift of every word; for i = j this is the translated-copy count 2·P[i, i].
     The result is a :class:`PairTable`: ``cr`` and ``lk2d = 2·Q - delta·cr``
     as two arrays in pair order, one ``q_form`` call per pair, and no
-    report built.  Memory is O(N + W^2) for N shifts and W words.
+    report built.  For N shifts and W words the crossing matrix takes
+    (N + 1)·W table cells of work, and memory is O(N + W^2) plus its fixed
+    chunk budget.
     """
     if not words:
         raise ValueError("verify_pairs needs at least one word")

@@ -29,6 +29,19 @@ def oracle_crossing(v: str, x: str) -> int:
     return count
 
 
+def oracle_crossing_matrix(words: list[str]) -> list[list[int]]:
+    """``P[i][j]``: a-shifts x of word i and b-shifts y of word j with σx > σy, by definition."""
+    shifts = [shift_sequences(w) for w in words]
+    # each shift with its successor, split by first letter
+    steps = [list(zip(s, s[1:] + s[:1])) for s in shifts]
+    a_next = [[nx for x, nx in st if x.prefix(1) == "a"] for st in steps]
+    b_next = [[ny for y, ny in st if y.prefix(1) == "b"] for st in steps]
+    return [
+        [sum(compare(nx, ny) > 0 for nx in a_next[i] for ny in b_next[j]) for j in range(len(words))]
+        for i in range(len(words))
+    ]
+
+
 def kneading_unbounded(p: int, q: int) -> KneadingData:
     """Bounds of the open template with the top surgery removed: the pure
     syllable sequences (a^(p-1) b)^inf and (b^(q-1) a)^inf."""

@@ -5,11 +5,12 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_crossing, shift_sequences
+from oracles import oracle_crossing, oracle_crossing_matrix, shift_sequences
 from templink.census import (
     MAX_VERIFY_WORDS,
     PairReport,
@@ -342,7 +343,6 @@ def test_pair_values_exact_past_int64(r):
 
 def test_range_pairs_take_the_int64_path():
     # the benchmark's range must measure the fast path, not the object fallback
-    import numpy as np
     from templink.census import _lk2d_dtype
 
     triples = range_triples(6, 8, 10)
@@ -559,6 +559,75 @@ def test_pair_kernel_counts_past_a_byte():
     words = ["a" * 300 + "b", "a" * 257 + "bb"]
     for r in verify_pairs(t, words):
         assert r.cr == word_crossing(r.word1, r.word2)
+
+
+@given(st.lists(primitive_words, min_size=1, max_size=7, unique=True))
+@settings(max_examples=100, deadline=None)
+@example(["a", "b"])
+@example(["b", "ab", "a", "aab"])
+def test_crossing_matrix_matches_definition(words):
+    # P itself, not only P + P.T, so a count put in the wrong cell shows.  P is
+    # symmetric, so a transposed P is the same matrix: (x, y) -> (σx, σy)
+    # permutes the shift pairs of words i and j, so the pairs with x < y and
+    # σx > σy, P[i, j] of them, are as many as those with x > y and σx < σy,
+    # P[j, i].  One-column chunks take the chunked path.
+    import templink.census as census
+
+    expected = oracle_crossing_matrix(words)
+    for cells in (census._CHUNK_CELLS, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(census, "_CHUNK_CELLS", cells)
+            p = census._crossing_matrix(words)
+        assert p.dtype == np.int64 and p.tolist() == expected, cells
+
+
+def test_one_column_chunks_give_the_same_matrix(monkeypatch):
+    import templink.census as census
+
+    words = extremal_orbits(Triple(6, 8, 10))
+    whole = census._crossing_matrix(words)
+    # 313 words in chunks of 36 columns at the default budget: the last chunk is partial
+    assert census._CHUNK_CELLS // (sum(map(len, words)) + 1) == 36
+    monkeypatch.setattr(census, "_CHUNK_CELLS", 1)
+    assert np.array_equal(census._crossing_matrix(words), whole)
+
+
+def test_pair_kernel_counts_past_sixteen_bits():
+    # a^300 b^300 has 300 b-shifts, and |A|·|B| = 90,000 for its self-pair.
+    # Each of the 300 a-shifts of (ab)^300 b steps to a b-shift, which ranks
+    # above the successor of each of the 300 b-shifts of a(ab)^300, an
+    # a-shift, so P[0, 1] of that pair passes 65,535.
+    import templink.census as census
+
+    t = Triple(3, 3, 4)
+    alternating = ["ab" * 300 + "b", "a" + "ab" * 300]
+    for words in (["a" * 300 + "b" * 300, "a" * 257 + "bb"], alternating):
+        for r in verify_pairs(t, words):
+            assert r.cr == word_crossing(r.word1, r.word2), (len(r.word1), len(r.word2))
+    assert census._crossing_matrix(alternating)[0, 1] > 2**16
+
+
+def test_crossing_matrix_memory_is_bounded(monkeypatch):
+    # Beside its ranking the sweep holds the W x W int64 result, one column
+    # chunk of at most _CHUNK_CELLS 4-byte cells, and a slack of 64 bytes per
+    # shift for the O(N) index arrays and the chunk's W-row sums: 2.3 MB here,
+    # where the sweep peaks at 2.05 MB.  An unchunked (N + 1) x W table with
+    # its gathered rows peaks at 10.4 MB.
+    import tracemalloc
+
+    import templink.census as census
+
+    words = extremal_orbits(Triple(6, 8, 10))
+    rank = census._shift_ranks(words)
+    monkeypatch.setattr(census, "_shift_ranks", lambda words: rank)
+    n, w = len(rank), len(words)
+    tracemalloc.start()
+    try:
+        census._crossing_matrix(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= w * w * 8 + census._CHUNK_CELLS * 4 + 64 * n, peak
 
 
 def test_pair_reports_golden_largest_triple():

@@ -9,6 +9,7 @@ from oracles import (
     oracle_block_constraints,
     syllables,
 )
+from templink.census import range_triples
 from templink.crossing import Cut, is_admissible_cut
 from templink.kneading import (
     MAX_TABLE_LETTERS,
@@ -47,19 +48,15 @@ def test_kneading_table_rows(pqr, u_L, v_R):
 
 
 def test_kneading_structure_relations():
-    # v_L = b.u_L and u_R = a.v_R, up to normalization
-    for pqr in [(3, 3, 4), (3, 4, 7), (2, 5, 7), (4, 5, 6)]:
-        k = kneading(Triple(*pqr))
-        b_uL = canonical_prepend("b", k.u_L)
-        a_vR = canonical_prepend("a", k.v_R)
-        assert compare(k.v_L, b_uL) == 0
-        assert compare(k.u_R, a_vR) == 0
+    # the bounds keep their strict orders, and the template contains its
+    # boundary orbits: the period of each of the four bounds is admissible
+    p2 = [Triple(2, q, r) for q in range(3, 10) for r in range(q, 14) if q * r > 2 * (q + r)]
+    for t in dict.fromkeys(range_triples(9, 9, 13) + p2):
+        k = kneading(t)
         assert compare(k.u_L, k.u_R) < 0
         assert compare(k.v_L, k.v_R) < 0
-
-
-def canonical_prepend(letter, seq):
-    return PeriodicSequence(letter + seq.preperiod, seq.period)
+        for bound in (k.u_L, k.u_R, k.v_L, k.v_R):
+            assert oracle_admissible(bound.period, k), (t, bound)
 
 
 def test_table_letter_bound_covers_every_table():
