@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import eq, index
+from operator import index
 from typing import NamedTuple
 
 from . import crossing
@@ -30,7 +30,7 @@ from .kneading import (
     satisfies_block_constraints,
 )
 from .linking import q_form
-from .words import CyclicWord, _check_letters, shift_prefixes
+from .words import CyclicWord, _check_letters
 
 # numpy (the pair kernel) and the process pool (verify_range) are imported
 # inside the functions that use them, so `import templink` and the census
@@ -43,16 +43,18 @@ MAX_CENSUS_LEN = 24
 # Most words verify_pairs takes, and so the largest extremal family a triple or
 # a range may have: the pair table grows with its square.  On a 2-vCPU KVM
 # guest verify_triple(Triple(3, 3, 87)), 1,934 words and 1,871,145 pairs, took
-# 3.4-3.7 s and 222 MB peak RSS: 0.6 s ranking the shifts, 1.6 s in the
-# crossing matrix's sweep and 1.2-1.3 s in the pair arrays and q_form calls;
+# 3.1-3.2 s and 105 MB peak RSS: 0.1 s ranking the shifts, 1.4-1.6 s in the
+# crossing matrix's sweep and 1.1-1.3 s in the pair arrays and q_form calls;
 # (3, 3, 301) would hold about 260 M pairs.  That bounds verify_triple only:
 # single-triple `templink verify` still builds and renders every report, and
 # on (3, 3, 87) it took 44 s and peaked at 5.4 GB.
 MAX_VERIFY_WORDS = 2_000
 
-# Most letters one call may hold: verify_pairs' shift prefixes (total length x
-# 2 x longest) or one extremal family (words x longest).  (3, 3, 87) needs 120.4 M;
-# (2, 41, 43) would need 958 M, where (2, 27, 29) at 80.7 M peaked at 161 MB.
+# Most letters one call may take: verify_pairs' words by the letter budget
+# (total length x 2 x longest, the letters of the prefixes that decide the order
+# of every shift) or one extremal family (words x longest).  _shift_ranks builds
+# no prefix, but its int64 keys (N <= 2^26 shifts) and _crossing_matrix's dtypes
+# rest on this bound.  (3, 3, 87) needs 120.4 M; (2, 41, 43) would need 958 M.
 MAX_LETTERS = 2**27
 
 # Cells of one column chunk of _crossing_matrix's prefix table and its gathered
@@ -312,10 +314,13 @@ def extremality_crosscheck(t: Triple, max_len: int) -> tuple[list[CyclicWord], l
 
 
 def check_letter_budget(words: list[str]) -> int:
-    """Refuse words whose shift prefixes would exceed ``MAX_LETTERS``; return their letters.
+    """Refuse words over the ``MAX_LETTERS`` budget; return their letters.
 
-    :func:`_shift_ranks` builds a prefix of 2 x the longest length for every
-    shift of every word: total length x 2 x longest letters.
+    The budget is total length x 2 x longest letters, the letters of the
+    prefixes at the horizon 2 x longest that decide the order of every
+    shift (see :func:`_shift_ranks`).  No such prefix is built, but the
+    integer bounds of :func:`_shift_ranks` and :func:`_crossing_matrix`
+    rest on it.
     """
     letters = 2 * max(map(len, words), default=0) * sum(map(len, words))
     if letters > MAX_LETTERS:
@@ -326,17 +331,47 @@ def check_letter_budget(words: list[str]) -> int:
     return letters
 
 
+def _successors(words: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Each word's first shift index, words concatenated, and each shift's successor.
+
+    The successor of a shift is the next one in its word, wrapping at the
+    word's end.  ``starts`` has one more entry, the total length.
+    """
+    import numpy as np
+
+    starts = np.cumsum([0] + [len(word) for word in words])
+    succ = np.arange(1, starts[-1] + 1)
+    succ[starts[1:] - 1] = starts[:-1]
+    return starts, succ
+
+
 def _shift_ranks(words: list[str]) -> np.ndarray:
     """Global branch-line ranks of every shift of every word, words concatenated.
 
-    One joint sort replaces per-pair comparisons: two ranks compare as the
-    two shifted codes do lexicographically, because the horizon 2*max_len
-    exceeds the agreement bound of any pair.  The ranks are unsigned, so
-    compare them rather than subtract them.  By the same bound, two equal
-    prefixes are two equal shifts, so a word is a proper power or two words
-    are rotations of one word, which raises ``ValueError``.  Empty words,
-    letters outside {a, b} and prefixes over ``MAX_LETTERS`` letters raise
-    it before any prefix is built.
+    One joint ranking replaces per-pair comparisons.  The ranks are
+    unsigned, so compare them rather than subtract them.  Empty words,
+    letters outside {a, b} and words over the ``MAX_LETTERS`` budget raise
+    ``ValueError`` before any array is built.
+
+    Prefix doubling on integers, with no string built.  Let ``jump[x]`` be
+    the shift h letters on from x, wrapping inside its word.  With a = 0 and
+    b = 1, each shift's first letter is one bit, and six rounds of
+    ``code = code << h | code[jump]``, ``jump = jump[jump]`` for h = 1, 2,
+    ..., 32 pack its first 64 letters into one uint64, the first letter
+    highest, so numeric order is the lexicographic order of 64-letter
+    prefixes.  Then, while two dense ranks of the h-letter prefixes are
+    equal and h < 2·longest, ``key = rank·N + rank[jump]`` orders the
+    2h-letter prefixes as the pairs (first h letters, next h letters) do,
+    and ``jump`` and h double.
+
+    Proof of the order.  Fine-Wilf: two shifts with periods m, n <= longest
+    that agree on m + n <= 2·longest letters are equal sequences.  So
+    prefixes that differ at any horizon differ within the first 2·longest
+    letters, and at the same first letter as the sequences; ranks that are
+    all distinct at a horizon, shorter or longer, are the order of the
+    shifts.  Two ranks still equal at horizon h >= 2·longest are two equal
+    shifts: a word is a proper power or two words are rotations of one
+    word, which raises ``ValueError``.
     """
     import numpy as np
 
@@ -344,17 +379,33 @@ def _shift_ranks(words: list[str]) -> np.ndarray:
         raise ValueError("cyclic words must be nonempty")
     _check_letters("".join(words))
     check_letter_budget(words)
+    _, jump = _successors(words)
     horizon = 2 * max(map(len, words))
-    prefixes = [s for w in words for s in shift_prefixes(w, horizon)]
-    order = sorted(range(len(prefixes)), key=prefixes.__getitem__)
-    ordered = list(map(prefixes.__getitem__, order))
-    if any(map(eq, ordered, ordered[1:])):
-        raise ValueError("a word is a proper power, or two words are rotations of one word")
+    code = (np.frombuffer("".join(words).encode(), dtype=np.uint8) == ord("b")).astype(np.uint64)
+    for h in (1, 2, 4, 8, 16, 32):
+        code = code << np.uint64(h) | code[jump]
+        jump = jump[jump]
+    n, h, key = len(code), 64, code
+    while True:
+        order = np.argsort(key)
+        ordered = key[order]
+        rises = ordered[1:] != ordered[:-1]
+        if rises.all():
+            break
+        if h >= horizon:
+            raise ValueError("a word is a proper power, or two words are rotations of one word")
+        rank = np.zeros(n, dtype=np.int64)
+        rank[order[1:]] = np.cumsum(rises)
+        # check_letter_budget gives 2·L·N <= 2^27 for the longest length L >= 1,
+        # so N <= 2^26 and rank·N + rank[jump] <= (N - 1)·N + N - 1 < N^2 <= 2^52
+        key = rank * n + rank[jump]
+        jump = jump[jump]
+        h *= 2
     # the narrowest dtype that holds the number of shifts keeps the index arrays
     # of _crossing_matrix's sweep small; ranks are indices there, never compared in bulk
-    rank = np.empty(len(prefixes), dtype=np.min_scalar_type(len(prefixes)))
-    rank[order] = np.arange(len(prefixes))
-    return rank
+    final = np.empty(n, dtype=np.min_scalar_type(n))
+    final[order] = np.arange(n)
+    return final
 
 
 def _crossing_matrix(words: list[str]) -> np.ndarray:
@@ -380,16 +431,15 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
     place of the N_a·N_b ≈ N²/4 shift comparisons of the direct count.  The
     columns are swept in chunks whose table and gathered rows hold at most
     ``_CHUNK_CELLS`` cells, one column when N is larger, so beside the W x W
-    result memory is O(N) plus that budget.
+    result memory is O(N) plus that budget; the ranking of :func:`_shift_ranks`
+    holds O(N) integers and no string.  ``P`` is symmetric (proof in
+    :func:`verify_pairs`), but both triangles are filled.
     """
     import numpy as np
 
     rank = _shift_ranks(words)
     n, w = len(rank), len(words)
-    starts = np.cumsum([0] + [len(word) for word in words])
-    # each shift's successor is the next one in its word, wrapping at the word's end
-    succ = np.arange(1, n + 1)
-    succ[starts[1:] - 1] = starts[:-1]
+    starts, succ = _successors(words)
     nxt = rank[succ]
     is_a = np.frombuffer("".join(words).encode(), dtype=np.uint8) == ord("a")
     nxt_a, nxt_b = nxt[is_a], nxt[~is_a]
@@ -505,10 +555,14 @@ def verify_pairs(t: Triple, words: list[str]) -> PairTable:
     σx and σy do, and every a-shift sorts below every b-shift.  Hence an
     a-shift x and a b-shift y cross iff σx > σy, and
 
-        cr(w_i, w_j) = P[i, j] + P[j, i],
+        cr(w_i, w_j) = P[i, j] + P[j, i] = 2·P[i, j],
 
     with ``P`` from :func:`_crossing_matrix` over one global ranking of every
     shift of every word; for i = j this is the translated-copy count 2·P[i, i].
+    ``P`` is symmetric: (x, y) -> (σx, σy) permutes the pairs of a shift of
+    word i and a shift of word j, so the pairs with x < y and σx > σy,
+    P[i, j] of them, are as many as those with x > y and σx < σy, P[j, i]
+    (the test of :func:`_crossing_matrix` against its definition says the same).
     The result is a :class:`PairTable`: ``cr`` and ``lk2d = 2·Q - delta·cr``
     as two arrays in pair order, one ``q_form`` call per pair, and no
     report built.  For N shifts and W words the crossing matrix takes
@@ -522,8 +576,8 @@ def verify_pairs(t: Triple, words: list[str]) -> PairTable:
     import numpy as np
 
     dtype = _lk2d_dtype(t, max(map(len, words)))
-    p = _crossing_matrix(words)
-    cr = (p + p.T)[np.triu_indices(len(words))].astype(dtype)
+    # P is symmetric, so one triangle gives cr with no W x W temporary
+    cr = 2 * _crossing_matrix(words)[np.triu_indices(len(words))].astype(dtype)
     counts = [(w.count("a"), w.count("b")) for w in words]
     # one q_form call per pair, in pair order, through this module's global,
     # so a wrapper put there sees each

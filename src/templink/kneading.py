@@ -10,6 +10,7 @@ orbit of the template exactly when every shift of its infinite code lies
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .words import PeriodicSequence, compare
 
@@ -66,6 +67,16 @@ class Triple:
     @property
     def max_repeats(self) -> int:
         return (self.r - 2) // 2
+
+    @cached_property
+    def q_coefficients(self) -> tuple[int, int, int]:
+        """(qr-q-r, r, pr-p-r): the reduced surgery form Q is a·u·u' - b·(u·v' + v·u') + c·v·v'.
+
+        Computed once per triple and kept in the instance dict, outside the
+        dataclass fields, so equality, hash and repr do not see it.
+        """
+        p, q, r = self.p, self.q, self.r
+        return q * r - q - r, r, p * r - p - r
 
     def __str__(self) -> str:
         return f"({self.p},{self.q},{self.r})"

@@ -22,19 +22,27 @@ HopfLinkingVector = tuple[int, int, int]
 
 
 def q_form(t: Triple, uv: tuple[int, int], uv2: tuple[int, int]) -> int:
-    """The reduced surgery form Q((u,v),(u',v')) on letter-count pairs."""
-    p, q, r = t.p, t.q, t.r
+    """The reduced surgery form Q((u,v),(u',v')) on letter-count pairs.
+
+    With (a, b, c) = ``t.q_coefficients``, Q = a·u·u' - b·(u·v' + v·u') + c·v·v'.
+    """
+    a, b, c = t.q_coefficients
     u, v = uv
     u2, v2 = uv2
-    return (q * r - q - r) * u * u2 - r * u * v2 - r * v * u2 + (p * r - p - r) * v * v2
+    return (a * u2 - b * v2) * u + (c * v2 - b * u2) * v
 
 
 def qprime_matrix(t: Triple) -> list[list[int]]:
-    """Matrix of the surgery form Q' on Hopf linking vectors (symmetric)."""
-    p, q, r = t.p, t.q, t.r
+    """Matrix of the surgery form Q' on Hopf linking vectors (symmetric).
+
+    Its upper left 2 x 2 block is ``t.q_coefficients``, as for :func:`q_form`,
+    which is Q' on the vectors (-u, v, 0).
+    """
+    p, q = t.p, t.q
+    a, r, c = t.q_coefficients
     return [
-        [q * r - q - r, r, q],
-        [r, p * r - p - r, p],
+        [a, r, q],
+        [r, c, p],
         [q, p, p * q - p - q],
     ]
 

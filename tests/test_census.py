@@ -3,6 +3,7 @@ import json
 import pickle
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -387,10 +388,11 @@ def test_verify_pairs_reports_any_rotation_as_given():
 def test_letter_budget_refused_before_ranking(monkeypatch):
     import templink.census as census
 
-    def never(word, horizon):
-        raise AssertionError("built shift prefixes over the letter budget")
+    def never(words):
+        raise AssertionError("built the ranking's arrays over the letter budget")
 
-    monkeypatch.setattr(census, "shift_prefixes", never)
+    # the ranking's first array build
+    monkeypatch.setattr(census, "_successors", never)
     words = extremal_orbits(Triple(2, 41, 43))
     assert len(words) == check_family_bound(2, 41, 43) == 1_958
     with pytest.raises(ValueError, match="958,447,640 letters"):
@@ -579,6 +581,58 @@ def test_crossing_matrix_matches_definition(words):
             mp.setattr(census, "_CHUNK_CELLS", cells)
             p = census._crossing_matrix(words)
         assert p.dtype == np.int64 and p.tolist() == expected, cells
+
+
+def _ranks_by_definition(words):
+    shifts = [s for w in words for s in shift_sequences(w)]
+    order = sorted(range(len(shifts)), key=cmp_to_key(lambda i, j: compare(shifts[i], shifts[j])))
+    rank = [0] * len(shifts)
+    for r, i in enumerate(order):
+        rank[i] = r
+    return rank
+
+
+# words of up to 123 letters that repeat a short block, so shifts of two words
+# can agree far past the 64 letters one packed code holds
+repeated_words = st.builds(
+    lambda block, times, tail: canonicalize(block * times + tail)[0],
+    st.text(alphabet="ab", min_size=1, max_size=3),
+    st.integers(1, 40),
+    st.text(alphabet="ab", max_size=3),
+)
+
+
+@given(st.lists(primitive_words | repeated_words, min_size=1, max_size=6, unique=True))
+@settings(max_examples=100, deadline=None)
+# horizons 84, 162, 144 and 204: 64-letter codes tie, and one, two or three
+# doubling rounds decide; the last tie persists through 192 letters
+@example(["a" * 40 + "b", "a" * 41 + "b"])
+@example(["ab" * 40 + "b", "a" + "ab" * 40])
+@example(["a" * 70 + "b", "a" * 71 + "b"])
+@example(["a" * 100 + "b", "a" * 101 + "b"])
+def test_shift_ranks_match_definition(words):
+    import templink.census as census
+
+    rank = census._shift_ranks(words)
+    assert rank.dtype == np.min_scalar_type(len(rank))
+    assert rank.tolist() == _ranks_by_definition(words)
+
+
+@pytest.mark.parametrize(
+    "words",
+    [
+        ["abab"],
+        ["ab", "ba"],
+        # a power and two rotations whose ties last through two doubling rounds
+        [("a" * 40 + "b") * 2],
+        ["a" * 70 + "b", "a" * 35 + "b" + "a" * 35],
+    ],
+)
+def test_shift_ranks_refuse_equal_shifts(words):
+    import templink.census as census
+
+    with pytest.raises(ValueError, match="proper power, or two words are rotations"):
+        census._shift_ranks(words)
 
 
 def test_one_column_chunks_give_the_same_matrix(monkeypatch):

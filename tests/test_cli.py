@@ -234,9 +234,10 @@ def test_verify_over_the_letter_budget_exits_2_before_ranking(monkeypatch, capsy
     import templink.census as census
 
     def never(*args, **kwargs):
-        raise AssertionError("built shift prefixes over the letter budget")
+        raise AssertionError("built the ranking's arrays over the letter budget")
 
-    monkeypatch.setattr(census, "shift_prefixes", never)
+    # the ranking's first array build
+    monkeypatch.setattr(census, "_successors", never)
     # 1,958 words pass the word limit, but ranking them needs 958 M prefix letters
     assert run(["verify", "--p", "2", "--q", "41", "--r", "43"]) == 2
     assert "over the limit of 134,217,728" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import pickle
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -34,6 +36,37 @@ def test_q_form_examples():
     assert q_form(t, (1, 1), (1, 1)) == 2
     assert q_form(t, (2, 1), (2, 1)) == 9
     assert q_form(t, (0, 0), (5, -3)) == 0
+
+
+hyperbolic_triples = (
+    st.tuples(st.integers(2, 12), st.integers(2, 12), st.integers(2, 60))
+    .map(sorted)
+    .filter(lambda s: s[0] * s[1] * s[2] - s[0] * s[1] - s[1] * s[2] - s[0] * s[2] >= 1)
+    .map(lambda s: Triple(*s))
+)
+counts = st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+
+
+@given(hyperbolic_triples, counts, counts)
+def test_q_form_is_the_expanded_formula(t, uv, uv2):
+    p, q, r = t.p, t.q, t.r
+    u, v = uv
+    u2, v2 = uv2
+    expanded = (q * r - q - r) * u * u2 - r * (u * v2 + v * u2) + (p * r - p - r) * v * v2
+    assert q_form(t, uv, uv2) == expanded
+
+
+def test_triple_keeps_its_coefficients_outside_its_fields():
+    # verify_range sends triples to worker processes by pickle
+    t = Triple(4, 5, 6)
+    assert t.q_coefficients == (19, 6, 14)
+    fresh = Triple(4, 5, 6)
+    assert [f.name for f in fields(t)] == ["p", "q", "r"]
+    for copy in (t, pickle.loads(pickle.dumps(t))):
+        assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
+        assert copy.q_coefficients == (19, 6, 14)
+    assert {fresh: "found"}[t] == "found"
+    assert qprime_matrix(t)[:2] == [[19, 6, 5], [6, 14, 4]]
 
 
 def test_qprime_examples():
