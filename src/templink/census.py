@@ -16,6 +16,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 from itertools import chain, repeat
 from operator import index
 from typing import NamedTuple
@@ -45,16 +46,16 @@ MAX_CENSUS_LEN = 24
 # guest verify_triple(Triple(3, 3, 87)), 1,934 words and 1,871,145 pairs, took
 # 3.1-3.2 s and 105 MB peak RSS: 0.1 s ranking the shifts, 1.4-1.6 s in the
 # crossing matrix's sweep and 1.1-1.3 s in the pair arrays and q_form calls;
-# (3, 3, 301) would hold about 260 M pairs.  That bounds verify_triple only:
-# single-triple `templink verify` still builds and renders every report, and
-# on (3, 3, 87) it took 44 s and peaked at 5.4 GB.
+# (3, 3, 301) would hold about 260 M pairs.  Single-triple `templink verify`
+# also builds and renders every report, so it takes far fewer pairs, see
+# cli.MAX_REPORT_PAIRS: on (3, 3, 87) it used to peak at 5.4 GB.
 MAX_VERIFY_WORDS = 2_000
 
 # Most letters one call may take: verify_pairs' words by the letter budget
-# (total length x 2 x longest, the letters of the prefixes that decide the order
-# of every shift) or one extremal family (words x longest).  _shift_ranks builds
-# no prefix, but its int64 keys (N <= 2^26 shifts) and _crossing_matrix's dtypes
-# rest on this bound.  (3, 3, 87) needs 120.4 M; (2, 41, 43) would need 958 M.
+# (total length x 2 x longest, see check_letter_budget) or one extremal family
+# (words x longest).  The budget gives at most 2^26 shifts, for _shift_ranks'
+# int64 keys, and a longest word of at most 2^13 letters, for _crossing_matrix's
+# uint32 sweep.  (3, 3, 87) needs 120.4 M; (2, 41, 43) would need 958 M.
 MAX_LETTERS = 2**27
 
 # Cells of one column chunk of _crossing_matrix's prefix table and its gathered
@@ -148,23 +149,7 @@ def lyndon_words(max_len: int, runs: tuple[int, int] | None = None) -> list[str]
     return out
 
 
-class _Verdicts(dict):
-    """``is_admissible`` verdicts under one kneading data, keyed by word, each computed once.
-
-    A table is made for one call and dropped with it.
-    """
-
-    def __init__(self, k: KneadingData) -> None:
-        self.k = k
-
-    def __missing__(self, word: str) -> bool:
-        verdict = self[word] = is_admissible(word, self.k)
-        return verdict
-
-
-def enumerate_admissible(
-    t: Triple, max_len: int, *, verdicts: _Verdicts | None = None
-) -> list[str]:
+def enumerate_admissible(t: Triple, max_len: int) -> list[str]:
     """The admissible Lyndon words of length <= max_len that pass the block screen.
 
     Lyndon words are the primitive least rotations, so they are the census
@@ -173,18 +158,16 @@ def enumerate_admissible(
     screen's run tests pass; the screen's syllable tests still reject some
     admissible words, which are then missing (ROADMAP item 1).  A
     ``max_len`` over ``MAX_CENSUS_LEN`` is refused before any word is generated.
-    ``verdicts``, a table under ``kneading(t)``, keeps the verdict of every
-    screened word for the caller (:func:`extremality_crosscheck`).
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     if max_len > MAX_CENSUS_LEN:
         raise ValueError(f"max_len {max_len} exceeds the census limit of length {MAX_CENSUS_LEN}")
-    admissible = _Verdicts(kneading(t)) if verdicts is None else verdicts
+    k = kneading(t)
     words = [
         word
         for word in lyndon_words(max_len, runs=(t.p, t.q))
-        if satisfies_block_constraints(word, t) and admissible[word]
+        if satisfies_block_constraints(word, t) and is_admissible(word, k)
     ]
     # Duval's generator yields lexicographic order, so a stable sort by length gives (length, text)
     return sorted(words, key=len)
@@ -280,21 +263,21 @@ def extremal_orbits(t: Triple) -> list[str]:
     return sorted((e.word for e in extremal_families(t)), key=lambda w: (len(w), w))
 
 
-def _cutless(words: list[str], admissible: _Verdicts) -> list[str]:
-    """The words, primitive least rotations, that have no admissible cut, in order.
+def _cutless(words: list[str], k: KneadingData) -> list[str]:
+    """The words, primitive least rotations, that have no admissible cut under k, in order.
 
     A candidate split of :func:`crossing._candidate_splits` is an admissible
     cut iff both factors are admissible and it is valid.  The verdict does
     not depend on the order of the tests, and the cheap one comes first:
-    a factor is looked up in ``admissible``, which tests each string once.
+    a factor's verdict is kept for the rest of the call, so each string is
+    tested once.
     """
+    admissible = cache(partial(is_admissible, k=k))
     candidates, valid = crossing._candidate_splits, crossing._is_valid_cut
     return [
         w
         for w in words
-        if not any(
-            admissible[u] and admissible[v] and valid(u, v, len(w)) for _, u, v in candidates(w)
-        )
+        if not any(admissible(u) and admissible(v) and valid(u, v) for _, u, v in candidates(w))
     ]
 
 
@@ -302,31 +285,28 @@ def extremality_crosscheck(t: Triple, max_len: int) -> tuple[list[CyclicWord], l
     """Both characterizations of extremal orbits, restricted to length <= max_len.
 
     Returns (closed-form family words, admissible words with no admissible
-    cut) as ``CyclicWord``s; the two lists must coincide.  The census and
-    the cut search share one verdict table, so no string is tested for
-    admissibility twice in a call, and the table is dropped on return.
+    cut) as ``CyclicWord``s; the two lists must coincide.
     """
     family = [CyclicWord(w) for w in extremal_orbits(t) if len(w) <= max_len]
-    admissible = _Verdicts(kneading(t))
-    words = enumerate_admissible(t, max_len, verdicts=admissible)
-    independent = [CyclicWord(w) for w in _cutless(words, admissible)]
+    words = enumerate_admissible(t, max_len)
+    independent = [CyclicWord(w) for w in _cutless(words, kneading(t))]
     return family, independent
 
 
 def check_letter_budget(words: list[str]) -> int:
     """Refuse words over the ``MAX_LETTERS`` budget; return their letters.
 
-    The budget is total length x 2 x longest letters, the letters of the
-    prefixes at the horizon 2 x longest that decide the order of every
-    shift (see :func:`_shift_ranks`).  No such prefix is built, but the
-    integer bounds of :func:`_shift_ranks` and :func:`_crossing_matrix`
-    rest on it.
+    The budget is total length x 2 x longest letters, so N shifts and a
+    longest word of L letters have 2·L·N <= 2^27 with L <= N: at most 2^26
+    shifts, which the int64 keys of :func:`_shift_ranks` need, and at most
+    2^13 letters in the longest word, which the uint32 sweep of
+    :func:`_crossing_matrix` needs.
     """
     letters = 2 * max(map(len, words), default=0) * sum(map(len, words))
     if letters > MAX_LETTERS:
         raise ValueError(
-            f"{len(words):,} words need {letters:,} letters of shift prefixes, "
-            f"over the limit of {MAX_LETTERS:,}"
+            f"{len(words):,} words need a budget of {letters:,} letters "
+            f"(total length x 2 x longest), over the limit of {MAX_LETTERS:,}"
         )
     return letters
 
@@ -620,9 +600,7 @@ class TripleSummary:
         }
 
 
-def summarize(
-    t: Triple, n_words: int, reports: PairTable, elapsed_s: float
-) -> TripleSummary:
+def summarize(t: Triple, reports: PairTable, elapsed_s: float) -> TripleSummary:
     """Reduce one triple's pair table to its verdict: violations and the worst pair.
 
     The table must come from :func:`verify_pairs` on ``t``, so it holds at
@@ -638,7 +616,7 @@ def summarize(
         p=t.p,
         q=t.q,
         r=t.r,
-        n_words=n_words,
+        n_words=len(reports.words),
         n_pairs=len(reports),
         violations=violations,
         worst=worst.lk,
@@ -697,9 +675,8 @@ def verify_triple(t: Triple) -> TripleSummary:
     """
     start = time.perf_counter()
     check_family_bound(t.p, t.q, t.r)
-    words = extremal_orbits(t)
-    reports = verify_pairs(t, words)
-    return summarize(t, len(words), reports, time.perf_counter() - start)
+    reports = verify_pairs(t, extremal_orbits(t))
+    return summarize(t, reports, time.perf_counter() - start)
 
 
 def verify_range(

@@ -27,6 +27,12 @@ EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
 # 4,000; word_crossing at 20,000 letters would hold 1.6 G characters of shift prefixes.
 MAX_WORD_LEN = 4_096
 
+# Most pairs single-triple `verify` reports: it holds every report as a record, a table of cells
+# and the rendered text at once.  On a 2-vCPU KVM guest (3, 3, 46), 165,025 pairs, peaked at
+# 441 MB with --format json, and 632 words of 325 letters, 199,396 pairs at the letter budget,
+# at 766 MB (json) and 851 MB (text); 707 words of 300 letters, 249,778 pairs, reached 1,005 MB.
+MAX_REPORT_PAIRS = 200_000
+
 
 def _parse_word(text: str) -> str:
     if len(text) > MAX_WORD_LEN:
@@ -143,9 +149,16 @@ def _verify_single(args) -> int:
     else:
         census.check_family_bound(t.p, t.q, t.r)
         words = census.extremal_orbits(t)
+    census.check_letter_budget(words)  # the ranking's own refusal, given before the report limit's
+    pairs = len(words) * (len(words) + 1) // 2
+    if pairs > MAX_REPORT_PAIRS:
+        raise ValueError(
+            f"{len(words):,} words make {pairs:,} pair reports, "
+            f"over the report limit of {MAX_REPORT_PAIRS:,}"
+        )
     start = time.perf_counter()
     reports = census.verify_pairs(t, words)
-    summary = census.summarize(t, len(words), reports, time.perf_counter() - start)
+    summary = census.summarize(t, reports, time.perf_counter() - start)
     rows = [r.as_dict() for r in reports]
     _emit(_render(rows, args.format, {**summary.as_dict(), "reports": rows}), args.out)
     for r in summary.violations:

@@ -67,16 +67,17 @@ class Cut:
     split: int
 
 
-def _is_valid_cut(u: str, v: str, horizon: int) -> bool:
+def _is_valid_cut(u: str, v: str) -> bool:
     """True iff ``u^inf < v^inf`` and no shift of either lies strictly between.
 
     Every sequence compared is periodic with period ``len(u)`` or ``len(v)``,
     so by Fine-Wilf two of them that agree on ``len(u) + len(v)`` letters
-    are equal.  Prefixes of ``horizon >= len(u) + len(v)`` letters therefore
-    compare as plain strings exactly as the infinite sequences do.  Shifts
-    are sliced one at a time, because most invalid candidates are refuted
-    by the first shift tried.
+    are equal.  Prefixes of that many letters therefore compare as plain
+    strings exactly as the infinite sequences do.  Shifts are sliced one at
+    a time, because most invalid candidates are refuted by the first shift
+    tried.
     """
+    horizon = len(u) + len(v)
     reps_u = u * (horizon // len(u) + 2)
     reps_v = v * (horizon // len(v) + 2)
     lo, hi = reps_u[:horizon], reps_v[:horizon]
@@ -95,8 +96,8 @@ def _candidate_splits(w: str) -> Iterator[tuple[int, str, str]]:
 
     ``w`` is a primitive least rotation; candidates come by ascending
     rotation, then split, and each is found only when the consumer asks for
-    the next one.  :func:`_is_valid_cut` (horizon ``len(w)``) decides which
-    are cuts; the lemma below only leaves out splits that cannot pass.
+    the next one.  :func:`_is_valid_cut` decides which are cuts; the lemma
+    below only leaves out splits that cannot pass.
 
     Lemma.  Let ``n = len(w)``, ``X_k`` the shift of ``w^inf`` by ``k``, and
     let a valid cut at rotation ``x`` with split ``l`` have ``u = z^j``,
@@ -164,15 +165,13 @@ def enumerate_cuts(w: str) -> list[Cut]:
     Factors need not be primitive (e.g. the cut aa|bb of aabb) nor code
     template orbits; admissibility is a separate question, see
     :func:`is_admissible_cut`.  The cuts are the candidates of
-    :func:`_candidate_splits` that :func:`_is_valid_cut` accepts: the factors
-    of every split add up to ``len(w)`` letters, so one horizon of
-    ``len(w)`` serves every candidate.  Input that is not a primitive least
-    rotation over {a, b} raises ``ValueError``.
+    :func:`_candidate_splits` that :func:`_is_valid_cut` accepts.  Input that
+    is not a primitive least rotation over {a, b} raises ``ValueError``.
     """
     return [
         Cut(u=u, v=v, rotation=k, split=len(u))
         for k, u, v in _candidate_splits(w)
-        if _is_valid_cut(u, v, len(w))
+        if _is_valid_cut(u, v)
     ]
 
 

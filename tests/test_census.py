@@ -257,7 +257,7 @@ def test_pair_report_is_immutable_and_summary_pickles():
     with pytest.raises(AttributeError):
         reports[0].cr = 0
     # process-pool results of verify_range(jobs > 1) travel this way
-    summary = pickle.loads(pickle.dumps(summarize(t, 1, reports, 0.0)))
+    summary = pickle.loads(pickle.dumps(summarize(t, reports, 0.0)))
     assert summary.violations == tuple(reports) and summary.violations[0].lk == 1
 
 
@@ -278,7 +278,7 @@ def test_fraction_built_only_when_lk_is_read(monkeypatch):
     t = Triple(3, 3, 4)
     reports = verify_pairs(t, ["aab"])
     assert built == []
-    summary = summarize(t, 1, reports, 0.0)
+    summary = summarize(t, reports, 0.0)
     assert len(built) == 1 and summary.worst == 1  # the worst value only
     assert summary.violations[0].lk == 1 and len(built) == 2
 
@@ -339,7 +339,7 @@ def test_pair_values_exact_past_int64(r):
     assert table.lk2d.dtype == object and min(table.cr) >= 30
     lks = [template_linking(t, w1, w2) for w1, w2, *_ in table]
     assert [rep.lk for rep in table] == lks
-    assert summarize(t, len(words), table, 0.0).worst == max(lks)
+    assert summarize(t, table, 0.0).worst == max(lks)
 
 
 def test_range_pairs_take_the_int64_path():
@@ -501,7 +501,8 @@ def test_pair_kernel_matches_oracle_and_exact_formula(t, words):
         assert r.lk == Fraction(-r.cr, 2) + Fraction(q, t.delta)
         assert r.lk2d == r.lk * r.two_delta and r.two_delta == 2 * t.delta
         assert r.negative == (r.lk < 0)
-    summary = summarize(t, n, reports, 0.0)
+    summary = summarize(t, reports, 0.0)
+    assert (summary.n_words, summary.n_pairs) == (n, len(reports))
     worst = max(r.lk for r in reports)
     first = next(r for r in reports if r.lk == worst)
     assert summary.worst == worst
@@ -718,9 +719,18 @@ def test_linking_subadditive_under_admissible_cuts():
 
 @pytest.mark.parametrize("pqr", [(3, 3, 4), (2, 5, 7), (4, 4, 5)])
 def test_crosscheck_tests_each_string_once_per_call(monkeypatch, pqr):
+    # once per census call and once per cut-search call: the two share no table
     import templink.census as census
     from collections import Counter
 
+    from templink.kneading import kneading, satisfies_block_constraints
+
+    t, max_len = Triple(*pqr), 12
+    k = kneading(t)
+    words = enumerate_admissible(t, max_len)
+    screened = Counter(
+        w for w in lyndon_words(max_len, runs=(t.p, t.q)) if satisfies_block_constraints(w, t)
+    )
     tested = Counter()
     admissible = census.is_admissible
 
@@ -729,13 +739,17 @@ def test_crosscheck_tests_each_string_once_per_call(monkeypatch, pqr):
         return admissible(word, k)
 
     monkeypatch.setattr(census, "is_admissible", counted)
-    t = Triple(*pqr)
-    first = extremality_crosscheck(t, 12)
-    once, tested = tested, Counter()
-    assert once and max(once.values()) == 1
+    census._cutless(words, k)
+    assert tested and max(tested.values()) == 1
+    tested.clear()
+    first = extremality_crosscheck(t, max_len)
+    per_call, tested = tested, Counter()
+    # the census tests each screened Lyndon word, the cut search each factor once
+    assert screened <= per_call
+    assert set((per_call - screened).values()) == {1}
     # no verdict outlives the call: the same call tests the same strings again
-    assert extremality_crosscheck(t, 12) == first
-    assert tested == once
+    assert extremality_crosscheck(t, max_len) == first
+    assert tested == per_call
 
 
 def test_csv_schema(capsys):
@@ -844,3 +858,21 @@ def test_extremality_crosscheck_surfaces_mismatches():
     indep = {w.word for w in independent}
     assert "aabab" in fam - indep
     assert fam != indep
+
+
+def test_extremality_crosscheck_independent_list_is_the_eager_definition():
+    # every cut listed, then both factors tested: no memo, no early exit
+    from templink.crossing import enumerate_cuts, is_admissible_cut
+    from templink.kneading import kneading
+
+    triples = range_triples(4, 5, 7, include_p2=False) + range_triples(2, 9, 13)
+    assert len(triples) == 34  # the triples of acceptance criterion 10
+    for t in triples:
+        k = kneading(t)
+        want = [
+            w
+            for w in enumerate_admissible(t, 10)
+            if not any(is_admissible_cut(c, k) for c in enumerate_cuts(w))
+        ]
+        _, independent = extremality_crosscheck(t, 10)
+        assert [w.word for w in independent] == want, t

@@ -238,13 +238,41 @@ def test_verify_over_the_letter_budget_exits_2_before_ranking(monkeypatch, capsy
 
     # the ranking's first array build
     monkeypatch.setattr(census, "_successors", never)
-    # 1,958 words pass the word limit, but ranking them needs 958 M prefix letters
+    # 1,958 words pass the word limit, but their letter budget is 958 M
     assert run(["verify", "--p", "2", "--q", "41", "--r", "43"]) == 2
     assert "over the limit of 134,217,728" in capsys.readouterr().err
     # five words of 4,096 letters need 5 x 4,096 x 8,192 letters
     words = ["a" * k + "b" * (4_096 - k) for k in range(1, 6)]
     assert run(["verify", "--p", "3", "--q", "3", "--r", "4", *words]) == 2
     assert "167,772,160 letters" in capsys.readouterr().err
+
+
+def test_oversized_report_exits_2_before_ranking(monkeypatch, capsys):
+    import templink.census as census
+    import templink.cli as cli
+
+    successors = census._successors
+
+    def never(*args, **kwargs):
+        raise AssertionError("built the ranking's arrays for an oversized report")
+
+    monkeypatch.setattr(census, "_successors", never)
+    # 1,934 words pass the word limit and the letter budget, but make 1,871,145 reports
+    assert run(["verify", "--p", "3", "--q", "3", "--r", "87", "--format", "json"]) == 2
+    assert "1,871,145 pair reports, over the report limit of 200,000" in capsys.readouterr().err
+    # (3, 3, 49), 623 words, is the largest (3, 3, r) family the limit admits
+    assert census.check_family_bound(3, 3, 49) * 624 // 2 == 194_376 <= cli.MAX_REPORT_PAIRS
+    assert census.check_family_bound(3, 3, 50) * 675 // 2 == 227_475 > cli.MAX_REPORT_PAIRS
+    # the word limit's refusal comes first
+    assert run(["verify", "--p", "3", "--q", "3", "--r", "301"]) == 2
+    assert "over the verify limit of 2,000" in capsys.readouterr().err
+    # explicit words are counted the same way, at the limit and one word past it
+    monkeypatch.setattr(cli, "MAX_REPORT_PAIRS", 3)
+    assert run(["verify", "--p", "3", "--q", "3", "--r", "4", "ab", "aabb", "aab"]) == 2
+    assert "3 words make 6 pair reports" in capsys.readouterr().err
+    monkeypatch.setattr(census, "_successors", successors)
+    assert run(["verify", "--p", "3", "--q", "3", "--r", "4", "ab", "aabb"]) == 0
+    capsys.readouterr()
 
 
 def test_verify_range_over_the_letter_budget_exits_2_before_any_triple_runs(monkeypatch, capsys):
