@@ -44,18 +44,15 @@ MAX_CENSUS_LEN = 24
 # Most words verify_pairs takes, and so the largest extremal family a triple or
 # a range may have: the pair table grows with its square.  On a 2-vCPU KVM
 # guest verify_triple(Triple(3, 3, 87)), 1,934 words and 1,871,145 pairs, took
-# 3.1-3.2 s and 105 MB peak RSS: 0.1 s ranking the shifts, 1.4-1.6 s in the
-# crossing matrix's sweep and 1.1-1.3 s in the pair arrays and q_form calls;
-# (3, 3, 301) would hold about 260 M pairs.  Single-triple `templink verify`
-# also builds and renders every report, so it takes far fewer pairs, see
-# cli.MAX_REPORT_PAIRS: on (3, 3, 87) it used to peak at 5.4 GB.
+# 3.1-3.2 s and 105 MB peak RSS; (3, 3, 301) would hold about 260 M pairs.
+# Single-triple `templink verify` renders every report, so it takes far fewer
+# pairs, see cli.MAX_REPORT_PAIRS.
 MAX_VERIFY_WORDS = 2_000
 
 # Most letters one call may take: verify_pairs' words by the letter budget
-# (total length x 2 x longest, see check_letter_budget) or one extremal family
-# (words x longest).  The budget gives at most 2^26 shifts, for _shift_ranks'
-# int64 keys, and a longest word of at most 2^13 letters, for _crossing_matrix's
-# uint32 sweep.  (3, 3, 87) needs 120.4 M; (2, 41, 43) would need 958 M.
+# (see check_letter_budget, which derives the bounds the pair kernel needs) or
+# one extremal family (words x longest).  (3, 3, 87) needs 120.4 M; (2, 41, 43)
+# would need 958 M.
 MAX_LETTERS = 2**27
 
 # Cells of one column chunk of _crossing_matrix's prefix table and its gathered
@@ -296,11 +293,11 @@ def extremality_crosscheck(t: Triple, max_len: int) -> tuple[list[CyclicWord], l
 def check_letter_budget(words: list[str]) -> int:
     """Refuse words over the ``MAX_LETTERS`` budget; return their letters.
 
-    The budget is total length x 2 x longest letters, so N shifts and a
-    longest word of L letters have 2·L·N <= 2^27 with L <= N: at most 2^26
-    shifts, which the int64 keys of :func:`_shift_ranks` need, and at most
-    2^13 letters in the longest word, which the uint32 sweep of
-    :func:`_crossing_matrix` needs.
+    The budget is total length x 2 x longest letters.  For N shifts (the
+    total length) and a longest word of L letters, 1 <= L <= N, the budget
+    2·L·N <= 2^27 gives N <= 2^26, which the int64 keys of
+    :func:`_shift_ranks` need, and L^2 <= L·N <= 2^26, so L <= 2^13, which
+    the uint32 sweep of :func:`_crossing_matrix` needs.
     """
     letters = 2 * max(map(len, words), default=0) * sum(map(len, words))
     if letters > MAX_LETTERS:
@@ -328,7 +325,7 @@ def _successors(words: list[str]) -> tuple[np.ndarray, np.ndarray]:
 def _shift_ranks(words: list[str]) -> np.ndarray:
     """Global branch-line ranks of every shift of every word, words concatenated.
 
-    One joint ranking replaces per-pair comparisons.  The ranks are
+    One joint ranking serves every pair of words.  The ranks are
     unsigned, so compare them rather than subtract them.  Empty words,
     letters outside {a, b} and words over the ``MAX_LETTERS`` budget raise
     ``ValueError`` before any array is built.
@@ -344,14 +341,14 @@ def _shift_ranks(words: list[str]) -> np.ndarray:
     2h-letter prefixes as the pairs (first h letters, next h letters) do,
     and ``jump`` and h double.
 
-    Proof of the order.  Fine-Wilf: two shifts with periods m, n <= longest
-    that agree on m + n <= 2·longest letters are equal sequences.  So
-    prefixes that differ at any horizon differ within the first 2·longest
-    letters, and at the same first letter as the sequences; ranks that are
-    all distinct at a horizon, shorter or longer, are the order of the
-    shifts.  Two ranks still equal at horizon h >= 2·longest are two equal
-    shifts: a word is a proper power or two words are rotations of one
-    word, which raises ``ValueError``.
+    Proof of the order.  Shifts have periods of at most ``longest`` letters,
+    so prefixes of 2·longest letters compare as the shifts do (horizon
+    lemma, :mod:`templink.words`), and prefixes that differ at any horizon
+    differ at the same first letter as the shifts; ranks that are all
+    distinct at a horizon, shorter or longer, are the order of the shifts.
+    Two ranks still equal at horizon h >= 2·longest are two equal shifts: a
+    word is a proper power or two words are rotations of one word, which
+    raises ``ValueError``.
     """
     import numpy as np
 
@@ -376,8 +373,7 @@ def _shift_ranks(words: list[str]) -> np.ndarray:
             raise ValueError("a word is a proper power, or two words are rotations of one word")
         rank = np.zeros(n, dtype=np.int64)
         rank[order[1:]] = np.cumsum(rises)
-        # check_letter_budget gives 2·L·N <= 2^27 for the longest length L >= 1,
-        # so N <= 2^26 and rank·N + rank[jump] <= (N - 1)·N + N - 1 < N^2 <= 2^52
+        # N <= 2^26 (check_letter_budget): rank·N + rank[jump] < N^2 <= 2^52
         key = rank * n + rank[jump]
         jump = jump[jump]
         h *= 2
@@ -440,9 +436,8 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
     p = np.zeros((w, w), dtype=np.int64)
     for lo in range(0, w, width):
         hi = min(lo + width, w)
-        # check_letter_budget gives 2·L·N <= 2^27 with N >= L for the longest
-        # length L, so L <= 2^13: C[c, j] <= |B_j| <= L, and a segment sum is at
-        # most |A_i|·|B_j| <= L^2 <= 2^26.  C would fit uint16, but reduceat
+        # the longest length L <= 2^13 (check_letter_budget): C[c, j] <= L and a
+        # segment sum is at most L^2 <= 2^26.  C would fit uint16, but reduceat
         # copies a block whole to sum it in another dtype, so the table is
         # uint32, the sums' dtype: no more bytes at the peak, and no copy.
         table = np.zeros((len(nxt_b) + 1, hi - lo), dtype=np.uint32)

@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .kneading import KneadingData, is_admissible
-from .words import _check_letters, shift_prefixes
+from .words import _check_letters
 
 
 def _sign(x: int) -> int:
@@ -36,10 +36,13 @@ def word_crossing(v: str, x: str) -> int:
         raise ValueError("crossing numbers need nonempty words")
     _check_letters(v + x)
     n, m = len(v), len(x)
-    # Two sequences of periods n and m that agree on n + m letters coincide.
+    # shifts of periods n and m compare as their first n + m letters (horizon lemma in words.py)
     horizon = n + m
-    sv = shift_prefixes(v, horizon)
-    sx = shift_prefixes(x, horizon)
+    shifts = []
+    for w in (v, x):
+        reps = w * (horizon // len(w) + 2)
+        shifts.append([reps[i : i + horizon] for i in range(len(w))])
+    sv, sx = shifts
     rank = {s: i for i, s in enumerate(sorted(set(sv) | set(sx)))}
     rv = [rank[s] for s in sv]
     rx = [rank[s] for s in sx]
@@ -70,12 +73,9 @@ class Cut:
 def _is_valid_cut(u: str, v: str) -> bool:
     """True iff ``u^inf < v^inf`` and no shift of either lies strictly between.
 
-    Every sequence compared is periodic with period ``len(u)`` or ``len(v)``,
-    so by Fine-Wilf two of them that agree on ``len(u) + len(v)`` letters
-    are equal.  Prefixes of that many letters therefore compare as plain
-    strings exactly as the infinite sequences do.  Shifts are sliced one at
-    a time, because most invalid candidates are refuted by the first shift
-    tried.
+    Every sequence compared has period ``len(u)`` or ``len(v)``, so prefixes
+    of ``len(u) + len(v)`` letters compare as the sequences do (horizon
+    lemma, :mod:`templink.words`).
     """
     horizon = len(u) + len(v)
     reps_u = u * (horizon // len(u) + 2)
@@ -83,7 +83,6 @@ def _is_valid_cut(u: str, v: str) -> bool:
     lo, hi = reps_u[:horizon], reps_v[:horizon]
     if lo >= hi:
         return False
-    # sliced inline, not by shift_prefixes: most candidates fail at the first shift tried
     for reps, period in ((reps_u, len(u)), (reps_v, len(v))):
         for i in range(1, period):
             if lo < reps[i : i + horizon] < hi:

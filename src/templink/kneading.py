@@ -21,7 +21,7 @@ from .words import PeriodicSequence, compare
 # r·q letters, so census cost grows with it.  On a 2-vCPU KVM guest the worst
 # admitted command, `enumerate --p 3 --q 89 --r 89 --max-len 24` (16,376
 # letters, 217,044 words), took 13.5 s and 141 MB peak RSS, against 7.6 s for
-# (3, 24, 24) at 1,296; (3, 179, 180) at 65,520 took 36 s.
+# (3, 24, 24) at 1,296.
 MAX_TABLE_LETTERS = 2**14
 
 
@@ -93,8 +93,6 @@ class KneadingData:
 
     u_L: PeriodicSequence
     v_R: PeriodicSequence
-    # Longest preperiod-plus-period of the two bounds: see is_admissible.
-    reach: int = field(init=False, compare=False, repr=False)
     # Prefixes of u_L and v_R keyed by horizon; they depend on the bounds
     # alone, so equality, hash and repr ignore them.
     _prefixes: dict[int, tuple[str, str]] = field(
@@ -104,9 +102,11 @@ class KneadingData:
     def __post_init__(self) -> None:
         if compare(self.u_L, self.u_R) > 0 or compare(self.v_L, self.v_R) > 0:
             raise ValueError("kneading bounds out of order")
-        object.__setattr__(
-            self, "reach", max(len(b.preperiod) + len(b.period) for b in (self.u_L, self.v_R))
-        )
+
+    @cached_property
+    def reach(self) -> int:
+        """The longer preperiod-plus-period of u_L and v_R, see :func:`is_admissible`."""
+        return max(len(b.preperiod) + len(b.period) for b in (self.u_L, self.v_R))
 
     @property
     def u_R(self) -> PeriodicSequence:
@@ -180,19 +180,14 @@ def is_admissible(word: str, k: KneadingData) -> bool:
     power of a word has the same shifts, so the answer is the same for each
     of them.  An empty word raises ``ValueError``.
 
-    A shift (period ``len(w)``) and a bound (``preperiod . period^inf``)
-    that agree on ``len(w) + len(preperiod) + len(period)`` letters agree
-    everywhere (past the preperiod both are periodic, and Fine-Wilf applies),
-    so prefixes at ``len(w)`` plus the longer such bound length compare as
-    plain strings exactly as the sequences do, equality included.  That
-    longer bound length is ``k.reach``.
+    A shift (period ``len(w)``, no preperiod) and a bound compare as their
+    first ``len(w) + k.reach`` letters (horizon lemma, :mod:`templink.words`).
     """
     if not word:
         raise ValueError("admissibility needs a nonempty word")
     horizon = len(word) + k.reach
     u_L, v_R = k.bound_prefixes(horizon)
     reps = word * (horizon // len(word) + 2)
-    # sliced inline, not by shift_prefixes: most words fail early (shared prefixes: 15-30% slower)
     for i in range(len(word)):
         if not u_L <= reps[i : i + horizon] <= v_R:
             return False

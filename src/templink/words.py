@@ -10,6 +10,16 @@ Serialization: a cyclic word is the ASCII string of its least rotation over
 ``{a, b}``, and every engine takes it as a plain ``str``;
 sequences use the ``"preperiod|period"`` format (the preperiod may be empty,
 e.g. ``"|ab"`` for ``(ab)^inf``).
+
+Horizon lemma.  Two eventually periodic sequences with preperiods m, m' and
+periods l, l' that agree on max(m, m') + l + l' letters are equal.  Proof:
+past max(m, m') both are purely periodic, and two periodic sequences with
+periods l and l' that agree on l + l' - gcd(l, l') letters are equal
+(Fine-Wilf).  So prefixes of at least that many letters differ exactly when
+the sequences do, at the same first letter, and compare as plain strings
+exactly as the sequences do, equality included.  Every engine that compares
+shifts through fixed-length prefixes states its horizon and cites this
+lemma.
 """
 
 from __future__ import annotations
@@ -116,27 +126,11 @@ class PeriodicSequence:
         return self.preperiod + (self.period * reps)[:tail_len]
 
 
-def shift_prefixes(word: str, horizon: int) -> list[str]:
-    """The first ``horizon`` letters of each shift of ``word^inf``, in phase order.
-
-    Comparing these prefixes as plain strings decides the order of the
-    infinite shifts whenever ``horizon`` reaches the Fine-Wilf bound of the
-    sequences compared: two sequences with periods m and n that agree on
-    m + n letters are equal, so prefixes of that length differ exactly when
-    the sequences do, and they differ at the same first letter.  Each
-    caller states the horizon it needs and why.
-    """
-    reps = word * (horizon // len(word) + 2)
-    return [reps[i : i + horizon] for i in range(len(word))]
-
-
 def compare(s: PeriodicSequence, t: PeriodicSequence) -> int:
     """Lexicographic comparison (a < b); returns -1, 0 or 1.
 
-    Two eventually periodic sequences that agree on
-    ``|preperiods| + |period(s)| + |period(t)|`` letters agree everywhere
-    (from that point both tails are periodic and the agreement exceeds the
-    Fine-Wilf bound), so EQUAL is only returned for identical sequences.
+    The horizon, both preperiods plus both periods, is at least the horizon
+    lemma's (module docstring), so EQUAL means identical sequences.
     """
     horizon = len(s.preperiod) + len(t.preperiod) + len(s.period) + len(t.period)
     a, b = s.prefix(horizon), t.prefix(horizon)

@@ -16,7 +16,7 @@ from templink.census import (
     verify_pairs,
     verify_range,
 )
-from templink.crossing import word_crossing
+from templink.crossing import enumerate_cuts, is_admissible_cut, word_crossing
 from templink.identities import check_identities, superadditivity_instances
 from templink.kneading import Triple, is_admissible, kneading
 from templink.linking import (
@@ -155,18 +155,53 @@ def test_criterion_9_homology_orders():
     _report(9, True)
 
 
+def _classify_disagreements(t, family_only, independent_only):
+    """Sort the words on which the two characterizations disagree into classes.
+
+    A family-only word is either not admissible or has an admissible cut,
+    which is shown as ``word=u|v``; an independent-only word is admissible
+    and cutless.  A word that fits no class, such as a cutless admissible
+    family word that the census dropped, is unclassified.
+    """
+    k = kneading(t)
+    names = ("not admissible", "admissible cut", "cutless outside families", "unclassified")
+    classes = {name: [] for name in names}
+
+    def admissible_cut(w):
+        return next((c for c in enumerate_cuts(w) if is_admissible_cut(c, k)), None)
+
+    for w in sorted(family_only):
+        if not is_admissible(w, k):
+            classes["not admissible"].append(w)
+        elif cut := admissible_cut(w):
+            classes["admissible cut"].append(f"{w}={cut.u}|{cut.v}")
+        else:
+            classes["unclassified"].append(w)
+    for w in sorted(independent_only):
+        if is_admissible(w, k) and not admissible_cut(w):
+            classes["cutless outside families"].append(w)
+        else:
+            classes["unclassified"].append(w)
+    return {name: words for name, words in classes.items() if words}
+
+
 def test_criterion_10_extremality_crossvalidation():
     triples = range_triples(4, 5, 7, include_p2=False) + range_triples(2, 9, 13)
     mismatches = []
+    totals = {}
     for t in triples:
         family, independent = extremality_crosscheck(t, max_len=12)
         fam = {w.word for w in family}
         indep = {w.word for w in independent}
         if fam != indep:
+            classes = _classify_disagreements(t, fam - indep, indep - fam)
+            for name, words in classes.items():
+                totals[name] = totals.get(name, 0) + len(words)
             mismatches.append(
-                f"{t}: family-only {sorted(fam - indep)}, independent-only {sorted(indep - fam)}"
+                f"{t}: " + "; ".join(f"{name} {words}" for name, words in classes.items())
             )
-    detail = f"({len(triples)} triples, {len(mismatches)} disagree)"
+    detail = f"({len(triples)} triples, {len(mismatches)} disagree"
+    detail += "".join(f", {n} {name}" for name, n in totals.items()) + ")"
     if mismatches:
         detail += "\n  " + "\n  ".join(mismatches)
     _report(10, not mismatches, detail)

@@ -94,6 +94,23 @@ def test_verify_positive_control_exits_1(capsys):
     assert "lk(aab,aab) = 1" in err
 
 
+def test_verify_stderr_lists_at_most_ten_violations(capsys):
+    from templink.cli import MAX_VIOLATION_LINES
+
+    words = ["aab", "aaab", "aaaab", "aaaaab", "aaaaaab"]
+    code = run(["verify", "--p", "3", "--q", "3", "--r", "4", "--format", "json", *words])
+    assert code == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["violations"] == 15
+    assert sum(not r["negative"] for r in payload["reports"]) == 15  # the report keeps them all
+    err = captured.err.splitlines()
+    assert MAX_VIOLATION_LINES == 10
+    assert err[0] == "violations: 15 (10 listed below)"
+    assert len([line for line in err if line.startswith("violation:")]) == 10
+    assert err[1] == "violation: lk(aab,aab) = 1 >= 0"
+
+
 def test_verify_range_mode(capsys):
     code = run(
         ["verify", "--p-max", "3", "--q-max", "3", "--r-max", "5",

@@ -3,7 +3,7 @@ import random
 from functools import cmp_to_key
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import lorenz_kneading, oracle_crossing, oracle_cuts, shift_sequences
@@ -51,6 +51,12 @@ def test_crossing_entry_point_rejects_foreign_letters():
 
 @given(words, words)
 @settings(max_examples=150)
+# tied shifts: powers, shared roots and rotations of one word
+@example("abab", "ab")
+@example("ab", "ba")
+@example("aabaab", "aab")
+@example("abab", "baba")
+@example("aab", "aba")
 def test_word_crossing_matches_oracle(v, x):
     assert word_crossing(v, x) == oracle_crossing(v, x)
 

@@ -242,6 +242,7 @@ PREFIX_STORE_TRIPLES = [(3, 3, 4), (2, 5, 7), (2, 5, 6), (4, 5, 6)]
 
 @pytest.mark.parametrize("pqr", PREFIX_STORE_TRIPLES)
 def test_bound_prefix_store_leaves_identity_unchanged(pqr):
+    import dataclasses
     import pickle
 
     from templink.census import lyndon_words
@@ -251,6 +252,11 @@ def test_bound_prefix_store_leaves_identity_unchanged(pqr):
     for word in lyndon_words(10):
         is_admissible(word, used)
     assert used._prefixes
+    # reach is derived on first read, outside the dataclass fields
+    bounds = (used.u_L, used.v_R)
+    assert used.reach == max(len(b.preperiod) + len(b.period) for b in bounds)
+    assert "reach" in vars(used) and "reach" not in vars(fresh)
+    assert "reach" not in {f.name for f in dataclasses.fields(KneadingData)}
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
     assert pickle.loads(pickle.dumps(used)) == fresh

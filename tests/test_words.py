@@ -14,7 +14,6 @@ from templink.words import (
     PeriodicSequence,
     canonicalize,
     compare,
-    shift_prefixes,
 )
 
 words = st.text(alphabet="ab", min_size=1, max_size=12)
@@ -58,14 +57,6 @@ def test_bad_letter_named_in_error():
         assert str(excinfo.value) == f"word may only contain letters 'a' and 'b', got {bad!r}"
     with pytest.raises(ValueError, match="^period may only contain"):
         PeriodicSequence("", "abz")
-
-
-@given(words, st.integers(min_value=1, max_value=30))
-def test_shift_prefixes_are_prefixes_of_shifts(word, horizon):
-    got = shift_prefixes(word, horizon)
-    assert got == [
-        PeriodicSequence("", word[i:] + word[:i]).prefix(horizon) for i in range(len(word))
-    ]
 
 
 def test_cyclic_word_rejects_powers():
