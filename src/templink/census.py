@@ -474,8 +474,8 @@ class PairTable(Sequence):
     numbers ``cr`` and the integer keys ``lk2d`` as two read-only numpy
     arrays (int64, or object holding Python ints, see :func:`_lk2d_dtype`).
     A :class:`PairReport`, with Python ``int`` fields, is built only when one
-    is read, by index or by iteration; indices run over ``range(len(table))``
-    and may be negative, as for a list.
+    is read by index, which iteration does too; indices run over
+    ``range(len(table))`` and may be negative, as for a list.
     """
 
     __slots__ = ("words", "cr", "lk2d", "two_delta", "_starts")
@@ -501,13 +501,6 @@ class PairTable(Sequence):
         j = i + k - self._starts[i]
         w = self.words
         return PairReport(w[i], w[j], int(self.cr[k]), int(self.lk2d[k]), self.two_delta)
-
-    def __iter__(self):
-        w = self.words
-        pairs = ((w1, w2) for i, w1 in enumerate(w) for w2 in w[i:])
-        # tolist gives Python ints from either dtype
-        for (w1, w2), cr, lk2d in zip(pairs, self.cr.tolist(), self.lk2d.tolist()):
-            yield PairReport(w1, w2, cr, lk2d, self.two_delta)
 
 
 def verify_pairs(t: Triple, words: list[str]) -> PairTable:

@@ -93,10 +93,10 @@ def _is_valid_cut(u: str, v: str) -> bool:
 def _candidate_splits(w: str) -> Iterator[tuple[int, str, str]]:
     """``(rotation, u, v)`` for every split of ``w`` that may be a cut, in cut order.
 
-    ``w`` is a primitive least rotation; candidates come by ascending
-    rotation, then split, and each is found only when the consumer asks for
-    the next one.  :func:`_is_valid_cut` decides which are cuts; the lemma
-    below only leaves out splits that cannot pass.
+    ``w`` is a Lyndon word; candidates come by ascending rotation, then
+    split, and each is found only when the consumer asks for the next one.
+    :func:`_is_valid_cut` decides which are cuts; the first lemma below
+    only leaves out splits that cannot pass.
 
     Lemma.  Let ``n = len(w)``, ``X_k`` the shift of ``w^inf`` by ``k``, and
     let a valid cut at rotation ``x`` with split ``l`` have ``u = z^j``,
@@ -120,31 +120,34 @@ def _candidate_splits(w: str) -> Iterator[tuple[int, str, str]]:
     them ``X < z^(j-1)Y < ... < zY < Y`` and ``X < yX < ... < y^(m-1)X < Y``,
     so the least shift above ``X`` is ``z^(j-1)Y``, ``yX`` or ``Y``.
 
-    Candidates.  ``w`` is primitive, so its rotations sort exactly as its
-    shifts do.  With ``d`` the distance from rotation ``k`` to its successor,
-    the lemma leaves the splits ``n - m(n-d)`` where ``rot`` ends in
-    ``rot[d:]^m``, ``d`` itself, and ``jd`` where ``rot`` starts with
-    ``rot[:d]^j`` (``j, m >= 2``), in ascending order.  ``u`` must end in
-    ``a``: every ``jd`` ends in ``rot[d-1]``, like ``d``, and since ``rot``
-    ends in ``b`` only the largest ``m`` can leave an ``a`` before ``v``.
-
-    The sort checks the input: ``w`` is a primitive least rotation exactly
-    when rotation 0 sorts first and no other rotation equals it (``z^j``
-    equals its rotation by ``|z|``); else, or with letters outside {a, b},
+    Candidates.  ``w`` is a Lyndon word, strictly smaller than each proper
+    suffix (equivalently, a primitive least rotation), so its shifts sort as
+    its rotations, and these as its suffixes.  Lemma: suffixes ``i < j``
+    compare as rotations ``i`` and ``j`` do.  Proof: if neither is a prefix
+    of the other, each pair first differs at the same letter.  Else
+    ``s = w[j:]`` is a proper prefix of ``t = w[i:]``, so ``s < t``, and
+    ``rot_j = s w[:j]``, ``rot_i = s x w[:i]`` with ``x = w[n-(j-i):]``.
+    ``w`` has no border and is smaller than its proper suffix ``x``, so
+    ``w[:j-i] < x`` and ``rot_j < rot_i``.  With ``d`` the distance from
+    rotation ``k`` to its successor, the first lemma leaves the splits
+    ``n - m(n-d)`` where ``rot`` ends in ``rot[d:]^m``, ``d`` itself, and
+    ``jd`` where ``rot`` starts with ``rot[:d]^j`` (``j, m >= 2``), in
+    ascending order.  ``u`` must end in ``a``: every ``jd`` ends in
+    ``rot[d-1]``, like ``d``, and since ``rot`` ends in ``b`` only the
+    largest ``m`` can leave an ``a`` before ``v``.  The sort checks the
+    input: unless suffix 0 sorts first, or with letters outside {a, b},
     ``ValueError`` is raised.
     """
     _check_letters(w)
     n = len(w)
-    rots = [w[k:] + w[:k] for k in range(n)]
-    order = sorted(range(n), key=rots.__getitem__)
-    if not order or order[0] != 0 or (n > 1 and rots[order[1]] == w):
+    order = sorted(range(n), key=lambda k: w[k:])
+    if not order or order[0] != 0:
         raise ValueError(f"{w!r} is not a primitive word in least rotation")
-    successor = dict(zip(order, order[1:]))
-    for k in range(n):
-        rot = rots[k]
-        if rot[-1] != "b" or k not in successor:
+    for k, successor in sorted(zip(order, order[1:])):
+        if w[k - 1] != "b":
             continue
-        d = (successor[k] - k) % n
+        rot = w[k:] + w[:k]
+        d = (successor - k) % n
         e = n - d
         m = 1
         while (m + 1) * e < n and rot.endswith(rot[d:], 0, n - m * e):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from functools import cmp_to_key
 
@@ -146,6 +147,45 @@ def _two_letter_lyndon_words(max_len: int) -> list[str]:
 def test_cuts_match_oracle_on_every_word_up_to_12():
     for word in _two_letter_lyndon_words(12):
         assert _cut_tuples(CyclicWord(word)) == oracle_cuts(word), word
+
+
+def _suffix_and_rotation_orders(w: str) -> tuple[list[int], list[int]]:
+    n = len(w)
+    suffixes = sorted(range(n), key=lambda k: w[k:])
+    return suffixes, sorted(range(n), key=lambda k: w[k:] + w[:k])
+
+
+def test_lyndon_suffixes_sort_as_rotations_on_every_word_up_to_14():
+    # the lemma _candidate_splits takes its rotation order from
+    lyndon = _two_letter_lyndon_words(14)
+    assert len(lyndon) == 2536
+    for word in lyndon:
+        suffixes, rotations = _suffix_and_rotation_orders(word)
+        assert suffixes == rotations, word
+
+
+@given(st.text(alphabet="ab", min_size=1, max_size=60))
+@settings(max_examples=200)
+# suffix ab is a prefix of suffix abaabab
+@example("aabaabab")
+def test_lyndon_suffixes_sort_as_rotations(raw):
+    root = canonicalize(raw)[0].word
+    suffixes, rotations = _suffix_and_rotation_orders(root)
+    assert suffixes == rotations
+
+
+def test_candidate_splits_refuse_exactly_the_words_that_are_not_lyndon():
+    # empty, a proper power, or not its own least rotation, as canonicalize decides
+    for n in range(11):
+        for letters in itertools.product("ab", repeat=n):
+            word = "".join(letters)
+            lyndon = bool(word) and canonicalize(word) == (word, 1)
+            try:
+                list(crossing._candidate_splits(word))
+            except ValueError:
+                assert not lyndon, word
+            else:
+                assert lyndon, word
 
 
 def test_shifts_between_the_factors_of_a_cut_are_the_power_chains():

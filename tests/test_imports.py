@@ -27,19 +27,32 @@ def stage(name):
 
 import templink, templink.cli
 stage("import")
-from templink.census import extremality_crosscheck, verify_triple
+from templink.census import extremality_crosscheck, verify_range, verify_triple
 from templink.kneading import Triple
+TRIPLE = ["--p", "3", "--q", "3", "--r", "4"]
+COMMANDS = {
+    "enumerate": ["enumerate", *TRIPLE, "--max-len", "8"],
+    "cuts": ["cuts", "aabb"],
+    "lk": ["lk", *TRIPLE, "ab", "aabb"],
+    "cr": ["cr", "ab", "aabb"],
+    "admissible": ["admissible", *TRIPLE, "ab", "aabb"],
+    "table": ["table", *TRIPLE],
+    "homology": ["homology", "3", "3", "4"],
+    "extremal": ["extremal", *TRIPLE],
+}
 with redirect_stdout(io.StringIO()):
-    templink.cli.run(["enumerate", "--p", "3", "--q", "3", "--r", "4", "--max-len", "8"])
-    stage("enumerate")
-    templink.cli.run(["cuts", "aabb"])
-    stage("cuts")
+    for name, argv in COMMANDS.items():
+        assert templink.cli.run(argv) == 0, name
+        stage(name)
 extremality_crosscheck(Triple(3, 3, 4), 8)
 stage("crosscheck")
 verify_triple(Triple(3, 3, 4))
 stage("verify")
+verify_range(3, 3, 5, jobs=1)
+stage("range")
 print(json.dumps(loaded))
 """
+CENSUS_SIDE = "import enumerate cuts lk cr admissible table homology extremal crosscheck".split()
 
 
 def test_census_side_never_loads_numpy_or_a_process_pool():
@@ -50,10 +63,10 @@ def test_census_side_never_loads_numpy_or_a_process_pool():
         check=True,
     ).stdout
     loaded = json.loads(out)
-    for name in ("import", "enumerate", "cuts", "crosscheck"):
+    for name in CENSUS_SIDE:
         assert loaded[name] == [], name
-    # the pair kernel does load numpy, so the check above can fail
-    assert "numpy" in loaded["verify"]
+    # the pair kernel does load numpy, so the check above can fail; one job starts no pool
+    assert loaded["verify"] == loaded["range"] == ["numpy"]
 
 
 def _bench_lookups() -> set[tuple[str, str]]:
