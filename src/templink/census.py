@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import time
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +43,7 @@ MAX_CENSUS_LEN = 24
 # Most words verify_pairs takes, and so the largest extremal family a triple or
 # a range may have: the pair table grows with its square.  On a 2-vCPU KVM
 # guest verify_triple(Triple(3, 3, 87)), 1,934 words and 1,871,145 pairs, took
-# 3.1-3.2 s and 105 MB peak RSS; (3, 3, 301) would hold about 260 M pairs.
+# 2.5-2.9 s and 99 MB peak RSS; (3, 3, 301) would hold about 260 M pairs.
 # Single-triple `templink verify` renders every report, so it takes far fewer
 # pairs, see cli.MAX_REPORT_PAIRS.
 MAX_VERIFY_WORDS = 2_000
@@ -450,7 +449,7 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
 
 
 def _lk2d_dtype(t: Triple, longest: int):
-    """The dtype of :func:`verify_pairs`' arrays: int64 where every value provably fits, else object.
+    """The dtype of :func:`verify_pairs`' values: int64 where every value provably fits, else object.
 
     Let two words have n, n' <= ``longest`` letters, u, u' a's and v, v' b's.
     Then cr = P[i, j] + P[j, i] <= u·v' + u'·v <= n·n'.  Each term of
@@ -470,37 +469,34 @@ def _lk2d_dtype(t: Triple, longest: int):
 class PairTable(Sequence):
     """The pair reports of one :func:`verify_pairs` call, in the order (i, j >= i).
 
-    The table holds the words, ``two_delta`` and, in pair order, the crossing
-    numbers ``cr`` and the integer keys ``lk2d`` as two read-only numpy
-    arrays (int64, or object holding Python ints, see :func:`_lk2d_dtype`).
+    The table holds the words, ``two_delta`` and, in pair order, four
+    read-only numpy arrays: the word indices ``first`` and ``second`` from
+    ``np.triu_indices``, the crossing numbers ``cr`` and the integer keys
+    ``lk2d`` (int64, or object holding Python ints, see :func:`_lk2d_dtype`).
     A :class:`PairReport`, with Python ``int`` fields, is built only when one
     is read by index, which iteration does too; indices run over
     ``range(len(table))`` and may be negative, as for a list.
     """
 
-    __slots__ = ("words", "cr", "lk2d", "two_delta", "_starts")
+    __slots__ = ("words", "first", "second", "cr", "lk2d", "two_delta")
 
-    def __init__(self, words: list[str], cr, lk2d, two_delta: int) -> None:
-        n = len(words)
+    def __init__(self, words: list[str], first, second, cr, lk2d, two_delta: int) -> None:
         self.words = tuple(words)
-        self.cr, self.lk2d, self.two_delta = cr, lk2d, two_delta
-        cr.flags.writeable = lk2d.flags.writeable = False
-        # row i, the pairs (i, j >= i), starts n + (n-1) + ... + (n-i+1) pairs in
-        self._starts = [i * n - i * (i - 1) // 2 for i in range(n)]
+        self.first, self.second, self.cr, self.lk2d = first, second, cr, lk2d
+        self.two_delta = two_delta
+        for array in (first, second, cr, lk2d):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.cr)
 
     def __getitem__(self, k) -> PairReport:
+        # index() refuses a float, and keeps a bool from reaching numpy as a mask
         k = index(k)
-        if k < 0:
-            k += len(self)
-        if not 0 <= k < len(self):
-            raise IndexError("pair index out of range")
-        i = bisect_right(self._starts, k) - 1
-        j = i + k - self._starts[i]
         w = self.words
-        return PairReport(w[i], w[j], int(self.cr[k]), int(self.lk2d[k]), self.two_delta)
+        return PairReport(
+            w[self.first[k]], w[self.second[k]], int(self.cr[k]), int(self.lk2d[k]), self.two_delta
+        )
 
 
 def verify_pairs(t: Triple, words: list[str]) -> PairTable:
@@ -531,11 +527,11 @@ def verify_pairs(t: Triple, words: list[str]) -> PairTable:
     word i and a shift of word j, so the pairs with x < y and σx > σy,
     P[i, j] of them, are as many as those with x > y and σx < σy, P[j, i]
     (the test of :func:`_crossing_matrix` against its definition says the same).
-    The result is a :class:`PairTable`: ``cr`` and ``lk2d = 2·Q - delta·cr``
-    as two arrays in pair order, one ``q_form`` call per pair, and no
-    report built.  For N shifts and W words the crossing matrix takes
-    (N + 1)·W table cells of work, and memory is O(N + W^2) plus its fixed
-    chunk budget.
+    The result is a :class:`PairTable`: the pair order's word indices from
+    ``np.triu_indices``, ``cr`` and ``lk2d = 2·Q - delta·cr`` as arrays in
+    that order, one ``q_form`` call per pair, and no report built.  For N
+    shifts and W words the crossing matrix takes (N + 1)·W table cells of
+    work, and memory is O(N + W^2) plus its fixed chunk budget.
     """
     if not words:
         raise ValueError("verify_pairs needs at least one word")
@@ -544,14 +540,15 @@ def verify_pairs(t: Triple, words: list[str]) -> PairTable:
     import numpy as np
 
     dtype = _lk2d_dtype(t, max(map(len, words)))
+    first, second = (a.astype(np.min_scalar_type(len(words))) for a in np.triu_indices(len(words)))
     # P is symmetric, so one triangle gives cr with no W x W temporary
-    cr = 2 * _crossing_matrix(words)[np.triu_indices(len(words))].astype(dtype)
+    cr = 2 * _crossing_matrix(words)[first, second].astype(dtype)
     counts = [(w.count("a"), w.count("b")) for w in words]
-    # one q_form call per pair, in pair order, through this module's global,
-    # so a wrapper put there sees each
+    # one q_form call per pair through this module's global, so a wrapper put
+    # there sees each; the rows walk np.triu_indices' row-major order (i, j >= i)
     rows = (map(q_form, repeat(t), repeat(c), counts[i:]) for i, c in enumerate(counts))
     q = np.fromiter(chain.from_iterable(rows), dtype=dtype, count=len(cr))
-    return PairTable(words, cr, 2 * q - t.delta * cr, 2 * t.delta)
+    return PairTable(words, first, second, cr, 2 * q - t.delta * cr, 2 * t.delta)
 
 
 @dataclass(frozen=True)

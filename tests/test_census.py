@@ -307,6 +307,11 @@ def test_pair_table_is_a_faithful_lazy_sequence(t, words):
     for k in (len(table), -len(table) - 1):
         with pytest.raises(IndexError):
             table[k]
+    # a bool indexes as its int and a float is refused, as for a list
+    if len(table) > 1:
+        assert table[True] == table[1]
+    with pytest.raises(TypeError):
+        table[1.0]
     # bench/workloads.py samples the reports of a few triples
     sample = random.Random(0).sample(table, min(5, len(table)))
     assert len(sample) == min(5, len(table)) and all(r in rows for r in sample)

@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
 from templink.cli import run
+from templink.crossing import enumerate_cuts
 
 
 def test_lk_example(capsys):
@@ -59,6 +61,19 @@ def test_enumerate_and_extremal(capsys):
 def test_cuts_command(capsys):
     assert run(["cuts", "ab"]) == 0
     assert capsys.readouterr().out.startswith("a|b")
+
+
+def test_cuts_command_csv_and_json(capsys):
+    assert run(["cuts", "aabb", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "u,v,rotation,split",
+        "a,abb,0,1",
+        "aa,bb,0,2",
+        "baa,b,3,3",
+    ]
+    assert run(["cuts", "aabb", "--format", "json"]) == 0
+    cuts = [dataclasses.asdict(c) for c in enumerate_cuts("aabb")]
+    assert json.loads(capsys.readouterr().out) == cuts
 
 
 def test_cuts_command_golden_output_with_power_factors(capsys):
@@ -185,6 +200,18 @@ def test_usage_and_domain_errors_exit_2(capsys):
     assert run(["nonsense"]) == 2
     assert run(["enumerate", "--p", "3", "--q", "3", "--r", "4", "--max-len", "64"]) == 2
     capsys.readouterr()
+    either = "verify needs either --p/--q/--r or --p-max/--q-max/--r-max"
+    ranged = ["--p-max", "3", "--q-max", "3", "--r-max", "5"]
+    for argv, message in (
+        (["verify"], either),
+        (["verify", "--p-max", "3"], "range mode needs --p-max, --q-max and --r-max"),
+        (["verify", "--p", "3", "--q", "3", "--r", "4", *ranged], either),
+        (["verify", *ranged, "aab"], "explicit words only make sense with a single triple"),
+        # range mode passes --jobs on, and verify_range refuses it
+        (["verify", *ranged, "--jobs", "0"], "jobs must be >= 1"),
+    ):
+        assert run(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

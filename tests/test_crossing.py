@@ -48,6 +48,8 @@ def test_crossing_entry_point_rejects_foreign_letters():
         template_linking(Triple(3, 3, 4), "ac", "ab")
     with pytest.raises(ValueError, match=message):
         CyclicWord("ac")
+    with pytest.raises(ValueError, match="^crossing numbers need nonempty words$"):
+        word_crossing("", "ab")
 
 
 @given(words, words)
@@ -76,6 +78,13 @@ def test_self_crossing_even(word):
 def test_cuts_of_two_letter_word():
     cuts = enumerate_cuts(CyclicWord("ab"))
     assert [(c.u, c.v) for c in cuts] == [("a", "b")]
+
+
+def test_cut_needs_u_inf_below_v_inf():
+    # no candidate of _candidate_splits reaches this check, so it is tested directly
+    assert crossing._is_valid_cut("a", "b")
+    assert not crossing._is_valid_cut("b", "a")
+    assert not crossing._is_valid_cut("ab", "ab")
 
 
 @pytest.mark.parametrize("word", ["ba", "abab", "ac", "bab", ""])

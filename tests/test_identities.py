@@ -91,6 +91,19 @@ def test_refined_bound_exhaustive_grids():
         assert not rep.bound_failures
 
 
+def test_refined_bound_records_an_undercounted_pair(monkeypatch):
+    # positive control: the bound is tight here, so a crossing count 2 short fails it
+    import templink.identities as identities
+
+    def short(v, x):
+        return word_crossing(v, x) - 2 * ((v, x) == ("aabab", "aabaabb"))
+
+    monkeypatch.setattr(identities, "word_crossing", short)
+    rep = check_identities(Triple(3, 3, 4))
+    assert rep.bound_failures == ["cr(aabab,aabaabb) = 14 < refined lower bound 16"]
+    assert rep.ok is False and rep.bound_checked == 49
+
+
 def test_superadditivity_instances_deterministic():
     a = superadditivity_instances(25, seed=11)
     b = superadditivity_instances(25, seed=11)

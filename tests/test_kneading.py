@@ -30,6 +30,10 @@ def test_triple_validation():
         Triple(2, 3, 6)  # 1/2 + 1/3 + 1/6 = 1, not hyperbolic
     with pytest.raises(ValueError):
         Triple(2, 2, 100)
+    with pytest.raises(ValueError, match="^r must be an integer, got 4.0$"):
+        Triple(3, 3, 4.0)
+    with pytest.raises(ValueError, match="^p must be an integer, got True$"):
+        Triple(True, 3, 4)
 
 
 @pytest.mark.parametrize(

@@ -57,6 +57,8 @@ def test_bad_letter_named_in_error():
         assert str(excinfo.value) == f"word may only contain letters 'a' and 'b', got {bad!r}"
     with pytest.raises(ValueError, match="^period may only contain"):
         PeriodicSequence("", "abz")
+    with pytest.raises(ValueError, match="^period must be nonempty$"):
+        PeriodicSequence("a", "")
 
 
 def test_cyclic_word_rejects_powers():
@@ -83,6 +85,13 @@ def test_sequence_normalization():
     # periods reduce to their primitive root
     assert PeriodicSequence("", "abab") == PeriodicSequence("", "ab")
     assert PeriodicSequence("a", "b").preperiod == "a"
+
+
+def test_prefix_inside_the_preperiod():
+    s = PeriodicSequence("aab", "a")
+    assert s.prefix(0) == ""
+    assert s.prefix(2) == "aa"
+    assert s.prefix(5) == "aabaa"
 
 
 def test_compare_examples():
