@@ -23,7 +23,6 @@ from .census import (
     verify_triple,
 )
 from .crossing import Cut, enumerate_cuts, is_admissible_cut, word_crossing
-from .identities import IdentityReport, check_identities
 from .kneading import KneadingData, TemplateDomainError, Triple, is_admissible, kneading
 from .linking import (
     HopfLinkingVector,
@@ -44,7 +43,6 @@ __all__ = [
     "Cut",
     "ExtremalFamily",
     "HopfLinkingVector",
-    "IdentityReport",
     "KneadingData",
     "PairReport",
     "PeriodicSequence",
@@ -53,7 +51,6 @@ __all__ = [
     "Triple",
     "TripleSummary",
     "canonicalize",
-    "check_identities",
     "compare",
     "enumerate_admissible",
     "enumerate_cuts",

@@ -1,11 +1,14 @@
 """Orbit census, extremal families, and the exhaustive negativity verifier.
 
-The linking number of template orbit pairs is subadditive under admissible
-cuts, so negativity for all pairs reduces to negativity on the finite family
-of extremal orbits (admissible orbits with no admissible cut).  This module
-enumerates admissible orbits, generates the extremal families in closed form,
-cross-validates the two descriptions, and verifies pairwise negativity over
-parameter ranges, exactly and in parallel.
+The paper shows that the linking number of template orbit pairs is
+subadditive under admissible cuts, so that negativity for all pairs reduces
+to negativity on the finite family of extremal orbits (admissible orbits with
+no admissible cut).  This module enumerates admissible orbits, generates the
+extremal families in closed form, cross-validates the two descriptions, and
+verifies pairwise negativity over parameter ranges, exactly and in parallel.
+The families built here and the cutless census disagree, as acceptance
+criterion 10 reports, so the code does not rest on the paper's reduction:
+criteria 4-6 verify negativity directly, on the families and on the censuses.
 """
 
 from __future__ import annotations
@@ -206,7 +209,7 @@ def extremal_families(t: Triple) -> list[ExtremalFamily]:
     p, q, r = t.p, t.q, t.r
     if p == 2 and (q % 2 == 0 or r % 2 == 0):
         raise TemplateDomainError(
-            "p = 2 census is defined for q and r odd only "
+            "the p = 2 extremal families are defined for q and r odd only "
             "(even cases follow from a double cover)"
         )
     kmax = t.max_repeats

@@ -15,7 +15,7 @@ import sys
 import time
 
 from . import census
-from .crossing import enumerate_cuts, word_crossing
+from .crossing import Cut, enumerate_cuts, word_crossing
 from .kneading import Triple, is_admissible, kneading
 from .linking import homology_order, template_linking
 from .words import canonicalize
@@ -68,16 +68,19 @@ def _cell(value) -> str:
     return str(value).lower() if isinstance(value, bool) else str(value)
 
 
-def _render(rows: list[dict], fmt: str, doc=None) -> str:
+def _render(rows: list[dict], fmt: str, doc=None, fields=()) -> str:
     """The one output path: records as CSV, aligned text or JSON.
 
-    CSV and text show ``rows``, one record per line under a header; text drops
-    the header of a one-column list and appends the scalar fields of ``doc``.
-    JSON shows ``doc``, which defaults to the rows.
+    CSV and text show ``rows``, one record per line under a header of
+    ``fields`` (by default the first row's keys, so an empty list has a header
+    only when given its fields); text drops the header of a one-column list and
+    appends the scalar fields of ``doc``.  JSON shows ``doc``, which defaults
+    to the rows.
     """
     if fmt == "json":
         return json.dumps(rows if doc is None else doc, indent=2) + "\n"
-    table = [list(rows[0])] if rows else []
+    header = list(fields) or list(rows[0] if rows else ())
+    table = [header] if header else []
     table += [[_cell(v) for v in row.values()] for row in rows]
     if fmt == "csv":
         return "".join(",".join(line) + "\n" for line in table)
@@ -112,7 +115,7 @@ def _cmd_admissible(args) -> int:
 
 
 def _emit_words(words: list[str], args) -> int:
-    _emit(_render([{"word": w} for w in words], args.format, words), args.out)
+    _emit(_render([{"word": w} for w in words], args.format, words, ["word"]), args.out)
     return EXIT_OK
 
 
@@ -129,7 +132,8 @@ def _cmd_cuts(args) -> int:
     if args.format == "text":
         text = "".join(f"{c.u}|{c.v} (rotation {c.rotation}, split {c.split})\n" for c in cuts)
     else:
-        text = _render([dataclasses.asdict(c) for c in cuts], args.format)
+        fields = [f.name for f in dataclasses.fields(Cut)]
+        text = _render([dataclasses.asdict(c) for c in cuts], args.format, fields=fields)
     _emit(text, args.out)
     return EXIT_OK
 

@@ -26,7 +26,7 @@ MAX_TABLE_LETTERS = 2**14
 
 
 class TemplateDomainError(ValueError):
-    """Raised for parameters outside the domain of the kneading table."""
+    """Raised for parameters outside the domain of the closed-form extremal families."""
 
 
 @dataclass(frozen=True)

@@ -154,8 +154,9 @@ def test_extremal_orbits_p2():
     # q = 3 leaves only the mixed family
     words = set(extremal_orbits(Triple(2, 3, 7)))
     assert words == {canonicalize("ab" * k + "abb" * l)[0] for k in (1, 2) for l in (1, 2)}
-    with pytest.raises(TemplateDomainError):
+    with pytest.raises(TemplateDomainError, match="p = 2 extremal families"):
         extremal_orbits(Triple(2, 5, 6))  # r even not covered for p = 2
+    assert enumerate_admissible(Triple(2, 5, 6), 8)  # though its census is
 
 
 # Golden p = 2 extremal orbits once q >= 5 brings in both rotation families.

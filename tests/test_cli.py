@@ -56,6 +56,9 @@ def test_enumerate_and_extremal(capsys):
     assert run(["extremal", "--p", "3", "--q", "3", "--r", "4", "--format", "json"]) == 0
     words = json.loads(capsys.readouterr().out)
     assert len(words) == 7 and "aababb" in words
+    argv = ["enumerate", "--p", "3", "--q", "3", "--r", "4", "--max-len", "1", "--format", "csv"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "word\n"  # an empty census keeps its header
 
 
 def test_cuts_command(capsys):
@@ -74,6 +77,8 @@ def test_cuts_command_csv_and_json(capsys):
     assert run(["cuts", "aabb", "--format", "json"]) == 0
     cuts = [dataclasses.asdict(c) for c in enumerate_cuts("aabb")]
     assert json.loads(capsys.readouterr().out) == cuts
+    assert run(["cuts", "a", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "u,v,rotation,split\n"  # no cuts, still a header
 
 
 def test_cuts_command_golden_output_with_power_factors(capsys):

@@ -1,42 +1,36 @@
-import dataclasses
-import inspect
 from fractions import Fraction
 
 import pytest
 
+from closed_forms import instances, refined_bound_failures, superadditivity_instances
+from templink.census import range_triples
 from templink.crossing import word_crossing
-from templink.identities import IdentityReport, check_identities, superadditivity_instances
 from templink.kneading import Triple
+from templink.linking import template_linking
+
+T334 = Triple(3, 3, 4)
 
 
-def by_name(report, name):
-    return [r for r in report.identities if r.name == name]
+def compared(t, name):
+    """(pipeline, closed form) values of delta * lk for each instance of entry ``name`` at t."""
+    return [
+        (t.delta * template_linking(t, w1, w2), value)
+        for entry, w1, w2, value in instances(t)
+        if entry == name
+    ]
 
 
-@pytest.fixture(scope="module")
-def report_334():
-    return check_identities(Triple(3, 3, 4))
-
-
-def test_hard_requirements_pass(report_334):
-    assert report_334.ok
-    assert report_334.bound_checked == 49 and not report_334.bound_failures
-
-
-def test_check_identities_reads_only_its_triple():
-    assert list(inspect.signature(check_identities).parameters) == ["t"]
-    fields = [f.name for f in dataclasses.fields(IdentityReport)]
-    assert fields == ["triple", "bound_checked", "bound_failures", "identities"]
-    assert not IdentityReport((3, 3, 4), bound_failures=["cr(ab,ab) = 0 < 2"]).ok
+def test_hard_requirements_pass():
+    assert refined_bound_failures(T334) == (49, [])
 
 
 @pytest.mark.parametrize("pqr", [(3, 4, 5), (2, 5, 7), (4, 5, 6)])
 def test_hard_requirements_other_triples(pqr):
-    rep = check_identities(Triple(*pqr))
-    assert rep.ok
+    _, failures = refined_bound_failures(Triple(*pqr))
+    assert not failures
 
 
-def test_exact_identities_match(report_334):
+def test_exact_identities_match():
     for name in (
         "scalar_qi_minus_pj",
         "nested_bilinear",
@@ -47,61 +41,95 @@ def test_exact_identities_match(report_334):
         "one_q2_vs_p2_1_expanded",
         "one_q2_vs_p2_1_factored",
     ):
-        results = by_name(report_334, name)
-        assert results, name
-        assert all(r.match for r in results), name
+        pairs = compared(T334, name)
+        assert pairs, name
+        assert all(got == value for got, value in pairs), name
 
 
-def test_known_misprints_are_flagged(report_334):
+def test_known_misprints_are_flagged():
     # the (1, q-1) corner value disagrees in both recorded variants: the exact
     # pipeline gives 0 at (3,3,4), and neither printed polynomial does
     for name in ("one_q1_vs_one_1_expanded", "one_q1_vs_one_1_factored"):
-        results = by_name(report_334, name)
-        assert results and all(not r.match for r in results)
-    got = by_name(report_334, "one_q1_vs_one_1_expanded")[0]
-    assert got.pipeline == 0
-
-    disagreeing = {r.name for r in report_334.disagreements}
-    assert "p2_q1_vs_p2_1_expanded" in disagreeing
-    assert "two_q1_vs_two_1_expanded" in disagreeing
+        pairs = compared(T334, name)
+        assert pairs and all(got != value for got, value in pairs)
+    assert compared(T334, "one_q1_vs_one_1_expanded")[0][0] == 0
+    for name in ("p2_q1_vs_p2_1_expanded", "two_q1_vs_two_1_expanded"):
+        assert any(got != value for got, value in compared(T334, name))
 
 
 def test_fractional_variant_flagged_only_when_p_differs_from_q():
-    rep_eq = check_identities(Triple(3, 3, 5))
-    assert all(r.match for r in by_name(rep_eq, "nested_bilinear_alt"))
-    rep_ne = check_identities(Triple(3, 4, 5))
-    assert any(not r.match for r in by_name(rep_ne, "nested_bilinear_alt"))
+    assert all(got == value for got, value in compared(Triple(3, 3, 5), "nested_bilinear_alt"))
+    assert any(got != value for got, value in compared(Triple(3, 4, 5), "nested_bilinear_alt"))
 
 
 def test_mixed_pair_form_bounds_pipeline_from_above():
     # the mixed-family closed form is exact except at symmetric nested
     # parameters, where the pipeline value is strictly more negative
-    rep = check_identities(Triple(4, 5, 6))
-    results = by_name(rep, "mixed_pair_closed_form")
-    assert results
-    assert all(r.pipeline <= r.closed_form for r in results)
-    assert any(not r.match for r in results)
+    pairs = compared(Triple(4, 5, 6), "mixed_pair_closed_form")
+    assert pairs
+    assert all(got <= value for got, value in pairs)
+    assert any(got != value for got, value in pairs)
+
+
+# entry -> which of its instances over range_triples(4, 5, 7) the pipeline confirms
+VERDICTS = {
+    "scalar_qi_minus_pj": "all",
+    "nested_bilinear": "all",
+    "nested_bilinear_alt": "some",
+    "straddling_bilinear": "all",
+    "diag_1_1_expanded": "all",
+    "diag_1_1_factored": "all",
+    "diag_p2_1_expanded": "all",
+    "diag_p2_1_factored": "all",
+    "p2_q1_vs_p2_1_expanded": "none",
+    "p2_q1_vs_p2_1_factored": "all",
+    "two_q1_vs_two_1_expanded": "none",
+    "two_q1_vs_two_1_factored": "all",
+    "one_q1_vs_one_1_expanded": "none",
+    "one_q1_vs_one_1_factored": "none",
+    "one_q2_vs_p2_1_expanded": "all",
+    "one_q2_vs_p2_1_factored": "all",
+    "two_q1_vs_p2_1_expanded": "all",
+    "two_q1_vs_p2_1_factored": "all",
+    "mixed_pair_closed_form": "some",
+}
+
+
+@pytest.fixture(scope="module")
+def range_matches():
+    matches = {}
+    for t in range_triples(4, 5, 7):
+        for entry, w1, w2, value in instances(t):
+            matches.setdefault(entry, []).append(t.delta * template_linking(t, w1, w2) == value)
+    return matches
+
+
+@pytest.mark.parametrize("entry", VERDICTS)
+def test_catalog_verdicts_over_a_range(range_matches, entry):
+    assert range_matches.keys() == VERDICTS.keys()
+    matches = range_matches[entry]
+    verdict = "all" if all(matches) else "some" if any(matches) else "none"
+    assert verdict == VERDICTS[entry]
 
 
 def test_refined_bound_exhaustive_grids():
     # full grids for the three pinned triples, primitive parameter combos only
     for pqr, expected in [((3, 3, 4), 49), ((3, 4, 5), 121), ((2, 5, 7), 100)]:
-        rep = check_identities(Triple(*pqr))
-        assert rep.bound_checked == expected
-        assert not rep.bound_failures
+        assert refined_bound_failures(Triple(*pqr)) == (expected, [])
 
 
 def test_refined_bound_records_an_undercounted_pair(monkeypatch):
     # positive control: the bound is tight here, so a crossing count 2 short fails it
-    import templink.identities as identities
+    import closed_forms
 
     def short(v, x):
         return word_crossing(v, x) - 2 * ((v, x) == ("aabab", "aabaabb"))
 
-    monkeypatch.setattr(identities, "word_crossing", short)
-    rep = check_identities(Triple(3, 3, 4))
-    assert rep.bound_failures == ["cr(aabab,aabaabb) = 14 < refined lower bound 16"]
-    assert rep.ok is False and rep.bound_checked == 49
+    monkeypatch.setattr(closed_forms, "word_crossing", short)
+    assert refined_bound_failures(T334) == (
+        49,
+        ["cr(aabab,aabaabb) = 14 < refined lower bound 16"],
+    )
 
 
 def test_superadditivity_instances_deterministic():
@@ -112,6 +140,7 @@ def test_superadditivity_instances_deterministic():
         assert word_crossing(u + v, x) >= word_crossing(u, x) + word_crossing(v, x)
 
 
-def test_identity_values_are_exact_fractions(report_334):
-    for r in report_334.identities:
-        assert isinstance(r.pipeline, Fraction) and isinstance(r.closed_form, Fraction)
+def test_identity_values_are_exact_fractions():
+    for _, w1, w2, value in instances(T334):
+        got = T334.delta * template_linking(T334, w1, w2)
+        assert isinstance(got, Fraction) and isinstance(value, Fraction)
