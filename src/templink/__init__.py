@@ -9,12 +9,10 @@ pairs link negatively at desk scale.
 """
 
 from .census import (
-    ExtremalFamily,
     PairReport,
     RangeSummary,
     TripleSummary,
     enumerate_admissible,
-    extremal_families,
     extremal_orbits,
     extremality_crosscheck,
     summarize,
@@ -23,7 +21,7 @@ from .census import (
     verify_triple,
 )
 from .crossing import Cut, enumerate_cuts, is_admissible_cut, word_crossing
-from .kneading import KneadingData, TemplateDomainError, Triple, is_admissible, kneading
+from .kneading import KneadingData, Triple, is_admissible, kneading
 from .linking import (
     HopfLinkingVector,
     fiber_linking,
@@ -41,20 +39,17 @@ __version__ = "0.1.0"
 __all__ = [
     "CyclicWord",
     "Cut",
-    "ExtremalFamily",
     "HopfLinkingVector",
     "KneadingData",
     "PairReport",
     "PeriodicSequence",
     "RangeSummary",
-    "TemplateDomainError",
     "Triple",
     "TripleSummary",
     "canonicalize",
     "compare",
     "enumerate_admissible",
     "enumerate_cuts",
-    "extremal_families",
     "extremal_orbits",
     "extremality_crosscheck",
     "fiber_linking",

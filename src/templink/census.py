@@ -26,7 +26,6 @@ from typing import NamedTuple
 from . import crossing
 from .kneading import (
     KneadingData,
-    TemplateDomainError,
     Triple,
     is_admissible,
     kneading,
@@ -172,23 +171,14 @@ def enumerate_admissible(t: Triple, max_len: int) -> list[str]:
     return sorted(words, key=len)
 
 
-@dataclass(frozen=True)
-class ExtremalFamily:
-    """One extremal-family member: its tag, parameters and word, see :func:`extremal_families`."""
-
-    family: str
-    params: tuple[int, ...]
-    word: str
-
-
-def extremal_families(t: Triple) -> list[ExtremalFamily]:
-    """The closed-form extremal families, each word written in least rotation.
+def extremal_orbits(t: Triple) -> list[str]:
+    """The closed-form extremal families' words, in least rotation, sorted by length then text.
 
     With P = a^(p-1)b, Q = ab^(q-1), k in [0, floor((r-2)/2)] and tails a^i b^j,
     (i, j) in [1,p-1] x [1,q-1] minus the corners (1,q-1) and (p-1,1), these
-    are P^k·tail (``rot_p``) and, for k >= 1, tail·Q^k (``rot_q``), both with
-    parameters (i, j, k), and P^k·Q^l (``mixed``, parameters (k, l)) for
-    k, l >= 1.  For p = 2 (q and r odd) the tails are a b^j, j in [2,q-2].
+    are P^k·tail (``rot_p``), tail·Q^k for k >= 1 (``rot_q``) and P^k·Q^l
+    for k, l >= 1 (``mixed``).  For p = 2 (q and r odd) the tails are a b^j,
+    j in [2,q-2].
 
     Each word is its own least rotation, hence primitive: a least rotation
     starts a longest run of a's, and past the common prefix every other such
@@ -203,12 +193,13 @@ def extremal_families(t: Triple) -> list[ExtremalFamily]:
     a^(p-1)ba, and ``mixed`` words end in a lone a and b^(q-1), so any match
     needs a corner tail.
 
-    A family over ``MAX_LETTERS`` letters (its size times (k+1)(p+q), a bound
-    on the longest word) is refused before any word is built.
+    The p = 2 families with q or r even are refused, and so is a family over
+    ``MAX_LETTERS`` letters (its size times (k+1)(p+q), a bound on the
+    longest word), both before any word is built.
     """
     p, q, r = t.p, t.q, t.r
     if p == 2 and (q % 2 == 0 or r % 2 == 0):
-        raise TemplateDomainError(
+        raise ValueError(
             "the p = 2 extremal families are defined for q and r odd only "
             "(even cases follow from a double cover)"
         )
@@ -220,20 +211,13 @@ def extremal_families(t: Triple) -> list[ExtremalFamily]:
             f"letters, over the limit of {MAX_LETTERS:,} letters"
         )
     P, Q = t.syllables
-    tails = [
-        (i, j, "a" * i + "b" * j)
-        for i in range(1, p)
-        for j in range(1, q)
-        if (i, j) not in {(1, q - 1), (p - 1, 1)}
-    ]
-    families = []
-    for k in range(kmax + 1):
-        for i, j, tail in tails:
-            families.append(ExtremalFamily("rot_p", (i, j, k), P * k + tail))
-            if k:
-                families.append(ExtremalFamily("rot_q", (i, j, k), tail + Q * k))
+    corners = {(1, q - 1), (p - 1, 1)}
+    tails = ["a" * i + "b" * j for i in range(1, p) for j in range(1, q) if (i, j) not in corners]
     ks = range(1, kmax + 1)
-    return families + [ExtremalFamily("mixed", (k, l), P * k + Q * l) for k in ks for l in ks]
+    rot_p = [P * k + tail for k in range(kmax + 1) for tail in tails]
+    rot_q = [tail + Q * k for k in ks for tail in tails]
+    mixed = [P * k + Q * l for k in ks for l in ks]
+    return sorted(rot_p + rot_q + mixed, key=lambda w: (len(w), w))
 
 
 def _family_size(p: int, q: int, r: int) -> int:
@@ -255,11 +239,6 @@ def check_family_bound(p: int, q: int, r: int) -> int:
             f"over the verify limit of {MAX_VERIFY_WORDS:,}"
         )
     return size
-
-
-def extremal_orbits(t: Triple) -> list[str]:
-    """Words of the extremal families, sorted by length then text."""
-    return sorted((e.word for e in extremal_families(t)), key=lambda w: (len(w), w))
 
 
 def _cutless(words: list[str], k: KneadingData) -> list[str]:
@@ -646,7 +625,7 @@ def range_triples(
     p_max: int, q_max: int, r_max: int, include_p2: bool = True
 ) -> list[Triple]:
     """Hyperbolic triples p <= q <= r within bounds, sorted: all p >= 3, plus,
-    when requested, p = 2 with q and r odd inside the kneading-table domain."""
+    when requested, p = 2 with q and r odd, the extremal families' p = 2 domain."""
     return [
         Triple(p, q, r)
         for p in range(2 if include_p2 else 3, p_max + 1)

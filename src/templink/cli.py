@@ -188,17 +188,18 @@ def _verify_over_range(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    range_mode = args.p_max is not None
-    single_mode = args.p is not None
-    if range_mode == single_mode:
+    # each mode is chosen by any of its three flags, so flags of both modes are refused
+    single, bounds = (args.p, args.q, args.r), (args.p_max, args.q_max, args.r_max)
+    range_mode = bounds != (None, None, None)
+    if range_mode == (single != (None, None, None)):
         raise ValueError("verify needs either --p/--q/--r or --p-max/--q-max/--r-max")
     if range_mode:
-        if args.q_max is None or args.r_max is None:
+        if None in bounds:
             raise ValueError("range mode needs --p-max, --q-max and --r-max")
         if args.words:
             raise ValueError("explicit words only make sense with a single triple")
         return _verify_over_range(args)
-    if args.q is None or args.r is None:
+    if None in single:
         raise ValueError("single-triple mode needs --p, --q and --r")
     if args.no_p2:
         raise ValueError("--no-p2 only makes sense in range mode")
@@ -281,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_triple_flags(sp)
     sp.set_defaults(func=_cmd_table)
 
-    sp = sub.add_parser("homology", help="order of H_1 for an n-conic sphere, n >= 3")
+    text = "order of H_1 for an n-conic sphere, n >= 3 (0: H_1 is infinite)"
+    sp = sub.add_parser("homology", help=text, description=text)
     sp.add_argument("orders", type=int, nargs="+")
     sp.set_defaults(func=_cmd_homology)
 

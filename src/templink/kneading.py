@@ -25,10 +25,6 @@ from .words import PeriodicSequence, compare
 MAX_TABLE_LETTERS = 2**14
 
 
-class TemplateDomainError(ValueError):
-    """Raised for parameters outside the domain of the closed-form extremal families."""
-
-
 @dataclass(frozen=True)
 class Triple:
     """Surgery parameters 2 <= p <= q <= r of a hyperbolic 3-conic sphere.

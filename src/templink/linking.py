@@ -89,8 +89,10 @@ def fiber_linking(t: Triple) -> Fraction:
 def homology_order(cone_orders: list[int] | tuple[int, ...]) -> int:
     """Order of H_1 of the unit tangent bundle of an n-conic sphere, n >= 3.
 
-    Equals |(n-2) * prod(p_i) - sum_i prod_{j != i} p_j|; for a hyperbolic
-    3-conic sphere this is delta.
+    Equals |(n-2) * prod(p_i) - sum_i prod_{j != i} p_j|, the determinant of
+    a presentation of H_1; for a hyperbolic 3-conic sphere this is delta.  It
+    is 0 exactly when the orbifold Euler characteristic is 0, as for the
+    Euclidean orders (3, 3, 3), (2, 3, 6) and (2, 4, 4): then H_1 is infinite.
     """
     n = len(cone_orders)
     if n < 3:

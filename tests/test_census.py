@@ -18,7 +18,6 @@ from templink.census import (
     check_family_bound,
     check_letter_budget,
     enumerate_admissible,
-    extremal_families,
     extremal_orbits,
     extremality_crosscheck,
     lyndon_words,
@@ -30,7 +29,7 @@ from templink.census import (
 )
 from templink.cli import run
 from templink.crossing import word_crossing
-from templink.kneading import TemplateDomainError, Triple
+from templink.kneading import Triple
 from templink.linking import q_form, template_linking
 from templink.words import CyclicWord, canonicalize, compare
 
@@ -98,7 +97,7 @@ def test_oversized_census_refused_before_generating(monkeypatch):
 def test_family_bound_covers_every_family():
     triples = range_triples(6, 8, 10) + range_triples(2, 9, 13) + [Triple(3, 3, 41)]
     for t in triples:
-        assert len(extremal_families(t)) == check_family_bound(t.p, t.q, t.r), t
+        assert len(extremal_orbits(t)) == check_family_bound(t.p, t.q, t.r), t
     assert check_family_bound(6, 8, 10) == 313 and check_family_bound(2, 9, 13) == 91
     assert check_family_bound(3, 3, 81) == 1_679 <= MAX_VERIFY_WORDS
     with pytest.raises(ValueError, match="hold 2,599 words"):
@@ -114,7 +113,7 @@ def test_oversized_verify_refused_before_any_engine_runs(monkeypatch):
     words = [w for w in lyndon_words(14) if "a" in w and "b" in w]
     words = words[: MAX_VERIFY_WORDS + 1]
     assert len(words) == MAX_VERIFY_WORDS + 1
-    for name in ("extremal_families", "range_triples", "_crossing_matrix"):
+    for name in ("extremal_orbits", "range_triples", "_crossing_matrix"):
         monkeypatch.setattr(census, name, never)
     with pytest.raises(ValueError, match="verify limit"):
         verify_pairs(Triple(3, 3, 4), words)
@@ -154,7 +153,7 @@ def test_extremal_orbits_p2():
     # q = 3 leaves only the mixed family
     words = set(extremal_orbits(Triple(2, 3, 7)))
     assert words == {canonicalize("ab" * k + "abb" * l)[0] for k in (1, 2) for l in (1, 2)}
-    with pytest.raises(TemplateDomainError, match="p = 2 extremal families"):
+    with pytest.raises(ValueError, match="p = 2 extremal families"):
         extremal_orbits(Triple(2, 5, 6))  # r even not covered for p = 2
     assert enumerate_admissible(Triple(2, 5, 6), 8)  # though its census is
 
@@ -186,15 +185,11 @@ def test_extremal_orbits_p2_golden(pqr):
     assert extremal_orbits(Triple(*pqr)) == P2_GOLDEN[pqr]
 
 
-def test_extremal_families_golden_over_the_range():
-    rows = [
-        (e.family, e.params, e.word)
-        for t in range_triples(6, 8, 10)
-        for e in extremal_families(t)
-    ]
+def test_extremal_orbits_golden_over_the_range():
+    rows = [(t.p, t.q, t.r, w) for t in range_triples(6, 8, 10) for w in extremal_orbits(t)]
     assert len(rows) == 8_666
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
-        "b1fe4e4844cede83389faeff17a51993dd1e5a9e71bcf4814086b5b592a8c34c"
+        "da20af906d698ea2b2a57bd5aa290369877f713dcb72452e8e7bfaa1817a5af2"
     )
 
 
@@ -205,19 +200,15 @@ def test_extremal_words_are_primitive_and_sorted():
         assert words == sorted(words, key=lambda w: (len(w), w))
 
 
-def test_extremal_families_tags_and_params():
-    fams = extremal_families(Triple(3, 3, 4))
-    by_word = {e.word: e for e in fams}
-    assert by_word["ab"].family == "rot_p" and by_word["ab"].params == (1, 1, 0)
-    assert by_word["aababb"].family == "mixed" and by_word["aababb"].params == (1, 1)
-    assert by_word["ababb"].family == "rot_q"  # ab2.ab
-    assert {e.family for e in fams} == {"rot_p", "rot_q", "mixed"}
-    assert len({e.word for e in fams}) == len(fams)
+def test_extremal_orbits_hold_each_family():
+    words = extremal_orbits(Triple(3, 3, 4))
+    # rot_p ab (tail ab, k = 0), mixed aababb (P·Q), rot_q ababb (ab·Q)
+    assert {"ab", "aababb", "ababb"} <= set(words)
+    assert len(set(words)) == len(words)
     # p = 2 uses the same formula: tails a b^j, P = ab
-    p2 = {e.word: e for e in extremal_families(Triple(2, 5, 7))}
-    assert p2["abb"].family == "rot_p" and p2["abb"].params == (1, 2, 0)
-    assert p2["ababbb"].family == "rot_p" and p2["ababbb"].params == (1, 3, 1)
-    assert p2["abbabbbb"].family == "rot_q" and p2["abbabbbb"].params == (1, 2, 1)
+    p2 = set(extremal_orbits(Triple(2, 5, 7)))
+    # rot_p abb (ab², k = 0) and ababbb (P·ab³), rot_q abbabbbb (ab²·Q)
+    assert {"abb", "ababbb", "abbabbbb"} <= p2
 
 
 def test_extremal_family_words_admissible_for_odd_r():
@@ -436,17 +427,18 @@ def test_last_triple_of_a_box_holds_the_most_letters():
 
 
 def test_oversized_extremal_family_refused_before_any_word_is_built(monkeypatch):
-    import templink.census as census
+    assert len(extremal_orbits(Triple(3, 3, 401))) == 40_399
 
-    assert len(extremal_families(Triple(3, 3, 401))) == 40_399
+    def never(t):
+        raise AssertionError("built a family word past a refusal")
 
-    def never(*args):
-        raise AssertionError("built a family word over the letter budget")
-
-    monkeypatch.setattr(census, "ExtremalFamily", never)
+    # the syllables are read only after both refusals
+    monkeypatch.setattr(Triple, "syllables", property(never))
     for r in (4001, 10**6):
         with pytest.raises(ValueError, match="letters"):
-            extremal_families(Triple(3, 3, r))
+            extremal_orbits(Triple(3, 3, r))
+    with pytest.raises(ValueError, match="p = 2 extremal families"):
+        extremal_orbits(Triple(2, 5, 6))
 
 
 def test_census_builds_cyclic_words_only_for_crosscheck_output(monkeypatch):

@@ -211,6 +211,8 @@ def test_usage_and_domain_errors_exit_2(capsys):
         (["verify"], either),
         (["verify", "--p-max", "3"], "range mode needs --p-max, --q-max and --r-max"),
         (["verify", "--p", "3", "--q", "3", "--r", "4", *ranged], either),
+        (["verify", "--p", "3", "--q", "3", "--r", "4", "--r-max", "9"], either),
+        (["verify", "--p-max", "3", "--q-max", "3", "--r-max", "4", "--q", "5"], either),
         (["verify", *ranged, "aab"], "explicit words only make sense with a single triple"),
         # range mode passes --jobs on, and verify_range refuses it
         (["verify", *ranged, "--jobs", "0"], "jobs must be >= 1"),
@@ -268,7 +270,7 @@ def test_oversized_verify_exits_2_before_any_engine_runs(monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("an engine ran on an oversized verification")
 
-    for name in ("extremal_families", "range_triples", "_crossing_matrix"):
+    for name in ("extremal_orbits", "range_triples", "_crossing_matrix"):
         monkeypatch.setattr(cli.census, name, never)
     for bounds in (
         ["--p", "3", "--q", "3", "--r", "301"],
@@ -336,7 +338,7 @@ def test_verify_range_over_the_letter_budget_exits_2_before_any_triple_runs(monk
 
 
 def test_extremal_lists_large_families_and_refuses_over_the_letter_budget(monkeypatch, capsys):
-    import templink.census as census
+    from templink.kneading import Triple
 
     assert run(["extremal", "--p", "3", "--q", "3", "--r", "101", "--format", "csv"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 2_599
@@ -344,7 +346,8 @@ def test_extremal_lists_large_families_and_refuses_over_the_letter_budget(monkey
     def never(*args, **kwargs):
         raise AssertionError("built a family word over the letter budget")
 
-    monkeypatch.setattr(census, "ExtremalFamily", never)
+    # the syllables are read only after both refusals
+    monkeypatch.setattr(Triple, "syllables", property(never))
     assert run(["extremal", "--p", "3", "--q", "3", "--r", "4001"]) == 2
     assert "over the limit of 134,217,728 letters" in capsys.readouterr().err
 

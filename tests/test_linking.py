@@ -189,6 +189,9 @@ def test_homology_order():
     assert homology_order([2, 3, 5]) == 1
     assert homology_order([3, 3, 4]) == 3
     assert homology_order([2, 2, 3, 3]) == 12
+    # Euclidean orders: orbifold Euler characteristic 0, so H_1 is infinite
+    for orders in ([3, 3, 3], [2, 3, 6], [2, 4, 4]):
+        assert homology_order(orders) == 0
     with pytest.raises(ValueError):
         homology_order([2, 3])
     with pytest.raises(ValueError):
