@@ -640,6 +640,8 @@ def verify_triple(t: Triple) -> TripleSummary:
 
     Families over ``MAX_VERIFY_WORDS`` words are refused before any word is built.
     """
+    import numpy  # noqa: F401  (loaded before the clock starts, so elapsed_s excludes it)
+
     start = time.perf_counter()
     check_family_bound(t.p, t.q, t.r)
     reports = verify_pairs(t, extremal_orbits(t))
@@ -657,14 +659,14 @@ def verify_range(
     a box that holds no triple is refused as well, and so is one whose last
     triple, the one with the most letters, fails :func:`check_letter_budget`.
     """
+    if jobs is not None and jobs < 1:
+        raise ValueError("jobs must be >= 1")
     start = time.perf_counter()
     check_family_bound(p_max, q_max, r_max)
     triples = range_triples(p_max, q_max, r_max, include_p2=include_p2)
     if not triples:
         raise ValueError(f"no triple to verify with p <= {p_max}, q <= {q_max}, r <= {r_max}")
     check_letter_budget(extremal_orbits(triples[-1]))
-    if jobs is not None and jobs < 1:
-        raise ValueError("jobs must be >= 1")
     # A forking pool starts all its workers at the first submit, so never ask
     # for more than there are processors or triples.
     if hasattr(os, "sched_getaffinity"):

@@ -164,6 +164,7 @@ def _verify_single(args) -> int:
             f"{len(words):,} words make {pairs:,} pair reports, "
             f"over the report limit of {MAX_REPORT_PAIRS:,}"
         )
+    import numpy  # noqa: F401  (loaded before the clock starts, so elapsed_s excludes it)
     start = time.perf_counter()
     reports = census.verify_pairs(t, words)
     summary = census.summarize(t, reports, time.perf_counter() - start)

@@ -122,6 +122,8 @@ def test_oversized_verify_refused_before_any_engine_runs(monkeypatch):
             verify_triple(Triple(3, 3, r))
     with pytest.raises(ValueError, match="verify limit"):
         verify_range(1000, 1000, 1000, jobs=1)
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        verify_range(3, 3, 4, jobs=0)
 
 
 def test_empty_range_is_refused():
@@ -221,6 +223,19 @@ def test_extremal_family_words_admissible_for_odd_r():
         k = kneading(t)
         for w in extremal_orbits(t):
             assert is_admissible(w, k), (pqr, w)
+
+
+def test_even_r_families_are_the_next_odd_r_families():
+    # the families read r only through (r-2)//2, and the r + 1 table admits them all
+    from templink.kneading import is_admissible, kneading
+
+    even = [t for t in range_triples(6, 8, 10, include_p2=False) if t.r % 2 == 0]
+    assert len(even) == 49
+    for t in even:
+        odd = Triple(t.p, t.q, t.r + 1)
+        words, k = extremal_orbits(t), kneading(odd)
+        assert words == extremal_orbits(odd), t
+        assert all(is_admissible(w, k) for w in words), t
 
 
 def test_verify_pairs_334_all_negative():

@@ -353,10 +353,7 @@ def test_extremal_lists_large_families_and_refuses_over_the_letter_budget(monkey
 
 
 def test_oversized_kneading_table_exits_2_before_any_sequence_is_built(monkeypatch, capsys):
-    import importlib
-
-    # the package re-exports a function named kneading, so take the module itself
-    kneading = importlib.import_module("templink.kneading")
+    import templink.kneading as kneading
 
     def never(*args, **kwargs):
         raise AssertionError("built a kneading sequence over the table budget")

@@ -1,6 +1,7 @@
 """Imports: the census side of the package loads neither numpy nor a process
-pool, every name the benchmark looks up in the package exists, and every
-name the package exports resolves."""
+pool, the verifiers' clocks start after numpy is loaded, every name the
+benchmark looks up in the package exists, and the package root binds its
+modules and re-exports nothing."""
 
 import ast
 import importlib
@@ -8,6 +9,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -106,12 +109,70 @@ def test_every_name_the_benchmark_looks_up_exists():
     assert missing == []
 
 
-def test_every_exported_name_resolves():
-    import templink
+MODULES = ("census", "cli", "crossing", "kneading", "linking", "words")
+# `import templink.m as x` reads the attribute m of the package, so a name the
+# root binds can hide a module; a fresh interpreter, so no earlier import binds it.
+ROOT_SCRIPT = "\n".join(
+    [
+        "import inspect, json, sys",
+        "sys.path.insert(0, sys.argv[1])",
+        "import templink",
+        "root = [n for n, v in vars(templink).items() if inspect.isclass(v) or inspect.isroutine(v)]",
+        *(f"import templink.{m} as {m}" for m in MODULES),
+        f"kinds = {{m: type(globals()[m]).__name__ for m in {MODULES!r}}}",
+        "print(json.dumps([root, kinds]))",
+    ]
+)
 
-    names = templink.__all__
-    assert len(names) == len(set(names))
-    assert [name for name in names if not hasattr(templink, name)] == []
-    # a fresh interpreter, so a name bound only by an earlier test's import cannot hide a gap
-    star = "import sys; sys.path.insert(0, sys.argv[1]); from templink import *"
-    subprocess.run([sys.executable, "-c", star, str(SRC)], check=True)
+
+def test_package_root_binds_its_modules_and_re_exports_nothing():
+    assert set(MODULES) == {path.stem for path in (SRC / "templink").glob("*.py")} - {"__init__"}
+    out = subprocess.run(
+        [sys.executable, "-c", ROOT_SCRIPT, str(SRC)],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    root, kinds = json.loads(out)
+    assert kinds == {m: "module" for m in MODULES}
+    assert root == []
+
+
+# Records, at each clock read, whether numpy is loaded; a fresh interpreter per
+# call, so numpy starts unloaded.
+CLOCK_SCRIPT = """
+import io, json, sys, time
+from contextlib import redirect_stdout
+
+sys.path.insert(0, sys.argv[1])
+from templink import census, cli
+from templink.kneading import Triple
+
+assert "numpy" not in sys.modules
+clock, reads = time.perf_counter, []
+
+def read():
+    reads.append("numpy" in sys.modules)
+    return clock()
+
+time.perf_counter = read
+with redirect_stdout(io.StringIO()):
+    {call}
+print(json.dumps(reads))
+"""
+
+
+@pytest.mark.parametrize(
+    "call",
+    ["census.verify_triple(Triple(3, 3, 4))", "cli.run(['verify', '--p', '3', '--q', '3', '--r', '4'])"],
+    ids=["verify_triple", "cli-verify"],
+)
+def test_elapsed_clock_starts_after_numpy_is_loaded(call):
+    out = subprocess.run(
+        [sys.executable, "-c", CLOCK_SCRIPT.format(call=call), str(SRC)],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    reads = json.loads(out)
+    assert reads and reads[0], reads
