@@ -43,9 +43,9 @@ from .words import CyclicWord, _check_letters
 MAX_CENSUS_LEN = 24
 
 # Most words verify_pairs takes, and so the largest extremal family a triple or
-# a range may have: the pair table grows with its square.  On a 2-vCPU KVM
-# guest verify_triple(Triple(3, 3, 87)), 1,934 words and 1,871,145 pairs, took
-# 2.5-2.9 s and 99 MB peak RSS; (3, 3, 301) would hold about 260 M pairs.
+# a range may have: the pair table grows with its square, 20 bytes a pair.  On a
+# 2-vCPU KVM guest verify_triple(Triple(3, 3, 87)), 1,934 words and 1,871,145
+# pairs, took 2.1-2.4 s and 71.4 MiB peak RSS; (3, 3, 301) would hold about 260 M pairs.
 # Single-triple `templink verify` renders every report, so it takes far fewer
 # pairs, see cli.MAX_REPORT_PAIRS.
 MAX_VERIFY_WORDS = 2_000
@@ -57,7 +57,8 @@ MAX_VERIFY_WORDS = 2_000
 MAX_LETTERS = 2**27
 
 # Cells of one column chunk of _crossing_matrix's prefix table and its gathered
-# rows, 4 bytes each: the largest chunk holds 1 MB.
+# rows, 4 bytes each: the largest chunk holds 1 MB.  verify_pairs forms its keys
+# in chunks of as many pairs.
 _CHUNK_CELLS = 2**18
 
 
@@ -366,7 +367,12 @@ def _shift_ranks(words: list[str]) -> np.ndarray:
 
 
 def _crossing_matrix(words: list[str]) -> np.ndarray:
-    """``P[i, j]``, the number of a-shifts x of word i and b-shifts y of word j with σx > σy.
+    """``P[i, j]``, i <= j, in pair order: a-shifts x of word i, b-shifts y of word j, σx > σy.
+
+    The result is one uint32 array, the upper triangle of ``P`` in the
+    row-major order of ``np.triu_indices(W)``: ``P[i, j]`` is at
+    ``pos(i, j) = i·W - i(i-1)/2 + (j - i)``.  ``P`` is symmetric (proof in
+    :func:`verify_pairs`), so the triangle is all of it.
 
     One sweep in successor-rank order.  The successor ranks σx are distinct,
     a permutation of the N shifts, so scattering the b-indicator by rank
@@ -384,13 +390,14 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
     a-shifts.  Words without b-shifts have zero columns in ``C``, words
     without a-shifts empty segments and zero rows.
 
-    For W words that is (N + 1)·W table cells, N²/L̄ for mean length L̄, in
-    place of the N_a·N_b ≈ N²/4 shift comparisons of the direct count.  The
-    columns are swept in chunks whose table and gathered rows hold at most
-    ``_CHUNK_CELLS`` cells, one column when N is larger, so beside the W x W
-    result memory is O(N) plus that budget; the ranking of :func:`_shift_ranks`
-    holds O(N) integers and no string.  ``P`` is symmetric (proof in
-    :func:`verify_pairs`), but both triangles are filled.
+    For W words that is at most (N + 1)·W table cells, N²/L̄ for mean length
+    L̄, in place of the N_a·N_b ≈ N²/4 shift comparisons of the direct count.
+    The columns are swept in chunks whose table and gathered rows hold at
+    most ``_CHUNK_CELLS`` cells, one column when N is larger.  A chunk of
+    columns [lo, hi) needs only the rows i < hi, whose a-shifts come first
+    in ``below``, so the gathers cover the triangle, about half the square.
+    Beside the W(W + 1)/2 result memory is O(N) plus that budget; the ranking
+    of :func:`_shift_ranks` holds O(N) integers and no string.
     """
     import numpy as np
 
@@ -410,11 +417,14 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
     b_starts = np.cumsum([0] + b_counts)
     b_word = np.repeat(np.arange(w), b_counts)
     a_counts = np.diff(starts) - b_counts
+    a_ends = np.cumsum(a_counts)
     # reduceat sums an empty segment as one element, so only words with a-shifts are reduced
     rows = a_counts.nonzero()[0]
-    first = (np.cumsum(a_counts) - a_counts)[rows]
+    first = (a_ends - a_counts)[rows]
+    # pos(i, 0), so that P[i, j] is at row_pos[i] + j
+    row_pos = np.arange(w) * w - np.arange(w) * np.arange(1, w + 1) // 2
     width = max(1, _CHUNK_CELLS // (n + 1))
-    p = np.zeros((w, w), dtype=np.int64)
+    p = np.zeros(w * (w + 1) // 2, dtype=np.uint32)
     for lo in range(0, w, width):
         hi = min(lo + width, w)
         # the longest length L <= 2^13 (check_letter_budget): C[c, j] <= L and a
@@ -425,8 +435,14 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
         chunk = slice(b_starts[lo], b_starts[hi])
         table[1:][place[chunk], b_word[chunk] - lo] = 1
         np.cumsum(table, axis=0, dtype=np.uint32, out=table)
-        p[rows, lo:hi] = np.add.reduceat(table.take(below, axis=0), first, axis=0, dtype=np.uint32)
-        del table  # before the next chunk's table is allocated
+        k = np.searchsorted(rows, hi)  # the words i < hi with a-shifts
+        gathered = table.take(below[: a_ends[hi - 1]], axis=0)
+        del table  # before the sums are allocated
+        block = np.add.reduceat(gathered, first[:k], axis=0, dtype=np.uint32)
+        del gathered  # before the next chunk's table is allocated
+        i, j = rows[:k, None], np.arange(lo, hi)
+        upper = j >= i
+        p[(row_pos[i] + j)[upper]] = block[upper]
     return p
 
 
@@ -452,9 +468,10 @@ class PairTable(Sequence):
     """The pair reports of one :func:`verify_pairs` call, in the order (i, j >= i).
 
     The table holds the words, ``two_delta`` and, in pair order, four
-    read-only numpy arrays: the word indices ``first`` and ``second`` from
-    ``np.triu_indices``, the crossing numbers ``cr`` and the integer keys
-    ``lk2d`` (int64, or object holding Python ints, see :func:`_lk2d_dtype`).
+    read-only numpy arrays: the word indices ``first`` and ``second``, the
+    arrays of ``np.triu_indices(W)`` in the narrowest unsigned dtype that holds
+    W, the crossing numbers ``cr`` and the integer keys ``lk2d`` (int64, or
+    object holding Python ints, see :func:`_lk2d_dtype`).
     A :class:`PairReport`, with Python ``int`` fields, is built only when one
     is read by index, which iteration does too; indices run over
     ``range(len(table))`` and may be negative, as for a list.
@@ -508,12 +525,16 @@ def verify_pairs(t: Triple, words: list[str]) -> PairTable:
     ``P`` is symmetric: (x, y) -> (σx, σy) permutes the pairs of a shift of
     word i and a shift of word j, so the pairs with x < y and σx > σy,
     P[i, j] of them, are as many as those with x > y and σx < σy, P[j, i]
-    (the test of :func:`_crossing_matrix` against its definition says the same).
-    The result is a :class:`PairTable`: the pair order's word indices from
-    ``np.triu_indices``, ``cr`` and ``lk2d = 2·Q - delta·cr`` as arrays in
-    that order, one ``q_form`` call per pair, and no report built.  For N
-    shifts and W words the crossing matrix takes (N + 1)·W table cells of
-    work, and memory is O(N + W^2) plus its fixed chunk budget.
+    (a test checks the definition-level matrix for the same), so
+    :func:`_crossing_matrix` computes only the cells i <= j, in pair order.
+    The result is a :class:`PairTable`: the pair order's word indices, ``cr``
+    and ``lk2d = 2·Q - delta·cr`` as arrays in that order, one ``q_form``
+    call per pair, and no report built.  For N shifts and W words the
+    crossing matrix takes at most (N + 1)·W table cells of work.  On the
+    int64 path memory is the table's 20 bytes a pair (the two word indices
+    take 2 bytes each for W < 65,536), O(N) and the fixed chunk budgets: the
+    uint32 triangle of ``P`` is freed once ``cr`` is built from it, before
+    the keys are formed, and they are formed in place.
     """
     if not words:
         raise ValueError("verify_pairs needs at least one word")
@@ -522,15 +543,23 @@ def verify_pairs(t: Triple, words: list[str]) -> PairTable:
     import numpy as np
 
     dtype = _lk2d_dtype(t, max(map(len, words)))
-    first, second = (a.astype(np.min_scalar_type(len(words))) for a in np.triu_indices(len(words)))
-    # P is symmetric, so one triangle gives cr with no W x W temporary
-    cr = 2 * _crossing_matrix(words)[first, second].astype(dtype)
+    # np.triu_indices' arrays, built in the narrow dtype with no int64 copy
+    index = np.arange(len(words), dtype=np.min_scalar_type(len(words)))
+    first = np.repeat(index, len(words) - index)
+    second = np.concatenate([index[i:] for i in range(len(words))])
+    # P is symmetric, so cr = 2·P[i, j] for i <= j; the uint32 triangle is freed at once
+    cr = _crossing_matrix(words).astype(dtype)
+    cr *= 2
     counts = [(w.count("a"), w.count("b")) for w in words]
     # one q_form call per pair through this module's global, so a wrapper put
-    # there sees each; the rows walk np.triu_indices' row-major order (i, j >= i)
+    # there sees each; the rows walk the pair order (i, j >= i)
     rows = (map(q_form, repeat(t), repeat(c), counts[i:]) for i, c in enumerate(counts))
-    q = np.fromiter(chain.from_iterable(rows), dtype=dtype, count=len(cr))
-    return PairTable(words, first, second, cr, 2 * q - t.delta * cr, 2 * t.delta)
+    lk2d = np.fromiter(chain.from_iterable(rows), dtype=dtype, count=len(cr))
+    lk2d *= 2
+    # lk2d = 2·Q - delta·cr in place, a chunk at a time, so no per-pair temporary
+    for s in range(0, len(cr), _CHUNK_CELLS):
+        lk2d[s : s + _CHUNK_CELLS] -= t.delta * cr[s : s + _CHUNK_CELLS]
+    return PairTable(words, first, second, cr, lk2d, 2 * t.delta)
 
 
 @dataclass(frozen=True)
@@ -577,8 +606,10 @@ def summarize(t: Triple, reports: PairTable, elapsed_s: float) -> TripleSummary:
     violations, the pairs with lk2d >= 0, in pair order; one ``Fraction``
     is built, the worst ``lk``.
     """
-    worst = reports[reports.lk2d.argmax()]
-    violations = tuple(map(reports.__getitem__, (reports.lk2d >= 0).nonzero()[0]))
+    # argmax copies a read-only array whole; max copies nothing, and the mask takes a byte a pair
+    lk2d = reports.lk2d
+    worst = reports[(lk2d == lk2d.max()).argmax()]
+    violations = tuple(map(reports.__getitem__, (lk2d >= 0).nonzero()[0]))
     return TripleSummary(
         p=t.p,
         q=t.q,

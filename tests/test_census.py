@@ -354,6 +354,22 @@ def test_pair_values_exact_past_int64(r):
     assert summarize(t, table, 0.0).worst == max(lks)
 
 
+def test_pair_values_exact_past_32_bits():
+    # delta = 2,999,991 and cr up to 180,600, so delta·cr passes 2^32 on the
+    # int64 path: a key array narrowed to 32 bits by the in-place arithmetic
+    # would wrap without a word, as NumPy takes a Python int scalar at the
+    # array's dtype (NEP 50).
+    t = Triple(3, 3, 10**6)
+    words = ["ab" * 300 + "b", "a" + "ab" * 300]
+    table = verify_pairs(t, words)
+    assert t.delta == 2_999_991 and table.lk2d.dtype == table.cr.dtype == np.int64
+    assert t.delta * max(table.cr) > 2**32
+    for r in table:
+        cr = word_crossing(r.word1, r.word2)
+        q = q_form(t, *((w.count("a"), w.count("b")) for w in (r.word1, r.word2)))
+        assert (r.cr, r.lk2d) == (cr, 2 * q - t.delta * cr), (r.word1, r.word2)
+
+
 def test_range_pairs_take_the_int64_path():
     # the benchmark's range must measure the fast path, not the object fallback
     from templink.census import _lk2d_dtype
@@ -582,19 +598,32 @@ def test_pair_kernel_counts_past_a_byte():
 @example(["a", "b"])
 @example(["b", "ab", "a", "aab"])
 def test_crossing_matrix_matches_definition(words):
-    # P itself, not only P + P.T, so a count put in the wrong cell shows.  P is
-    # symmetric, so a transposed P is the same matrix: (x, y) -> (σx, σy)
-    # permutes the shift pairs of words i and j, so the pairs with x < y and
-    # σx > σy, P[i, j] of them, are as many as those with x > y and σx < σy,
-    # P[j, i].  One-column chunks take the chunked path.
+    # Each cell P[i, j], i <= j, at its place in pair order, not only cr = 2·P[i, j],
+    # so a count put in the wrong cell shows.  The lower triangle is not
+    # computed: P is symmetric (test_crossing_matrix_oracle_is_symmetric).
+    # One-column chunks take the chunked path.
     import templink.census as census
 
     expected = oracle_crossing_matrix(words)
+    n = len(words)
+    upper = [expected[i][j] for i in range(n) for j in range(i, n)]
     for cells in (census._CHUNK_CELLS, 1):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(census, "_CHUNK_CELLS", cells)
             p = census._crossing_matrix(words)
-        assert p.dtype == np.int64 and p.tolist() == expected, cells
+        assert p.dtype == np.uint32 and p.tolist() == upper, cells
+
+
+@given(st.lists(primitive_words, min_size=1, max_size=7, unique=True))
+@settings(max_examples=100, deadline=None)
+@example(["ab" * 5 + "b", "a" + "ab" * 5, "aab", "b"])
+def test_crossing_matrix_oracle_is_symmetric(words):
+    # The lemma that lets the sweep skip the lower triangle and verify_pairs
+    # read cr = 2·P[i, j]: (x, y) -> (σx, σy) permutes the shift pairs of words
+    # i and j, so the pairs with x < y and σx > σy, P[i, j] of them, are as many
+    # as those with x > y and σx < σy, P[j, i].
+    p = oracle_crossing_matrix(words)
+    assert p == [list(column) for column in zip(*p)]
 
 
 def _ranks_by_definition(words):
@@ -653,9 +682,16 @@ def test_one_column_chunks_give_the_same_matrix(monkeypatch):
     import templink.census as census
 
     words = extremal_orbits(Triple(6, 8, 10))
+    n = len(words)
     whole = census._crossing_matrix(words)
+    assert whole.dtype == np.uint32 and whole.shape == (n * (n + 1) // 2,)
     # 313 words in chunks of 36 columns at the default budget: the last chunk is partial
     assert census._CHUNK_CELLS // (sum(map(len, words)) + 1) == 36
+    # sampled cells at pos(i, j) = i·W - i(i-1)/2 + (j - i) against the reference engine
+    cells = list(combinations_with_replacement(range(n), 2))
+    for i, j in random.Random(5).sample(cells, 200):
+        cell = whole[i * n - i * (i - 1) // 2 + (j - i)]
+        assert 2 * int(cell) == word_crossing(words[i], words[j]), (i, j)
     monkeypatch.setattr(census, "_CHUNK_CELLS", 1)
     assert np.array_equal(census._crossing_matrix(words), whole)
 
@@ -672,15 +708,16 @@ def test_pair_kernel_counts_past_sixteen_bits():
     for words in (["a" * 300 + "b" * 300, "a" * 257 + "bb"], alternating):
         for r in verify_pairs(t, words):
             assert r.cr == word_crossing(r.word1, r.word2), (len(r.word1), len(r.word2))
-    assert census._crossing_matrix(alternating)[0, 1] > 2**16
+    # pair order (0, 0), (0, 1), (1, 1): P[0, 1] is the second cell
+    assert census._crossing_matrix(alternating)[1] > 2**16
 
 
 def test_crossing_matrix_memory_is_bounded(monkeypatch):
-    # Beside its ranking the sweep holds the W x W int64 result, one column
-    # chunk of at most _CHUNK_CELLS 4-byte cells, and a slack of 64 bytes per
-    # shift for the O(N) index arrays and the chunk's W-row sums: 2.3 MB here,
-    # where the sweep peaks at 2.05 MB.  An unchunked (N + 1) x W table with
-    # its gathered rows peaks at 10.4 MB.
+    # Beside its ranking the sweep holds the W(W + 1)/2 uint32 result, one
+    # column chunk of at most _CHUNK_CELLS 4-byte cells, and a slack of 64 bytes
+    # per shift for the O(N) index arrays and the chunk's row sums and their
+    # places: 1.71 MB here, where the sweep peaks at 1.45 MB.  An unchunked
+    # (N + 1) x W table with its gathered rows peaks at 9.5 MB.
     import tracemalloc
 
     import templink.census as census
@@ -695,7 +732,42 @@ def test_crossing_matrix_memory_is_bounded(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= w * w * 8 + census._CHUNK_CELLS * 4 + 64 * n, peak
+    assert peak <= w * (w + 1) // 2 * 4 + census._CHUNK_CELLS * 4 + 64 * n, peak
+
+
+def test_verify_pairs_memory_per_pair(monkeypatch):
+    # The table's arrays take 20 bytes a pair: two 2-byte word indices and the
+    # 8-byte cr and lk2d.  Beside them verify_pairs holds only one chunk of
+    # _CHUNK_CELLS 8-byte products delta·cr, so 1,022 words, 522,753 pairs,
+    # peak at 12.6 MB, 24.2 bytes a pair; one per-pair temporary in the key
+    # arithmetic would pass the bound.  q_form's values do not change any
+    # array's size, and its pure-Python calls are most of the traced time, so
+    # a stub stands in for it.
+    import tracemalloc
+
+    import templink.census as census
+
+    t = Triple(3, 3, 63)
+    words = extremal_orbits(t)
+    monkeypatch.setattr(census, "q_form", lambda t, c1, c2: 0)
+    tracemalloc.start()
+    try:
+        table = verify_pairs(t, words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(words) == 1_022 and len(table) == 522_753
+    assert table.first.dtype == table.second.dtype == np.uint16
+    assert peak <= 20 * len(table) + 8 * census._CHUNK_CELLS + 2**18, peak
+    # summarize copies no key array: argmax on the read-only lk2d would take 8
+    # bytes a pair; its masks take one
+    tracemalloc.start()
+    try:
+        summarize(t, table, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(table) + 2**16, peak
 
 
 def test_pair_reports_golden_largest_triple():
@@ -814,11 +886,18 @@ def test_verify_triple_summary():
 
 
 def test_verify_range_deterministic_across_jobs():
-    s1 = verify_range(3, 4, 5, jobs=1)
-    s2 = verify_range(3, 4, 5, jobs=2)
-    strip = lambda s: [(t.p, t.q, t.r, t.n_words, t.n_pairs, t.worst, t.worst_pair) for t in s.triples]
-    assert strip(s1) == strip(s2)
-    assert s1.ok
+    # every field but the timings: words, pairs, violations, worst value and pair, totals
+    def untimed(summary):
+        doc = summary.as_dict()
+        del doc["elapsed_s"]
+        for triple in doc["triples"]:
+            del triple["elapsed_s"]
+        return doc
+
+    s1, s2 = (verify_range(4, 5, 7, jobs=jobs) for jobs in (1, 2))
+    assert untimed(s1) == untimed(s2)
+    assert [t.violations for t in s1.triples] == [t.violations for t in s2.triples]
+    assert s1.ok and len(s1.triples) == 21
 
 
 def test_verify_range_caps_the_pool(monkeypatch):
