@@ -264,7 +264,8 @@ def extremality_crosscheck(t: Triple, max_len: int) -> tuple[list[CyclicWord], l
     """Both characterizations of extremal orbits, restricted to length <= max_len.
 
     Returns (closed-form family words, admissible words with no admissible
-    cut) as ``CyclicWord``s; the two lists must coincide.
+    cut) as ``CyclicWord``s.  The paper's reduction needs them to coincide;
+    for most triples they differ, as acceptance criterion 10 reports.
     """
     family = [CyclicWord(w) for w in extremal_orbits(t) if len(w) <= max_len]
     words = enumerate_admissible(t, max_len)
@@ -277,7 +278,7 @@ def check_letter_budget(words: list[str]) -> int:
 
     The budget is total length x 2 x longest letters.  For N shifts (the
     total length) and a longest word of L letters, 1 <= L <= N, the budget
-    2·L·N <= 2^27 gives N <= 2^26, which the int64 keys of
+    2·L·N <= 2^27 gives N <= 2^26, which the 64-bit keys of
     :func:`_shift_ranks` need, and L^2 <= L·N <= 2^26, so L <= 2^13, which
     the uint32 sweep of :func:`_crossing_matrix` needs.
     """
@@ -315,7 +316,7 @@ def _shift_ranks(words: list[str]) -> np.ndarray:
     Prefix doubling on integers, with no string built.  Let ``jump[x]`` be
     the shift h letters on from x, wrapping inside its word.  With a = 0 and
     b = 1, each shift's first letter is one bit, and six rounds of
-    ``code = code << h | code[jump]``, ``jump = jump[jump]`` for h = 1, 2,
+    ``key = key << h | key[jump]``, ``jump = jump[jump]`` for h = 1, 2,
     ..., 32 pack its first 64 letters into one uint64, the first letter
     highest, so numeric order is the lexicographic order of 64-letter
     prefixes.  Then, while two dense ranks of the h-letter prefixes are
@@ -331,6 +332,9 @@ def _shift_ranks(words: list[str]) -> np.ndarray:
     Two ranks still equal at horizon h >= 2·longest are two equal shifts: a
     word is a proper power or two words are rotations of one word, which
     raises ``ValueError``.
+
+    Memory: the keys are packed and ranked in place, so beside ``jump`` at
+    most three 8-byte arrays of N shifts are alive at once.
     """
     import numpy as np
 
@@ -340,29 +344,35 @@ def _shift_ranks(words: list[str]) -> np.ndarray:
     check_letter_budget(words)
     _, jump = _successors(words)
     horizon = 2 * max(map(len, words))
-    code = (np.frombuffer("".join(words).encode(), dtype=np.uint8) == ord("b")).astype(np.uint64)
+    key = (np.frombuffer("".join(words).encode(), dtype=np.uint8) == ord("b")).astype(np.uint64)
     for h in (1, 2, 4, 8, 16, 32):
-        code = code << np.uint64(h) | code[jump]
+        np.bitwise_or(key << np.uint64(h), key[jump], out=key)
         jump = jump[jump]
-    n, h, key = len(code), 64, code
+    n, h = len(key), 64
     while True:
         order = np.argsort(key)
-        ordered = key[order]
-        rises = ordered[1:] != ordered[:-1]
+        key = key[order]
+        rises = key[1:] != key[:-1]
         if rises.all():
             break
         if h >= horizon:
             raise ValueError("a word is a proper power, or two words are rotations of one word")
-        rank = np.zeros(n, dtype=np.int64)
-        rank[order[1:]] = np.cumsum(rises)
+        # dense ranks in sorted order, written over the sorted keys, then by shift
+        key[0] = 0
+        np.cumsum(rises, out=key[1:])
+        rank = np.empty_like(key)
+        rank[order] = key
+        del key, order, rises
         # N <= 2^26 (check_letter_budget): rank·N + rank[jump] < N^2 <= 2^52
-        key = rank * n + rank[jump]
+        key = rank * n
+        key += rank[jump]
+        del rank
         jump = jump[jump]
         h *= 2
     # the narrowest dtype that holds the number of shifts keeps the index arrays
     # of _crossing_matrix's sweep small; ranks are indices there, never compared in bulk
     final = np.empty(n, dtype=np.min_scalar_type(n))
-    final[order] = np.arange(n)
+    final[order] = np.arange(n, dtype=final.dtype)
     return final
 
 
@@ -449,18 +459,19 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
 def _lk2d_dtype(t: Triple, longest: int):
     """The dtype of :func:`verify_pairs`' values: int64 where every value provably fits, else object.
 
-    Let two words have n, n' <= ``longest`` letters, u, u' a's and v, v' b's.
-    Then cr = P[i, j] + P[j, i] <= u·v' + u'·v <= n·n'.  Each term of
-    Q = (qr-q-r)·u·u' - r·(u·v' + v·u') + (pr-p-r)·v·v' is at most its
-    coefficient times n·n' in size, and 0 <= qr-q-r <= qr, 0 <= pr-p-r <= pr
-    as p, q, r >= 2.  So |Q|, |2Q|, |delta·cr| and |lk2d| = |2Q - delta·cr|
-    are all at most ``(2(qr + 2r + pr) + delta)·longest^2``.  Above int64
-    that bound is met with object arrays of Python ints, which compute the
-    same values exactly on the same code path.
+    Let two words have n, n' <= ``longest`` letters, u, u' a's and v, v' b's,
+    and (a, b, c) = ``t.q_coefficients``: a = (q-1)(r-1) - 1 >= 0, b = r and
+    c = (p-1)(r-1) - 1 >= 0, as p, q, r >= 2.  Then cr = P[i, j] + P[j, i]
+    <= u·v' + u'·v <= n·n', and u·u', v·v' and u·v' + v·u' are each at most
+    n·n', so |Q| = |a·u·u' - b·(u·v' + v·u') + c·v·v'| <= (a + b + c)·n·n'.
+    So |2Q|, |delta·cr| and |lk2d| = |2Q - delta·cr| are all at most
+    ``(2(a + b + c) + delta)·longest^2``.  Above int64 that bound is met with
+    object arrays of Python ints, which compute the same values exactly on
+    the same code path.
     """
     import numpy as np
 
-    bound = (2 * (t.q * t.r + 2 * t.r + t.p * t.r) + t.delta) * longest**2
+    bound = (2 * sum(t.q_coefficients) + t.delta) * longest**2
     return np.int64 if bound <= np.iinfo(np.int64).max else object
 
 

@@ -10,7 +10,6 @@ orbit of the template exactly when every shift of its infinite code lies
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .words import PeriodicSequence, compare
 
@@ -33,7 +32,10 @@ class Triple:
     delta = pqr - pq - qr - pr is the order of the first homology group of
     the surgered manifold.  Orbit codes are built from the two ``syllables``
     a^(p-1) b and a b^(q-1), at most ``max_repeats`` = floor((r-2)/2) copies
-    of one in a row.
+    of one in a row.  ``delta`` and ``q_coefficients`` = (qr-q-r, r, pr-p-r),
+    the (a, b, c) of :func:`templink.linking.q_form`, are derived once, at
+    construction, and kept outside the dataclass fields, so equality, hash
+    and repr see p, q and r only.
     """
 
     p: int
@@ -44,17 +46,15 @@ class Triple:
         for name, value in (("p", self.p), ("q", self.q), ("r", self.r)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not 2 <= self.p <= self.q <= self.r:
-            raise ValueError(f"need 2 <= p <= q <= r, got ({self.p}, {self.q}, {self.r})")
-        if self.delta < 1:
-            raise ValueError(
-                f"({self.p}, {self.q}, {self.r}) is not hyperbolic: 1/p + 1/q + 1/r >= 1"
-            )
-
-    @property
-    def delta(self) -> int:
         p, q, r = self.p, self.q, self.r
-        return p * q * r - p * q - q * r - p * r
+        if not 2 <= p <= q <= r:
+            raise ValueError(f"need 2 <= p <= q <= r, got ({p}, {q}, {r})")
+        delta = p * q * r - p * q - q * r - p * r
+        if delta < 1:
+            raise ValueError(f"({p}, {q}, {r}) is not hyperbolic: 1/p + 1/q + 1/r >= 1")
+        # a frozen dataclass's own __setattr__ refuses, so set them on the object
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "q_coefficients", (q * r - q - r, r, p * r - p - r))
 
     @property
     def syllables(self) -> tuple[str, str]:
@@ -63,16 +63,6 @@ class Triple:
     @property
     def max_repeats(self) -> int:
         return (self.r - 2) // 2
-
-    @cached_property
-    def q_coefficients(self) -> tuple[int, int, int]:
-        """(qr-q-r, r, pr-p-r): the reduced surgery form Q is a·u·u' - b·(u·v' + v·u') + c·v·v'.
-
-        Computed once per triple and kept in the instance dict, outside the
-        dataclass fields, so equality, hash and repr do not see it.
-        """
-        p, q, r = self.p, self.q, self.r
-        return q * r - q - r, r, p * r - p - r
 
     def __str__(self) -> str:
         return f"({self.p},{self.q},{self.r})"
@@ -98,11 +88,9 @@ class KneadingData:
     def __post_init__(self) -> None:
         if compare(self.u_L, self.u_R) > 0 or compare(self.v_L, self.v_R) > 0:
             raise ValueError("kneading bounds out of order")
-
-    @cached_property
-    def reach(self) -> int:
-        """The longer preperiod-plus-period of u_L and v_R, see :func:`is_admissible`."""
-        return max(len(b.preperiod) + len(b.period) for b in (self.u_L, self.v_R))
+        # is_admissible's reach, kept outside the fields as Triple keeps delta
+        reach = max(len(b.preperiod) + len(b.period) for b in (self.u_L, self.v_R))
+        object.__setattr__(self, "reach", reach)
 
     @property
     def u_R(self) -> PeriodicSequence:

@@ -735,6 +735,27 @@ def test_crossing_matrix_memory_is_bounded(monkeypatch):
     assert peak <= w * (w + 1) // 2 * 4 + census._CHUNK_CELLS * 4 + 64 * n, peak
 
 
+def test_shift_ranking_memory_per_shift():
+    # The ranking holds at most three 8-byte arrays of N at once, beside the
+    # 8-byte jumps and a byte of rises: (3, 3, 63)'s 89,646 shifts peak at
+    # 33 bytes a shift.  Keeping the packed codes beside the keys, or the
+    # argsort order beside the next key, passes 40.
+    import tracemalloc
+
+    import templink.census as census
+
+    words = extremal_orbits(Triple(3, 3, 63))
+    n = sum(map(len, words))
+    tracemalloc.start()
+    try:
+        census._shift_ranks(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 89_646
+    assert peak <= 40 * n, peak / n
+
+
 def test_verify_pairs_memory_per_pair(monkeypatch):
     # The table's arrays take 20 bytes a pair: two 2-byte word indices and the
     # 8-byte cr and lk2d.  Beside them verify_pairs holds only one chunk of

@@ -256,11 +256,11 @@ def test_bound_prefix_store_leaves_identity_unchanged(pqr):
     for word in lyndon_words(10):
         is_admissible(word, used)
     assert used._prefixes
-    # reach is derived on first read, outside the dataclass fields
-    bounds = (used.u_L, used.v_R)
-    assert used.reach == max(len(b.preperiod) + len(b.period) for b in bounds)
-    assert "reach" in vars(used) and "reach" not in vars(fresh)
-    assert "reach" not in {f.name for f in dataclasses.fields(KneadingData)}
+    # reach is derived at construction and kept outside the dataclass fields
+    bounds = (fresh.u_L, fresh.v_R)
+    assert vars(fresh)["reach"] == max(len(b.preperiod) + len(b.period) for b in bounds)
+    assert used.reach == fresh.reach
+    assert [f.name for f in dataclasses.fields(KneadingData)] == ["u_L", "v_R", "_prefixes"]
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
     assert pickle.loads(pickle.dumps(used)) == fresh

@@ -1,5 +1,5 @@
 import pickle
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -57,16 +57,21 @@ def test_q_form_is_the_expanded_formula(t, uv, uv2):
 
 
 def test_triple_keeps_its_coefficients_outside_its_fields():
+    # delta and the coefficients are derived at construction, before any read;
     # verify_range sends triples to worker processes by pickle
     t = Triple(4, 5, 6)
-    assert t.q_coefficients == (19, 6, 14)
+    assert vars(t)["delta"] == 46 and vars(t)["q_coefficients"] == (19, 6, 14)
     fresh = Triple(4, 5, 6)
     assert [f.name for f in fields(t)] == ["p", "q", "r"]
     for copy in (t, pickle.loads(pickle.dumps(t))):
         assert copy == fresh and hash(copy) == hash(fresh) and repr(copy) == repr(fresh)
-        assert copy.q_coefficients == (19, 6, 14)
+        assert copy.delta == 46 and copy.q_coefficients == (19, 6, 14)
     assert {fresh: "found"}[t] == "found"
     assert qprime_matrix(t)[:2] == [[19, 6, 5], [6, 14, 4]]
+    # replace builds a new triple, which derives its own numbers
+    other = replace(t, r=7)
+    assert other.delta == 4 * 5 * 7 - 4 * 5 - 5 * 7 - 4 * 7
+    assert other.q_coefficients == (5 * 7 - 5 - 7, 7, 4 * 7 - 4 - 7)
 
 
 def test_qprime_examples():
