@@ -475,27 +475,27 @@ def _lk2d_dtype(t: Triple, longest: int):
     return np.int64 if bound <= np.iinfo(np.int64).max else object
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class PairTable(Sequence):
-    """The pair reports of one :func:`verify_pairs` call, in the order (i, j >= i).
+    """The record of one :func:`verify_pairs` call: its pair reports in the order (i, j >= i).
 
-    The table holds the words, ``two_delta`` and, in pair order, four
-    read-only numpy arrays: the word indices ``first`` and ``second``, the
-    arrays of ``np.triu_indices(W)`` in the narrowest unsigned dtype that holds
-    W, the crossing numbers ``cr`` and the integer keys ``lk2d`` (int64, or
-    object holding Python ints, see :func:`_lk2d_dtype`).
-    A :class:`PairReport`, with Python ``int`` fields, is built only when one
-    is read by index, which iteration does too; indices run over
-    ``range(len(table))`` and may be negative, as for a list.
+    The table holds the words, ``two_delta``, the call's ``elapsed_s`` (see
+    :func:`verify_pairs`) and, in pair order, four numpy arrays: the word
+    indices ``first`` and ``second``, the arrays of ``np.triu_indices(W)``
+    in the narrowest unsigned dtype that holds W, the crossing numbers ``cr``
+    and the integer keys ``lk2d`` (int64, or object holding Python ints, see
+    :func:`_lk2d_dtype`).  A :class:`PairReport`, with Python ``int`` fields,
+    is built only when one is read by index, which iteration does too;
+    indices run over ``range(len(table))`` and may be negative, as for a list.
     """
 
-    __slots__ = ("words", "first", "second", "cr", "lk2d", "two_delta")
-
-    def __init__(self, words: list[str], first, second, cr, lk2d, two_delta: int) -> None:
-        self.words = tuple(words)
-        self.first, self.second, self.cr, self.lk2d = first, second, cr, lk2d
-        self.two_delta = two_delta
-        for array in (first, second, cr, lk2d):
-            array.flags.writeable = False
+    words: tuple[str, ...]
+    first: np.ndarray
+    second: np.ndarray
+    cr: np.ndarray
+    lk2d: np.ndarray
+    two_delta: int
+    elapsed_s: float
 
     def __len__(self) -> int:
         return len(self.cr)
@@ -540,12 +540,14 @@ def verify_pairs(t: Triple, words: list[str]) -> PairTable:
     :func:`_crossing_matrix` computes only the cells i <= j, in pair order.
     The result is a :class:`PairTable`: the pair order's word indices, ``cr``
     and ``lk2d = 2·Q - delta·cr`` as arrays in that order, one ``q_form``
-    call per pair, and no report built.  For N shifts and W words the
-    crossing matrix takes at most (N + 1)·W table cells of work.  On the
-    int64 path memory is the table's 20 bytes a pair (the two word indices
-    take 2 bytes each for W < 65,536), O(N) and the fixed chunk budgets: the
-    uint32 triangle of ``P`` is freed once ``cr`` is built from it, before
-    the keys are formed, and they are formed in place.
+    call per pair, and no report built.  Its ``elapsed_s``, a verification's
+    one clock, starts after the numpy import, leaving out that one-time cost.
+    For N shifts and W words the crossing matrix takes at most (N + 1)·W
+    table cells of work.  On the int64 path memory is the table's 20 bytes a
+    pair (the two word indices take 2 bytes each for W < 65,536), O(N) and
+    the fixed chunk budgets: the uint32 triangle of ``P`` is freed once
+    ``cr`` is built from it, before the keys are formed, and they are formed
+    in place.
     """
     if not words:
         raise ValueError("verify_pairs needs at least one word")
@@ -553,6 +555,7 @@ def verify_pairs(t: Triple, words: list[str]) -> PairTable:
         raise ValueError(f"{len(words):,} words exceed the verify limit of {MAX_VERIFY_WORDS:,}")
     import numpy as np
 
+    start = time.perf_counter()
     dtype = _lk2d_dtype(t, max(map(len, words)))
     # np.triu_indices' arrays, built in the narrow dtype with no int64 copy
     index = np.arange(len(words), dtype=np.min_scalar_type(len(words)))
@@ -570,7 +573,8 @@ def verify_pairs(t: Triple, words: list[str]) -> PairTable:
     # lk2d = 2·Q - delta·cr in place, a chunk at a time, so no per-pair temporary
     for s in range(0, len(cr), _CHUNK_CELLS):
         lk2d[s : s + _CHUNK_CELLS] -= t.delta * cr[s : s + _CHUNK_CELLS]
-    return PairTable(words, first, second, cr, lk2d, 2 * t.delta)
+    elapsed_s = time.perf_counter() - start
+    return PairTable(tuple(words), first, second, cr, lk2d, 2 * t.delta, elapsed_s)
 
 
 @dataclass(frozen=True)
@@ -607,20 +611,18 @@ class TripleSummary:
         }
 
 
-def summarize(t: Triple, reports: PairTable, elapsed_s: float) -> TripleSummary:
+def summarize(t: Triple, reports: PairTable) -> TripleSummary:
     """Reduce one triple's pair table to its verdict: violations and the worst pair.
 
     The table must come from :func:`verify_pairs` on ``t``, so it holds at
-    least one pair.  lk2d = lk·2·delta is an exact integer key, and the
-    worst pair is its first maximum, the report ``max(reports, key=lk2d)``
-    would give.  Reports are built only for the worst pair and for the
-    violations, the pairs with lk2d >= 0, in pair order; one ``Fraction``
-    is built, the worst ``lk``.
+    least one pair; the summary keeps its ``elapsed_s``.  lk2d = lk·2·delta
+    is an exact integer key, and the worst pair is its first maximum, the
+    report ``max(reports, key=lk2d)`` would give.  Reports are built only
+    for the worst pair and for the violations, the pairs with lk2d >= 0, in
+    pair order; one ``Fraction`` is built, the worst ``lk``.
     """
-    # argmax copies a read-only array whole; max copies nothing, and the mask takes a byte a pair
-    lk2d = reports.lk2d
-    worst = reports[(lk2d == lk2d.max()).argmax()]
-    violations = tuple(map(reports.__getitem__, (lk2d >= 0).nonzero()[0]))
+    worst = reports[reports.lk2d.argmax()]
+    violations = tuple(map(reports.__getitem__, (reports.lk2d >= 0).nonzero()[0]))
     return TripleSummary(
         p=t.p,
         q=t.q,
@@ -630,7 +632,7 @@ def summarize(t: Triple, reports: PairTable, elapsed_s: float) -> TripleSummary:
         violations=violations,
         worst=worst.lk,
         worst_pair=(worst.word1, worst.word2),
-        elapsed_s=elapsed_s,
+        elapsed_s=reports.elapsed_s,
     )
 
 
@@ -680,14 +682,11 @@ def range_triples(
 def verify_triple(t: Triple) -> TripleSummary:
     """Run the negativity check on the extremal orbits of one triple.
 
-    Families over ``MAX_VERIFY_WORDS`` words are refused before any word is built.
+    Families over ``MAX_VERIFY_WORDS`` words are refused before any word is
+    built; ``elapsed_s`` is :func:`verify_pairs`' time alone.
     """
-    import numpy  # noqa: F401  (loaded before the clock starts, so elapsed_s excludes it)
-
-    start = time.perf_counter()
     check_family_bound(t.p, t.q, t.r)
-    reports = verify_pairs(t, extremal_orbits(t))
-    return summarize(t, reports, time.perf_counter() - start)
+    return summarize(t, verify_pairs(t, extremal_orbits(t)))
 
 
 def verify_range(
@@ -696,14 +695,17 @@ def verify_range(
     """Verify all triples in range; work is distributed across processes.
 
     The result is deterministic regardless of scheduling: ``range_triples``
-    is sorted by triple and ``pool.map`` keeps its order.  A box whose corner
-    fails :func:`check_family_bound` is refused before any triple is built,
+    is sorted by triple and ``pool.map`` keeps its order.  Every triple has
+    p <= q <= r, so a box is bounded by its largest reachable corner, whose
+    family must pass :func:`check_family_bound` before any triple is built;
     a box that holds no triple is refused as well, and so is one whose last
     triple, the one with the most letters, fails :func:`check_letter_budget`.
+    A triple's ``elapsed_s`` is its :func:`verify_pairs` time.
     """
     if jobs is not None and jobs < 1:
         raise ValueError("jobs must be >= 1")
     start = time.perf_counter()
+    p_max, q_max = min(p_max, q_max, r_max), min(q_max, r_max)
     check_family_bound(p_max, q_max, r_max)
     triples = range_triples(p_max, q_max, r_max, include_p2=include_p2)
     if not triples:

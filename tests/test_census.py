@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import pickle
@@ -124,6 +125,17 @@ def test_oversized_verify_refused_before_any_engine_runs(monkeypatch):
         verify_range(1000, 1000, 1000, jobs=1)
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         verify_range(3, 3, 4, jobs=0)
+
+
+def test_range_is_bounded_by_its_reachable_corner():
+    # p <= q <= r, so (100, 5, 9) holds only the triples of (5, 5, 9), whose
+    # corner family has 107 words, not the 2,767 of (100, 5, 9)
+    def untimed(summary):
+        return [dataclasses.replace(s, elapsed_s=0.0) for s in summary.triples]
+
+    wide = verify_range(100, 5, 9, jobs=1)
+    assert len(wide.triples) == 38
+    assert untimed(wide) == untimed(verify_range(5, 5, 9, jobs=1))
 
 
 def test_empty_range_is_refused():
@@ -258,13 +270,22 @@ def test_pair_report_holds_only_what_the_pair_determines():
     assert PairReport._fields == ("word1", "word2", "cr", "lk2d", "two_delta")
 
 
+def test_pair_table_keeps_the_clock_and_its_fields():
+    t = Triple(3, 4, 5)
+    table = verify_pairs(t, extremal_orbits(t))
+    assert table.elapsed_s > 0
+    assert summarize(t, table).elapsed_s == table.elapsed_s
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.cr = table.cr.copy()
+
+
 def test_pair_report_is_immutable_and_summary_pickles():
     t = Triple(3, 3, 4)
     reports = verify_pairs(t, ["aab"])
     with pytest.raises(AttributeError):
         reports[0].cr = 0
     # process-pool results of verify_range(jobs > 1) travel this way
-    summary = pickle.loads(pickle.dumps(summarize(t, reports, 0.0)))
+    summary = pickle.loads(pickle.dumps(summarize(t, reports)))
     assert summary.violations == tuple(reports) and summary.violations[0].lk == 1
 
 
@@ -285,7 +306,7 @@ def test_fraction_built_only_when_lk_is_read(monkeypatch):
     t = Triple(3, 3, 4)
     reports = verify_pairs(t, ["aab"])
     assert built == []
-    summary = summarize(t, reports, 0.0)
+    summary = summarize(t, reports)
     assert len(built) == 1 and summary.worst == 1  # the worst value only
     assert summary.violations[0].lk == 1 and len(built) == 2
 
@@ -351,7 +372,7 @@ def test_pair_values_exact_past_int64(r):
     assert table.lk2d.dtype == object and min(table.cr) >= 30
     lks = [template_linking(t, w1, w2) for w1, w2, *_ in table]
     assert [rep.lk for rep in table] == lks
-    assert summarize(t, table, 0.0).worst == max(lks)
+    assert summarize(t, table).worst == max(lks)
 
 
 def test_pair_values_exact_past_32_bits():
@@ -530,7 +551,7 @@ def test_pair_kernel_matches_oracle_and_exact_formula(t, words):
         assert r.lk == Fraction(-r.cr, 2) + Fraction(q, t.delta)
         assert r.lk2d == r.lk * r.two_delta and r.two_delta == 2 * t.delta
         assert r.negative == (r.lk < 0)
-    summary = summarize(t, reports, 0.0)
+    summary = summarize(t, reports)
     assert (summary.n_words, summary.n_pairs) == (n, len(reports))
     worst = max(r.lk for r in reports)
     first = next(r for r in reports if r.lk == worst)
@@ -780,11 +801,11 @@ def test_verify_pairs_memory_per_pair(monkeypatch):
     assert len(words) == 1_022 and len(table) == 522_753
     assert table.first.dtype == table.second.dtype == np.uint16
     assert peak <= 20 * len(table) + 8 * census._CHUNK_CELLS + 2**18, peak
-    # summarize copies no key array: argmax on the read-only lk2d would take 8
-    # bytes a pair; its masks take one
+    # summarize copies no key array: argmax on the writable lk2d takes none, so
+    # the only transient left is the violations mask, a byte a pair
     tracemalloc.start()
     try:
-        summarize(t, table, 0.0)
+        summarize(t, table)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

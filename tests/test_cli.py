@@ -142,6 +142,21 @@ def test_verify_range_mode(capsys):
     assert len(lines) == 3  # (3,3,4) and (3,3,5)
 
 
+def test_verify_range_beyond_its_reachable_corner(capsys):
+    # p <= q <= r, so the box's corner is (4, 4, 4), not (90, 90, 4)
+    code = run(
+        ["verify", "--p-max", "90", "--q-max", "90", "--r-max", "4",
+         "--jobs", "1", "--format", "csv"]
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["3", "3", "4"],
+        ["3", "4", "4"],
+        ["4", "4", "4"],
+    ]
+
+
 def test_verify_csv_output_to_file(tmp_path, capsys):
     out = tmp_path / "reports.csv"
     code = run(

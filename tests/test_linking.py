@@ -1,6 +1,7 @@
 import pickle
 from dataclasses import fields, replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -109,20 +110,20 @@ def test_surgery_linking_examples():
 
 
 def test_surgery_matrix_inverse_identity():
-    # M times [[1-p,1,1],[1,1-q,1],[1,1,1-r]] = -delta * I, symbolically
-    import sympy
-
-    p, q, r = sympy.symbols("p q r")
-    m = sympy.Matrix(
-        [
-            [q * r - q - r, r, q],
-            [r, p * r - p - r, p],
-            [q, p, p * q - p - q],
-        ]
-    )
-    s = sympy.Matrix([[1 - p, 1, 1], [1, 1 - q, 1], [1, 1, 1 - r]])
-    d = p * q * r - p * q - q * r - p * r
-    assert sympy.simplify(m * s + d * sympy.eye(3)) == sympy.zeros(3, 3)
+    # M·S = -delta·I for M = qprime_matrix(t) and S = [[1-p,1,1],[1,1-q,1],[1,1,1-r]].
+    # Proof that these 8 triples suffice: every entry of M and delta has degree
+    # <= 1 in each of p, q and r.  The k-th variable appears in S only at S[k][k],
+    # and column k of M never holds it (M[0][0] = qr-q-r, M[1][0] = r and
+    # M[2][0] = q have no p, and so on), so (M·S)[i][j] = sum of M[i][k]·S[k][j]
+    # has degree <= 1 in each variable too, and so has each entry of M·S + delta·I.
+    # Such a polynomial that vanishes on {3,4}x{5,6}x{7,8} vanishes everywhere, so
+    # the identity holds for every p, q and r.
+    for p, q, r in product((3, 4), (5, 6), (7, 8)):
+        t = Triple(p, q, r)
+        m = qprime_matrix(t)
+        s = [[1 - p, 1, 1], [1, 1 - q, 1], [1, 1, 1 - r]]
+        ms = [[sum(m[i][k] * s[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+        assert ms == [[-t.delta if i == j else 0 for j in range(3)] for i in range(3)], t
 
 
 def test_template_linking_examples():
