@@ -1,10 +1,10 @@
 """Exact linking numbers of template orbits after surgery on the 3-Hopf link.
 
 The surgered manifold has first homology of order delta = pqr - pq - qr - pr.
-Linking numbers there are rationals with denominator dividing delta, computed
-from crossing data in the 3-sphere plus a correction by the bilinear form of
-the surgery (matrix Q' on linking vectors with the three Hopf components, or
-its 2-variable reduction Q on letter counts for template orbits).
+Linking numbers there are rationals with denominator dividing delta: crossing
+data in the 3-sphere plus a correction by the bilinear form of the surgery.
+The package evaluates that form only as its reduction Q on letter counts
+(:func:`q_form`); Q' on Hopf linking vectors is the matrix :func:`qprime_matrix`.
 
 All arithmetic is exact: integers and ``fractions.Fraction``, never floats.
 """
@@ -16,9 +16,6 @@ from math import prod
 
 from .crossing import word_crossing
 from .kneading import Triple
-
-# Linking numbers of a link with the three Hopf components, as integers.
-HopfLinkingVector = tuple[int, int, int]
 
 
 def q_form(t: Triple, uv: tuple[int, int], uv2: tuple[int, int]) -> int:
@@ -33,7 +30,7 @@ def q_form(t: Triple, uv: tuple[int, int], uv2: tuple[int, int]) -> int:
 
 
 def qprime_matrix(t: Triple) -> list[list[int]]:
-    """Matrix of the surgery form Q' on Hopf linking vectors (symmetric).
+    """Symmetric matrix M of the surgery form Q'(x, y) = x^T M y on Hopf linking vectors.
 
     Its upper left 2 x 2 block is ``t.q_coefficients``, as for :func:`q_form`,
     which is Q' on the vectors (-u, v, 0).
@@ -45,23 +42,6 @@ def qprime_matrix(t: Triple) -> list[list[int]]:
         [r, c, p],
         [q, p, p * q - p - q],
     ]
-
-
-def qprime_form(t: Triple, x: HopfLinkingVector, y: HopfLinkingVector) -> int:
-    """Evaluate x^T M y for the matrix M of :func:`qprime_matrix`."""
-    m = qprime_matrix(t)
-    return sum(x[i] * m[i][j] * y[j] for i in range(3) for j in range(3))
-
-
-def surgery_linking(
-    t: Triple, lk_s3: Fraction | int, x: HopfLinkingVector, y: HopfLinkingVector
-) -> Fraction:
-    """Linking number after surgery: lk_s3 + Q'(x, y) / delta, exactly.
-
-    ``x`` and ``y`` are the linking vectors of the two links with the Hopf
-    components before surgery.
-    """
-    return Fraction(lk_s3) + Fraction(qprime_form(t, x, y), t.delta)
 
 
 def template_linking(t: Triple, w: str, w2: str) -> Fraction:
@@ -79,11 +59,6 @@ def template_linking(t: Triple, w: str, w2: str) -> Fraction:
     counts = (w.count("a"), w.count("b"))
     counts2 = (w2.count("a"), w2.count("b"))
     return Fraction(-cr, 2) + Fraction(q_form(t, counts, counts2), t.delta)
-
-
-def fiber_linking(t: Triple) -> Fraction:
-    """Linking number of two generic fibers: -1/chi = pqr / delta."""
-    return Fraction(t.p * t.q * t.r, t.delta)
 
 
 def homology_order(cone_orders: list[int] | tuple[int, ...]) -> int:

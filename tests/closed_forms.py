@@ -1,5 +1,8 @@
 """Closed-form linking identities and crossing bounds that the tests check.
 
+:func:`surgery_linking` is the general surgery formula lk_s3 + Q'(x, y)/delta
+on Hopf linking vectors, the oracle for the package's reduced form Q and for
+its template linking numbers.
 :func:`instances` yields, for one triple, each catalog entry's instances
 ``(entry, word1, word2, value)``, the value being delta * lk of the two orbit
 words as the printed closed form gives it; the tests compare it with the
@@ -16,6 +19,7 @@ from fractions import Fraction
 
 from templink.crossing import enumerate_cuts, word_crossing
 from templink.kneading import Triple
+from templink.linking import qprime_matrix
 from templink.words import canonicalize
 
 # corner name -> its point (i, j, i', j'), the expanded and the factored
@@ -64,6 +68,23 @@ CORNERS = {
         lambda p, q, r: p >= 4,
     ),
 }
+
+
+def qprime_form(t: Triple, x: tuple[int, int, int], y: tuple[int, int, int]) -> int:
+    """The surgery form Q'(x, y) = x^T M y, for the matrix M of ``qprime_matrix(t)``."""
+    m = qprime_matrix(t)
+    return sum(x[i] * m[i][j] * y[j] for i in range(3) for j in range(3))
+
+
+def surgery_linking(
+    t: Triple, lk_s3: Fraction | int, x: tuple[int, int, int], y: tuple[int, int, int]
+) -> Fraction:
+    """Linking number after surgery: lk_s3 + Q'(x, y) / delta, exactly.
+
+    ``x`` and ``y`` are the linking vectors of the two links with the three
+    Hopf components before surgery.
+    """
+    return Fraction(lk_s3) + Fraction(qprime_form(t, x, y), t.delta)
 
 
 def _syl(i: int, j: int) -> str:

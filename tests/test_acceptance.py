@@ -9,7 +9,7 @@ the test reports the exact discrepancy rather than weakening the check.
 
 from fractions import Fraction
 
-from closed_forms import refined_bound_failures, superadditivity_instances
+from closed_forms import refined_bound_failures, superadditivity_instances, surgery_linking
 from templink.census import (
     enumerate_admissible,
     extremality_crosscheck,
@@ -19,12 +19,7 @@ from templink.census import (
 )
 from templink.crossing import enumerate_cuts, is_admissible_cut, word_crossing
 from templink.kneading import Triple, is_admissible, kneading
-from templink.linking import (
-    homology_order,
-    qprime_matrix,
-    surgery_linking,
-    template_linking,
-)
+from templink.linking import homology_order, qprime_matrix, template_linking
 from templink.words import CyclicWord
 
 

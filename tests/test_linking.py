@@ -7,17 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from closed_forms import qprime_form, surgery_linking
 from templink.crossing import word_crossing
 from templink.kneading import Triple
-from templink.linking import (
-    fiber_linking,
-    homology_order,
-    q_form,
-    qprime_form,
-    qprime_matrix,
-    surgery_linking,
-    template_linking,
-)
+from templink.linking import homology_order, q_form, qprime_matrix, template_linking
 from templink.words import CyclicWord
 
 small_ints = st.integers(min_value=-6, max_value=6)
@@ -183,11 +176,14 @@ def test_denominator_divides_delta():
 
 
 def test_fiber_linking():
-    assert fiber_linking(Triple(3, 3, 4)) == 12
-    assert fiber_linking(Triple(2, 3, 7)) == 42
+    # two generic fibers link each other and each Hopf component once in S^3,
+    # and each other by -1/chi = pqr/delta after surgery
+    fiber = (1, 1, 1)
+    assert surgery_linking(Triple(3, 3, 4), 1, fiber, fiber) == 12
+    assert surgery_linking(Triple(2, 3, 7), 1, fiber, fiber) == 42
     for pqr in [(3, 3, 4), (2, 5, 9), (4, 6, 11)]:
         t = Triple(*pqr)
-        assert fiber_linking(t) == surgery_linking(t, 1, (1, 1, 1), (1, 1, 1))
+        assert surgery_linking(t, 1, fiber, fiber) == Fraction(t.p * t.q * t.r, t.delta)
 
 
 def test_homology_order():
