@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import os
 import time
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import chain, repeat
-from operator import index
+from itertools import accumulate, chain, repeat
 from typing import NamedTuple
 
 from . import crossing
@@ -43,9 +43,9 @@ from .words import CyclicWord, _check_letters
 MAX_CENSUS_LEN = 24
 
 # Most words verify_pairs takes, and so the largest extremal family a triple or
-# a range may have: the pair table grows with its square, 20 bytes a pair.  On a
+# a range may have: the pair table grows with its square, 16 bytes a pair.  On a
 # 2-vCPU KVM guest verify_triple(Triple(3, 3, 87)), 1,934 words and 1,871,145
-# pairs, took 2.1-2.4 s and 71.4 MiB peak RSS; (3, 3, 301) would hold about 260 M pairs.
+# pairs, took 1.9-2.1 s and 63.4 MiB peak RSS; (3, 3, 301) would hold about 260 M pairs.
 # Single-triple `templink verify` renders every report, so it takes far fewer
 # pairs, see cli.MAX_REPORT_PAIRS.
 MAX_VERIFY_WORDS = 2_000
@@ -376,12 +376,17 @@ def _shift_ranks(words: list[str]) -> np.ndarray:
     return final
 
 
+def _pair_starts(w: int) -> tuple[int, ...]:
+    """Where row i of W words' pair order (i, j >= i) starts: ``pos(i, i) = i·W - i(i-1)/2``."""
+    return tuple(accumulate(range(w, 1, -1), initial=0))  # row i holds W - i pairs
+
+
 def _crossing_matrix(words: list[str]) -> np.ndarray:
     """``P[i, j]``, i <= j, in pair order: a-shifts x of word i, b-shifts y of word j, σx > σy.
 
-    The result is one uint32 array, the upper triangle of ``P`` in the
-    row-major order of ``np.triu_indices(W)``: ``P[i, j]`` is at
-    ``pos(i, j) = i·W - i(i-1)/2 + (j - i)``.  ``P`` is symmetric (proof in
+    The result is one uint32 array, the upper triangle of ``P`` in pair
+    order: ``P[i, j]`` is at ``pos(i, j) = pos(i, i) + (j - i)``, the row
+    starts of :func:`_pair_starts`.  ``P`` is symmetric (proof in
     :func:`verify_pairs`), so the triangle is all of it.
 
     One sweep in successor-rank order.  The successor ranks σx are distinct,
@@ -432,7 +437,7 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
     rows = a_counts.nonzero()[0]
     first = (a_ends - a_counts)[rows]
     # pos(i, 0), so that P[i, j] is at row_pos[i] + j
-    row_pos = np.arange(w) * w - np.arange(w) * np.arange(1, w + 1) // 2
+    row_pos = np.array(_pair_starts(w)) - np.arange(w)
     width = max(1, _CHUNK_CELLS // (n + 1))
     p = np.zeros(w * (w + 1) // 2, dtype=np.uint32)
     for lo in range(0, w, width):
@@ -480,18 +485,17 @@ class PairTable(Sequence):
     """The record of one :func:`verify_pairs` call: its pair reports in the order (i, j >= i).
 
     The table holds the words, ``two_delta``, the call's ``elapsed_s`` (see
-    :func:`verify_pairs`) and, in pair order, four numpy arrays: the word
-    indices ``first`` and ``second``, the arrays of ``np.triu_indices(W)``
-    in the narrowest unsigned dtype that holds W, the crossing numbers ``cr``
-    and the integer keys ``lk2d`` (int64, or object holding Python ints, see
+    :func:`verify_pairs`), the ``row_starts`` of :func:`_pair_starts` and, in
+    pair order, two numpy arrays: the crossing numbers ``cr`` and the integer
+    keys ``lk2d`` (int64, or object holding Python ints, see
     :func:`_lk2d_dtype`).  A :class:`PairReport`, with Python ``int`` fields,
-    is built only when one is read by index, which iteration does too;
-    indices run over ``range(len(table))`` and may be negative, as for a list.
+    is built only when one is read by index, which iteration does too: pair k
+    is (i, i + k - row_starts[i]) for the last row i that starts at or before
+    k.  Indices run over ``range(len(table))`` and may be negative, as for a list.
     """
 
     words: tuple[str, ...]
-    first: np.ndarray
-    second: np.ndarray
+    row_starts: tuple[int, ...]
     cr: np.ndarray
     lk2d: np.ndarray
     two_delta: int
@@ -501,12 +505,11 @@ class PairTable(Sequence):
         return len(self.cr)
 
     def __getitem__(self, k) -> PairReport:
-        # index() refuses a float, and keeps a bool from reaching numpy as a mask
-        k = index(k)
-        w = self.words
-        return PairReport(
-            w[self.first[k]], w[self.second[k]], int(self.cr[k]), int(self.lk2d[k]), self.two_delta
-        )
+        # as for a list: IndexError out of range, negative k wraps, a float refused, a bool its int
+        k = range(len(self.cr))[k]
+        i = bisect_right(self.row_starts, k) - 1
+        w, j = self.words, i + k - self.row_starts[i]
+        return PairReport(w[i], w[j], self.cr.item(k), self.lk2d.item(k), self.two_delta)
 
 
 def verify_pairs(t: Triple, words: list[str]) -> PairTable:
@@ -538,16 +541,15 @@ def verify_pairs(t: Triple, words: list[str]) -> PairTable:
     P[i, j] of them, are as many as those with x > y and σx < σy, P[j, i]
     (a test checks the definition-level matrix for the same), so
     :func:`_crossing_matrix` computes only the cells i <= j, in pair order.
-    The result is a :class:`PairTable`: the pair order's word indices, ``cr``
+    The result is a :class:`PairTable`: the pair order's row starts, ``cr``
     and ``lk2d = 2·Q - delta·cr`` as arrays in that order, one ``q_form``
     call per pair, and no report built.  Its ``elapsed_s``, a verification's
     one clock, starts after the numpy import, leaving out that one-time cost.
     For N shifts and W words the crossing matrix takes at most (N + 1)·W
-    table cells of work.  On the int64 path memory is the table's 20 bytes a
-    pair (the two word indices take 2 bytes each for W < 65,536), O(N) and
-    the fixed chunk budgets: the uint32 triangle of ``P`` is freed once
-    ``cr`` is built from it, before the keys are formed, and they are formed
-    in place.
+    table cells of work.  On the int64 path memory is the table's 16 bytes a
+    pair, O(N) and the fixed chunk budgets: the uint32 triangle of ``P`` is
+    freed once ``cr`` is built from it, before the keys are formed, and they
+    are formed in place.
     """
     if not words:
         raise ValueError("verify_pairs needs at least one word")
@@ -557,10 +559,6 @@ def verify_pairs(t: Triple, words: list[str]) -> PairTable:
 
     start = time.perf_counter()
     dtype = _lk2d_dtype(t, max(map(len, words)))
-    # np.triu_indices' arrays, built in the narrow dtype with no int64 copy
-    index = np.arange(len(words), dtype=np.min_scalar_type(len(words)))
-    first = np.repeat(index, len(words) - index)
-    second = np.concatenate([index[i:] for i in range(len(words))])
     # P is symmetric, so cr = 2·P[i, j] for i <= j; the uint32 triangle is freed at once
     cr = _crossing_matrix(words).astype(dtype)
     cr *= 2
@@ -574,7 +572,7 @@ def verify_pairs(t: Triple, words: list[str]) -> PairTable:
     for s in range(0, len(cr), _CHUNK_CELLS):
         lk2d[s : s + _CHUNK_CELLS] -= t.delta * cr[s : s + _CHUNK_CELLS]
     elapsed_s = time.perf_counter() - start
-    return PairTable(tuple(words), first, second, cr, lk2d, 2 * t.delta, elapsed_s)
+    return PairTable(tuple(words), _pair_starts(len(words)), cr, lk2d, 2 * t.delta, elapsed_s)
 
 
 @dataclass(frozen=True)
@@ -722,6 +720,8 @@ def verify_range(
         summaries = [verify_triple(t) for t in triples]
     else:
         from concurrent.futures import ProcessPoolExecutor
+
+        import numpy  # noqa: F401  the workers fork with it loaded, so none imports it again
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(verify_triple, triples))

@@ -316,6 +316,8 @@ def test_fraction_built_only_when_lk_is_read(monkeypatch):
         (Triple(3, 3, 4), ["aab"]),
         (Triple(3, 3, 4), ["abb", "aab", "ab"]),
         (Triple(3, 4, 5), extremal_orbits(Triple(3, 4, 5))),
+        # words without a-shifts or without b-shifts: rows the sweep skips
+        (Triple(3, 3, 4), ["b", "ab", "a", "aab"]),
     ],
 )
 def test_pair_table_is_a_faithful_lazy_sequence(t, words):
@@ -778,13 +780,13 @@ def test_shift_ranking_memory_per_shift():
 
 
 def test_verify_pairs_memory_per_pair(monkeypatch):
-    # The table's arrays take 20 bytes a pair: two 2-byte word indices and the
-    # 8-byte cr and lk2d.  Beside them verify_pairs holds only one chunk of
-    # _CHUNK_CELLS 8-byte products delta·cr, so 1,022 words, 522,753 pairs,
-    # peak at 12.6 MB, 24.2 bytes a pair; one per-pair temporary in the key
-    # arithmetic would pass the bound.  q_form's values do not change any
-    # array's size, and its pure-Python calls are most of the traced time, so
-    # a stub stands in for it.
+    # The table's arrays take 16 bytes a pair, the 8-byte cr and lk2d, and it
+    # finds a pair's words from its W row starts.  Beside them verify_pairs
+    # holds only one chunk of _CHUNK_CELLS 8-byte products delta·cr, so 1,022
+    # words, 522,753 pairs, peak at 10.5 MB, 20.0 bytes a pair; one per-pair
+    # temporary in the key arithmetic would exceed the bound.  q_form's values
+    # do not change any array's size, and its pure-Python calls are most of
+    # the traced time, so a stub stands in for it.
     import tracemalloc
 
     import templink.census as census
@@ -799,8 +801,7 @@ def test_verify_pairs_memory_per_pair(monkeypatch):
     finally:
         tracemalloc.stop()
     assert len(words) == 1_022 and len(table) == 522_753
-    assert table.first.dtype == table.second.dtype == np.uint16
-    assert peak <= 20 * len(table) + 8 * census._CHUNK_CELLS + 2**18, peak
+    assert peak <= 16 * len(table) + 8 * census._CHUNK_CELLS + 2**18, peak
     # summarize copies no key array: argmax on the writable lk2d takes none, so
     # the only transient left is the violations mask, a byte a pair
     tracemalloc.start()
@@ -815,9 +816,13 @@ def test_verify_pairs_memory_per_pair(monkeypatch):
 def test_pair_reports_golden_largest_triple():
     # 49,141 pairs of words up to 56 letters: far beyond the hypothesis sizes
     t = Triple(6, 8, 10)
-    reports = verify_pairs(t, extremal_orbits(t))
+    words = extremal_orbits(t)
+    reports = verify_pairs(t, words)
     rows = [(r.word1, r.word2, r.cr, r.lk2d) for r in reports]
     assert len(rows) == 49_141
+    # the row-start lookup walks the nested-loop pair order
+    n = len(words)
+    assert [row[:2] for row in rows] == [(words[i], words[j]) for i in range(n) for j in range(i, n)]
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "41023d6efdffb0d906679f080f4085205f2164fd89bf19d380f666267decba3b"
     )

@@ -1,7 +1,7 @@
 """Imports: the census side of the package loads neither numpy nor a process
-pool, the verifiers' clocks start after numpy is loaded, every name the
-benchmark looks up in the package exists, and the package root binds its
-modules and re-exports nothing."""
+pool, the verifiers' clocks start after numpy is loaded, a range's pool forks
+with numpy loaded, every name the benchmark looks up in the package exists,
+and the package root binds its modules and re-exports nothing."""
 
 import ast
 import importlib
@@ -176,3 +176,36 @@ def test_elapsed_clock_starts_after_numpy_is_loaded(call):
     ).stdout
     reads = json.loads(out)
     assert reads and reads[0], reads
+
+
+# Records, as each process pool starts, whether numpy is loaded; a fresh
+# interpreter, so numpy starts unloaded, and two processors, so the pool starts.
+POOL_SCRIPT = """
+import concurrent.futures, json, os, sys
+
+sys.path.insert(0, sys.argv[1])
+from templink.census import verify_range
+
+pool, seen = concurrent.futures.ProcessPoolExecutor, []
+init = pool.__init__
+
+def recording_init(self, *args, **kwargs):
+    seen.append("numpy" in sys.modules)
+    init(self, *args, **kwargs)
+
+pool.__init__ = recording_init
+os.sched_getaffinity = lambda pid: {0, 1}
+assert verify_range(3, 4, 5, jobs=2).ok
+print(json.dumps(seen))
+"""
+
+
+def test_range_pool_forks_with_numpy_loaded():
+    # each worker that forks without numpy imports it again, about 0.2 s apiece
+    out = subprocess.run(
+        [sys.executable, "-c", POOL_SCRIPT, str(SRC)],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert json.loads(out) == [True]
