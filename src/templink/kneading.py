@@ -9,18 +9,18 @@ orbit of the template exactly when every shift of its infinite code lies
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .words import PeriodicSequence, compare
 
 
 # Most letters a kneading table may hold, by the bound 2r(p+q) on its two
-# stored sequences and the two derived from them.  The block screen repeats
-# each word to about r·q/2 letters, and is_admissible slices shifts of about
-# r·q letters, so census cost grows with it.  On a 2-vCPU KVM guest the worst
+# stored sequences and the two derived from them.  Census cost grows with it:
+# the block screen repeats each word to about r·q/2 letters and is_admissible
+# slices each shift it compares to about r·q.  On a 2-vCPU KVM guest the worst
 # admitted command, `enumerate --p 3 --q 89 --r 89 --max-len 24` (16,376
-# letters, 217,044 words), took 13.5 s and 141 MB peak RSS, against 7.6 s for
-# (3, 24, 24) at 1,296.
+# letters, 217,044 words), took 6.9–7.4 s and 132 MB peak RSS, against
+# 2.4–3.1 s for (3, 24, 24) at 1,296.
 MAX_TABLE_LETTERS = 2**14
 
 
@@ -74,23 +74,20 @@ class KneadingData:
 
     The validation ``u_L <= u_R`` and ``v_L <= v_R`` forces u_L to start with
     ``a`` (one that starts with ``b`` lies above every ``a``-sequence, such
-    as u_R) and v_R to start with ``b`` (likewise below v_L).
+    as u_R) and v_R to start with ``b`` (likewise below v_L).  Its fields are
+    u_L and v_R; ``reach`` and ``runs``, set at construction, lie outside them.
     """
 
     u_L: PeriodicSequence
     v_R: PeriodicSequence
-    # Prefixes of u_L and v_R keyed by horizon; they depend on the bounds
-    # alone, so equality, hash and repr ignore them.
-    _prefixes: dict[int, tuple[str, str]] = field(
-        default_factory=dict, init=False, compare=False, hash=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if compare(self.u_L, self.u_R) > 0 or compare(self.v_L, self.v_R) > 0:
             raise ValueError("kneading bounds out of order")
-        # is_admissible's reach, kept outside the fields as Triple keeps delta
         reach = max(len(b.preperiod) + len(b.period) for b in (self.u_L, self.v_R))
+        runs = (self.u_L.prefix(reach).split("b")[0], self.v_R.prefix(reach).split("a")[0])
         object.__setattr__(self, "reach", reach)
+        object.__setattr__(self, "runs", runs)
 
     @property
     def u_R(self) -> PeriodicSequence:
@@ -99,16 +96,6 @@ class KneadingData:
     @property
     def v_L(self) -> PeriodicSequence:
         return PeriodicSequence("b" + self.u_L.preperiod, self.u_L.period)
-
-    def bound_prefixes(self, horizon: int) -> tuple[str, str]:
-        """The first ``horizon`` letters of u_L and v_R, built once per horizon."""
-        prefixes = self._prefixes.get(horizon)
-        if prefixes is None:
-            prefixes = self._prefixes[horizon] = (
-                self.u_L.prefix(horizon),
-                self.v_R.prefix(horizon),
-            )
-        return prefixes
 
 
 def kneading(t: Triple) -> KneadingData:
@@ -164,17 +151,29 @@ def is_admissible(word: str, k: KneadingData) -> bool:
     power of a word has the same shifts, so the answer is the same for each
     of them.  An empty word raises ``ValueError``.
 
-    A shift (period ``len(w)``, no preperiod) and a bound compare as their
-    first ``len(w) + k.reach`` letters (horizon lemma, :mod:`templink.words`).
+    Only the shifts that start with one of ``k.runs``, the leading ``a``'s of
+    u_L and ``b``'s of v_R within the bounds' first ``reach`` letters (a whole
+    preperiod and period; capped there for a one-letter bound, as a^inf), are
+    compared, each as its first ``len(w) + k.reach`` letters (horizon lemma,
+    :mod:`templink.words`).  Any other ``a``-shift has its first ``b`` inside
+    the run, where u_L reads ``a``, so it lies above u_L and, starting with
+    ``a``, below v_R; likewise any other ``b``-shift.  A run has at most
+    ``reach`` letters, so ``reps`` holds each match that ends by ``end``,
+    which is each match that starts below ``len(w)``.
     """
     if not word:
         raise ValueError("admissibility needs a nonempty word")
-    horizon = len(word) + k.reach
-    u_L, v_R = k.bound_prefixes(horizon)
-    reps = word * (horizon // len(word) + 2)
-    for i in range(len(word)):
-        if not u_L <= reps[i : i + horizon] <= v_R:
-            return False
+    n = len(word)
+    horizon = n + k.reach
+    u_L, v_R = k.u_L.prefix(horizon), k.v_R.prefix(horizon)
+    reps = word * (horizon // n + 2)
+    for run in k.runs:
+        end = n + len(run) - 1
+        i = reps.find(run, 0, end)
+        while i >= 0:
+            if not u_L <= reps[i : i + horizon] <= v_R:
+                return False
+            i = reps.find(run, i + 1, end)
     return True
 
 

@@ -241,11 +241,12 @@ def test_empty_word_raises_value_error(call):
         call()
 
 
-PREFIX_STORE_TRIPLES = [(3, 3, 4), (2, 5, 7), (2, 5, 6), (4, 5, 6)]
+VALUE_TRIPLES = [(3, 3, 4), (2, 5, 7), (2, 5, 6), (4, 5, 6)]
 
 
-@pytest.mark.parametrize("pqr", PREFIX_STORE_TRIPLES)
+@pytest.mark.parametrize("pqr", VALUE_TRIPLES)
 def test_bound_prefix_store_leaves_identity_unchanged(pqr):
+    # the table keeps no bound-prefix store: it is a plain value, whatever is_admissible has read
     import dataclasses
     import pickle
 
@@ -255,18 +256,41 @@ def test_bound_prefix_store_leaves_identity_unchanged(pqr):
     fresh, used = kneading(t), kneading(t)
     for word in lyndon_words(10):
         is_admissible(word, used)
-    assert used._prefixes
-    # reach is derived at construction and kept outside the dataclass fields
+    # reach and the runs are derived at construction and kept outside the dataclass fields
     bounds = (fresh.u_L, fresh.v_R)
     assert vars(fresh)["reach"] == max(len(b.preperiod) + len(b.period) for b in bounds)
-    assert used.reach == fresh.reach
-    assert [f.name for f in dataclasses.fields(KneadingData)] == ["u_L", "v_R", "_prefixes"]
+    # every table row starts u_L with a^(p-1) b and v_R with b^(q-1) a
+    assert vars(fresh)["runs"] == ("a" * (t.p - 1), "b" * (t.q - 1))
+    assert used.reach == fresh.reach and vars(used) == vars(fresh)
+    assert [f.name for f in dataclasses.fields(KneadingData)] == ["u_L", "v_R"]
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
-    assert pickle.loads(pickle.dumps(used)) == fresh
+    unpickled = pickle.loads(pickle.dumps(used))
+    assert unpickled == fresh and vars(unpickled) == vars(fresh)
 
 
-@pytest.mark.parametrize("pqr", PREFIX_STORE_TRIPLES)
+def test_only_shifts_starting_with_a_leading_run_are_compared():
+    # is_admissible's lemma: a shift that starts with neither of k.runs lies in
+    # [u_L, v_R].  The shifts of words up to 10 letters are the strings up to
+    # 10 letters, each read as s^inf; the tables are every shape of KNEADINGS
+    # and an odd-r, an even-r and a p = 2 row outside it.
+    from itertools import product
+
+    tables = KNEADINGS + [kneading(Triple(*pqr)) for pqr in ((3, 3, 5), (3, 4, 6), (2, 3, 7))]
+    words = ["".join(w) for n in range(1, 11) for w in product("ab", repeat=n)]
+    roots = {word: canonicalize(word)[0] for word in words}
+    for k in tables:
+        longest = max(map(len, k.runs))
+        # oracle_admissible reads the shifts of w^inf, which a word shares with its root
+        want = {root: oracle_admissible(root, k) for root in set(roots.values())}
+        for word in words:
+            assert is_admissible(word, k) == want[roots[word]], (word, k)
+            shift = PeriodicSequence("", word)
+            if not shift.prefix(longest).startswith(k.runs):
+                assert compare(k.u_L, shift) <= 0 <= compare(k.v_R, shift), (word, k)
+
+
+@pytest.mark.parametrize("pqr", VALUE_TRIPLES)
 def test_admissibility_independent_of_word_order(pqr):
     from templink.census import lyndon_words
 
