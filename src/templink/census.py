@@ -245,18 +245,15 @@ def check_family_bound(p: int, q: int, r: int) -> int:
 def _cutless(words: list[str], k: KneadingData) -> list[str]:
     """The words, primitive least rotations, that have no admissible cut under k, in order.
 
-    A candidate split of :func:`crossing._candidate_splits` is an admissible
-    cut iff both factors are admissible and it is valid.  The verdict does
-    not depend on the order of the tests, and the cheap one comes first:
-    a factor's verdict is kept for the rest of the call, so each string is
+    A cut of :func:`crossing._cuts` is admissible iff both factors are.  A
+    factor's verdict is kept for the rest of the call, so each string is
     tested once.
     """
     admissible = cache(partial(is_admissible, k=k))
-    candidates, valid = crossing._candidate_splits, crossing._is_valid_cut
     return [
         w
         for w in words
-        if not any(admissible(u) and admissible(v) and valid(u, v) for _, u, v in candidates(w))
+        if not any(admissible(u) and admissible(v) for _, u, v in crossing._cuts(w))
     ]
 
 

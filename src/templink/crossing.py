@@ -90,75 +90,121 @@ def _is_valid_cut(u: str, v: str) -> bool:
     return True
 
 
-def _candidate_splits(w: str) -> Iterator[tuple[int, str, str]]:
-    """``(rotation, u, v)`` for every split of ``w`` that may be a cut, in cut order.
+def _cuts(w: str) -> Iterator[tuple[int, str, str]]:
+    """``(rotation, u, v)`` for every cut of ``w``, a Lyndon word, and for nothing else.
 
-    ``w`` is a Lyndon word; candidates come by ascending rotation, then
-    split, and each is found only when the consumer asks for the next one.
-    :func:`_is_valid_cut` decides which are cuts; the first lemma below
-    only leaves out splits that cannot pass.
+    Each cut comes once, when the consumer asks for the next one: first the
+    successor splits that the letters alone pick out, then, rotation by
+    rotation, the other successor splits and the power splits that
+    :func:`_is_valid_cut` accepts.  Only power splits are checked.  Input
+    that is not a Lyndon word over {a, b} raises ``ValueError``.
 
-    Lemma.  Let ``n = len(w)``, ``X_k`` the shift of ``w^inf`` by ``k``, and
-    let a valid cut at rotation ``x`` with split ``l`` have ``u = z^j``,
-    ``v = y^m`` with ``z`` and ``y`` primitive, so ``X = X_x = (uv)^inf`` and
-    ``Y = X_{x+l} = (vu)^inf``.  Then the next shift above ``X`` among the
-    ``n`` shifts of ``w`` starts at ``x+|z|``, ``x+n-|y|`` or ``x+l``.
+    Rank order.  ``w`` is strictly smaller than each proper suffix
+    (equivalently, a primitive least rotation), so its shifts sort as its
+    rotations, and these as its suffixes, and ``w`` sorts first among its
+    suffixes iff it is a Lyndon word.  Lemma: suffixes ``i < j`` compare as
+    rotations ``i`` and ``j`` do.  Proof: if neither is a prefix of the
+    other, each pair first differs at the same letter.  Else ``s = w[j:]`` is
+    a proper prefix of ``t = w[i:]``, so ``s < t``, and ``rot_j = s w[:j]``,
+    ``rot_i = s x w[:i]`` with ``x = w[n-(j-i):]``.  ``w`` has no border and
+    is smaller than its proper suffix ``x``, so ``w[:j-i] < x`` and
+    ``rot_j < rot_i``.
 
-    Proof.  ``u^inf < v^inf`` iff ``uv < vu``, which gives
-    ``u^inf < X < Y < v^inf``.  A shift inside ``u`` at an offset ``a`` that
-    is no multiple of ``|z|`` is ``S = u[a:]Y``; put ``T = u[a:]u^inf``, a
-    shift of ``u^inf`` other than ``u^inf``, so validity puts ``T`` outside
-    ``(u^inf, v^inf)``.  If ``T >= v^inf`` then ``S > T > Y``.  If
-    ``T < u^inf`` and they differ within ``|u|-a`` letters then ``S < X``.
-    Otherwise ``u[a:] = u[:c]`` with ``c = |u|-a``, and ``T < u^inf`` puts
-    the shift ``u[c:]u^inf`` of ``u^inf`` above ``u^inf``, so at or above
-    ``v^inf``; then ``u[c:]Y > u[c:]u^inf >= v^inf > Y``, and
-    ``S = u[:c]Y < u[:c]u[c:]Y = X``.  Shifts inside ``v`` that are no
-    multiple of ``|y|`` fall outside ``[X, Y]`` in the same way.  The shifts
-    at multiples are ``z^(j-i)Y`` and ``y^(m-i)X`` for ``0 < i < j, m``;
-    ``Y > zY`` (as ``Y > z^inf``) and ``X < yX`` (as ``X < y^inf``) order
-    them ``X < z^(j-1)Y < ... < zY < Y`` and ``X < yX < ... < y^(m-1)X < Y``,
-    so the least shift above ``X`` is ``z^(j-1)Y``, ``yX`` or ``Y``.
+    Successor splits.  Let ``n = len(w)``, ``X_k`` the shift of ``w^inf``
+    by ``k``, rotation ``x`` preceded by ``b``, ``X = X_x`` and its
+    successor in rank ``S = X_{x+d}``, ``y = rot[d:]`` (ending in b), so
+    ``S = yX``, and ``rot = u y^m`` with ``m >= 1`` greatest.  Lemma: if
+    ``u`` ends in ``a``, the split ``n - m|y|`` is a cut.  When rotation
+    ``x+d`` is preceded by ``a`` (a ``"ba"`` in the letters before the
+    rotations, taken in rank order), ``m = 1`` and the split is ``d``.
+    Proof.  A shift of ``w^inf`` has least period ``n``, as ``w`` is
+    primitive, so it is no shift of ``u^inf`` or ``y^inf``, and shifts of
+    ``w^inf`` at distinct offsets differ.  (0) ``X < yX`` gives
+    ``X < yX < ... < y^m X = Y < y^inf`` with ``Y = X_{x+|u|}``, and
+    ``X = uY < Y`` gives ``Y > uY > u^2 Y > ... > u^inf``; so
+    ``u^inf < X < S <= Y < y^inf``.  (1) A sequence in ``(u^inf, X)``
+    starts with ``u``, the common prefix of both ends, and one in
+    ``(S, y^inf)`` with ``y``; a shift ``T`` of ``u^inf`` that starts with
+    ``u`` is ``uT``, so ``u^inf``, and likewise for ``y``: no shift of
+    ``u^inf`` lies in ``(u^inf, X)`` and none of ``y^inf`` in
+    ``(S, y^inf)``.  (2) Let ``T = rho y^inf``, ``rho`` a nonempty proper
+    suffix of ``y``.  The shift ``R = rho X`` of ``w^inf`` is below ``T``
+    and, by adjacency, outside ``[X, S]``.  If ``R > S`` then ``T > S`` and
+    ``T >= y^inf`` by (1).  If ``R < X < T``, then ``X = rho Z`` with ``Z`` a
+    shift of ``w^inf`` in ``(X, y^inf)``; ``Z >= S`` starts with ``y``, and
+    descent gives ``Z = y^k X``.  So ``rho y^k``, at least ``n`` letters
+    long, is a power of ``rot`` and ends in ``a y^m``; as a suffix of
+    ``y^(k+1)`` with ``k >= m`` it has the last letter of ``y``, a ``b``,
+    before its last ``m`` copies of ``y``: absurd.  So ``T > X`` gives
+    ``T >= y^inf``.  If ``T`` is in ``(u^inf, X)``, it is ``uT'`` with
+    ``T'`` a shift of ``y^inf`` in ``(u^inf, Y)``, so ``T' < X``, and
+    descent gives ``T = u^inf``: absurd.
+    (3) Let ``T = pi u^inf``, ``pi`` a nonempty proper suffix of ``u``.  The
+    shift ``Q = pi Y`` of ``w^inf`` is above ``T`` and outside ``[X, S]``.  If
+    ``Q < X`` then ``T < X`` and ``T <= u^inf`` by (1).  If ``T < S < Q``,
+    then ``S = pi Z`` with ``Z`` a shift of ``w^inf`` in ``(u^inf, Y)``, and
+    descent through (1) and adjacency gives ``Z = u^i y^k X`` with
+    ``k < m``.  So ``S = yX = pi u^i y^k X``, the two offsets of ``X`` agree
+    mod ``n``, and ``pi u^i y^k = y rot^j`` for some ``j >= 0``: absurd, as
+    the letter before the last ``k`` copies of ``y`` is ``a`` on the left
+    and ``b`` on the right (and for ``j = 0 < k`` the left is longer).  So
+    ``T <= u^inf`` or ``T > S``, and if ``S < T < y^inf`` then ``T = yT'``
+    with ``T'`` a shift of ``u^inf`` in ``(X, y^inf)``, so again above
+    ``S``, and descent gives ``T = y^inf``: absurd.  So every shift of
+    ``u^inf`` and ``y^inf`` is at most ``u^inf`` or at least ``y^inf``.
+    The letters matter: ``aaaaaaab`` split at rotation 1 by its successor,
+    rotation 2, both preceded by ``a``, gives ``u = a`` and
+    ``v = aaaaaba``, with a shift of ``v^inf`` between.
 
-    Candidates.  ``w`` is a Lyndon word, strictly smaller than each proper
-    suffix (equivalently, a primitive least rotation), so its shifts sort as
-    its rotations, and these as its suffixes.  Lemma: suffixes ``i < j``
-    compare as rotations ``i`` and ``j`` do.  Proof: if neither is a prefix
-    of the other, each pair first differs at the same letter.  Else
-    ``s = w[j:]`` is a proper prefix of ``t = w[i:]``, so ``s < t``, and
-    ``rot_j = s w[:j]``, ``rot_i = s x w[:i]`` with ``x = w[n-(j-i):]``.
-    ``w`` has no border and is smaller than its proper suffix ``x``, so
-    ``w[:j-i] < x`` and ``rot_j < rot_i``.  With ``d`` the distance from
-    rotation ``k`` to its successor, the first lemma leaves the splits
-    ``n - m(n-d)`` where ``rot`` ends in ``rot[d:]^m``, ``d`` itself, and
-    ``jd`` where ``rot`` starts with ``rot[:d]^j`` (``j, m >= 2``), in
-    ascending order.  ``u`` must end in ``a``: every ``jd`` ends in
-    ``rot[d-1]``, like ``d``, and since ``rot`` ends in ``b`` only the
-    largest ``m`` can leave an ``a`` before ``v``.  The sort checks the
-    input: unless suffix 0 sorts first, or with letters outside {a, b},
-    ``ValueError`` is raised.
+    Power splits.  Let a cut at rotation ``x`` with split ``l`` have
+    ``u = z^j``, ``v = y^m`` with ``z`` and ``y`` primitive, so
+    ``X = (uv)^inf`` and ``Y = X_{x+l} = (vu)^inf``.  Lemma: the next shift
+    above ``X`` among the ``n`` shifts of ``w`` starts at ``x+|z|``,
+    ``x+n-|y|`` or ``x+l``.  Proof.  A shift inside ``u`` at an offset
+    ``a`` that is no multiple of ``|z|`` is ``S = u[a:]Y``; put
+    ``T = u[a:]u^inf``, a shift of ``u^inf`` other than ``u^inf``, so
+    validity puts ``T`` outside ``(u^inf, v^inf)``.  If ``T >= v^inf`` then
+    ``S > T > Y``.  If ``T < u^inf`` and they differ within ``|u|-a``
+    letters then ``S < X``.  Otherwise ``u[a:] = u[:c]`` with ``c = |u|-a``,
+    and ``T < u^inf`` puts the shift ``u[c:]u^inf`` of ``u^inf`` above
+    ``u^inf``, so at or above ``v^inf``; then
+    ``u[c:]Y > u[c:]u^inf >= v^inf > Y``, and ``S = u[:c]Y < u[:c]u[c:]Y = X``.
+    Shifts inside ``v`` that are no multiple of ``|y|`` fall outside
+    ``[X, Y]`` in the same way.  The shifts at multiples are ``z^(j-i)Y``
+    and ``y^(m-i)X`` for ``0 < i < j, m``; ``Y > zY`` (as ``Y > z^inf``) and
+    ``X < yX`` (as ``X < y^inf``) order them
+    ``X < z^(j-1)Y < ... < zY < Y`` and ``X < yX < ... < y^(m-1)X < Y``, so
+    the least shift above ``X`` is ``z^(j-1)Y``, ``yX`` or ``Y``.  In the
+    last two cases the cut is the successor split of rotation ``x``.  In
+    the first, with ``d = |z|`` the distance to the successor, it is a
+    split ``jd`` (``j >= 2``) where ``rot`` starts with ``rot[:d]^j``; it
+    ends in ``rot[d-1]``, like ``d``, so rotation ``x+d`` is preceded by
+    ``a``.
     """
     _check_letters(w)
-    n = len(w)
-    order = sorted(range(n), key=lambda k: w[k:])
+    n, ww = len(w), w + w
+    order = [n - len(s) for s in sorted([w[i:] for i in range(n)])]
     if not order or order[0] != 0:
         raise ValueError(f"{w!r} is not a primitive word in least rotation")
-    for k, successor in sorted(zip(order, order[1:])):
-        if w[k - 1] != "b":
+    before = "".join([w[k - 1] for k in order])
+    i = before.find("ba")
+    while i >= 0:
+        x, d = order[i], (order[i + 1] - order[i]) % n
+        yield x, ww[x : x + d], ww[x + d : x + n]
+        i = before.find("ba", i + 1)
+    for i in range(n - 1):
+        if before[i] != "b":
             continue
-        rot = w[k:] + w[:k]
-        d = (successor - k) % n
-        e = n - d
-        m = 1
+        x, d = order[i], (order[i + 1] - order[i]) % n
+        rot, e, m, j = ww[x : x + n], n - d, 1, d
         while (m + 1) * e < n and rot.endswith(rot[d:], 0, n - m * e):
             m += 1
-        splits = [n - m * e] if m > 1 and rot[n - m * e - 1] == "a" else []
-        if rot[d - 1] == "a":
-            splits.append(d)
-            while splits[-1] + d < n and rot.startswith(rot[:d], splits[-1]):
-                splits.append(splits[-1] + d)
-        for split in splits:
-            yield k, rot[:split], rot[split:]
+        if m > 1 and rot[n - m * e - 1] == "a":
+            yield x, rot[: n - m * e], rot[n - m * e :]
+        while before[i + 1] == "a" and j + d < n and rot.startswith(rot[:d], j):
+            j += d
+            if _is_valid_cut(rot[:j], rot[j:]):
+                yield x, rot[:j], rot[j:]
 
 
 def enumerate_cuts(w: str) -> list[Cut]:
@@ -166,15 +212,11 @@ def enumerate_cuts(w: str) -> list[Cut]:
 
     Factors need not be primitive (e.g. the cut aa|bb of aabb) nor code
     template orbits; admissibility is a separate question, see
-    :func:`is_admissible_cut`.  The cuts are the candidates of
-    :func:`_candidate_splits` that :func:`_is_valid_cut` accepts.  Input that
-    is not a primitive least rotation over {a, b} raises ``ValueError``.
+    :func:`is_admissible_cut`.  The cuts are those of :func:`_cuts`.  Input
+    that is not a primitive least rotation over {a, b} raises ``ValueError``.
     """
-    return [
-        Cut(u=u, v=v, rotation=k, split=len(u))
-        for k, u, v in _candidate_splits(w)
-        if _is_valid_cut(u, v)
-    ]
+    cuts = sorted((k, len(u), u, v) for k, u, v in _cuts(w))
+    return [Cut(u=u, v=v, rotation=k, split=split) for k, split, u, v in cuts]
 
 
 def is_admissible_cut(c: Cut, k: KneadingData) -> bool:

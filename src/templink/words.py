@@ -69,8 +69,9 @@ class CyclicWord(str):
                 f"{word!r} is the {power}-th power of {root!r}; "
                 "cyclic words store primitive roots only"
             )
-        # the least rotation by a direct scan: words are short
-        return super().__new__(cls, min(word[i:] + word[:i] for i in range(len(word))))
+        # the least rotation by a direct scan of the doubled word: words are short
+        ww, n = word + word, len(word)
+        return super().__new__(cls, min(ww[i : i + n] for i in range(n)))
 
     @property
     def word(self) -> str:

@@ -12,6 +12,8 @@ and the tests pin which of them the pipeline confirms.
 :func:`refined_bound_failures` checks the refined crossing lower bound, and
 :func:`superadditivity_instances` samples the cut instances of
 superadditivity, a check that reads no triple.
+:func:`free_product_counts` counts the run-limited Lyndon words by length
+from a generating function, with no word built.
 """
 
 import random
@@ -204,3 +206,40 @@ def superadditivity_instances(samples: int, seed: int) -> list[tuple[str, str, s
             if len(out) >= samples:
                 break
     return out
+
+
+def _mobius(n: int) -> int:
+    mu, k = 1, 2
+    while k * k <= n:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            mu = -mu
+        k += 1
+    return -mu if n > 1 else mu
+
+
+def free_product_counts(p: int, q: int, max_len: int) -> list[int]:
+    """Lyndon words with both letters and no cyclic a^p or b^q, by length 0..max_len.
+
+    Such a word is a cyclic sequence of syllables ``a^i b^j`` with
+    ``1 <= i < p`` and ``1 <= j < q``, a cyclically reduced word of the free
+    product Z/p * Z/q.  With ``s(z) = (z + ... + z^(p-1)) (z + ... + z^(q-1))``
+    the periodic points of period n number ``N_n = [z^n] z s'(z) / (1 - s(z))``
+    (the syllable sequences, each counted once per letter over once per
+    syllable), and the primitive cyclic words of length n are
+    ``(1/n) sum_{d | n} mu(n/d) N_d``.
+    """
+    s = [0] * (max_len + 1)
+    for i in range(1, p):
+        for j in range(1, min(q, max_len + 1 - i)):
+            s[i + j] += 1
+    inverse = [1] + [0] * max_len  # 1 / (1 - s(z))
+    for n in range(1, max_len + 1):
+        inverse[n] = sum(s[k] * inverse[n - k] for k in range(1, n + 1))
+    periodic = [sum(k * s[k] * inverse[n - k] for k in range(1, n + 1)) for n in range(max_len + 1)]
+    return [0] + [
+        sum(_mobius(n // d) * periodic[d] for d in range(1, n + 1) if n % d == 0) // n
+        for n in range(1, max_len + 1)
+    ]

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from closed_forms import free_product_counts
 from oracles import oracle_crossing, oracle_crossing_matrix, shift_sequences
 from templink.census import (
     MAX_VERIFY_WORDS,
@@ -81,6 +83,15 @@ def test_run_limited_lyndon_words_are_the_filtered_list():
     assert lyndon_words(3, runs=(2, 2)) == ["ab"]
     for max_len in (1, 0, -3):
         assert lyndon_words(max_len, runs=(2, 3)) == []
+
+
+def test_run_limited_lyndon_words_match_the_free_product_count():
+    # an independent count: the generating function of Z/p * Z/q, no word built
+    for p in range(2, 7):
+        for q in range(2, 9):
+            by_length = collections.Counter(map(len, lyndon_words(14, runs=(p, q))))
+            want = free_product_counts(p, q, 14)
+            assert [by_length[n] for n in range(15)] == want, (p, q)
 
 
 def test_oversized_census_refused_before_generating(monkeypatch):

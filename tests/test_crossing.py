@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import random
@@ -81,7 +82,7 @@ def test_cuts_of_two_letter_word():
 
 
 def test_cut_needs_u_inf_below_v_inf():
-    # no candidate of _candidate_splits reaches this check, so it is tested directly
+    # no split that _cuts checks reaches this branch, so it is tested directly
     assert crossing._is_valid_cut("a", "b")
     assert not crossing._is_valid_cut("b", "a")
     assert not crossing._is_valid_cut("ab", "ab")
@@ -165,7 +166,7 @@ def _suffix_and_rotation_orders(w: str) -> tuple[list[int], list[int]]:
 
 
 def test_lyndon_suffixes_sort_as_rotations_on_every_word_up_to_14():
-    # the lemma _candidate_splits takes its rotation order from
+    # the lemma _cuts takes its rotation order from
     lyndon = _two_letter_lyndon_words(14)
     assert len(lyndon) == 2536
     for word in lyndon:
@@ -183,22 +184,75 @@ def test_lyndon_suffixes_sort_as_rotations(raw):
     assert suffixes == rotations
 
 
-def test_candidate_splits_refuse_exactly_the_words_that_are_not_lyndon():
+def test_cuts_refuse_exactly_the_words_that_are_not_lyndon():
     # empty, a proper power, or not its own least rotation, as canonicalize decides
     for n in range(11):
         for letters in itertools.product("ab", repeat=n):
             word = "".join(letters)
             lyndon = bool(word) and canonicalize(word) == (word, 1)
             try:
-                list(crossing._candidate_splits(word))
+                list(crossing._cuts(word))
             except ValueError:
                 assert not lyndon, word
             else:
                 assert lyndon, word
 
 
+def _successor_splits(w: str) -> list[tuple[int, str, str, int]]:
+    # (rotation, u, v, m) by definition: rotation x ends in b, y is what its successor
+    # in rank puts before it, rot = u y^m with m greatest, and u ends in a
+    n = len(w)
+    rotations = sorted(range(n), key=lambda k: w[k:] + w[:k])
+    splits = []
+    for x, s in zip(rotations, rotations[1:]):
+        rot = w[x:] + w[:x]
+        y, m = rot[(s - x) % n :], 1
+        while rot.endswith(y * (m + 1)):
+            m += 1
+        u = rot[: n - m * len(y)]
+        if rot[-1] == "b" and u[-1] == "a":
+            splits.append((x, u, rot[len(u) :], m))
+    return splits
+
+
+def _check_successor_splits(w: str) -> list[tuple[int, str, str, int]]:
+    # _cuts yields only valid cuts, and among them every successor split
+    cuts = set(crossing._cuts(w))
+    assert all(crossing._is_valid_cut(u, v) for _, u, v in cuts), w
+    splits = _successor_splits(w)
+    for x, u, v, _ in splits:
+        assert crossing._is_valid_cut(u, v) and (x, u, v) in cuts, (w, x, u, v)
+    return splits
+
+
+def test_successor_splits_are_cuts_on_every_word_up_to_16():
+    # m = 1 are the "ba" splits of adjacent rotations, m > 1 those whose v is a power
+    counts = collections.Counter()
+    for word in _two_letter_lyndon_words(16):
+        counts.update(m > 1 for *_, m in _check_successor_splits(word))
+    assert counts == {False: 33204, True: 6865}
+
+
+@given(st.text(alphabet="ab", min_size=1, max_size=60))
+@settings(max_examples=200)
+# successor splits a|(ab)^3 and aba|(ab)^2, with m = 3 and 2
+@example("aababab")
+def test_successor_splits_are_cuts(raw):
+    _check_successor_splits(canonicalize(raw)[0].word)
+
+
+def test_adjacent_split_with_one_letter_before_both_rotations_is_no_cut():
+    # rotations 1 and 2 of aaaaaaab are adjacent in rank and both preceded by a;
+    # the split between them leaves the shift (aaaaaab)^inf of v^inf between the factors
+    w = "aaaaaaab"
+    rotations = sorted(range(8), key=lambda k: w[k:] + w[:k])
+    assert rotations[1:3] == [1, 2] and w[0] == w[1] == "a"
+    assert not crossing._is_valid_cut("a", "aaaaaba")
+    assert (1, "a", "aaaaaba") not in set(crossing._cuts(w))
+
+
 def test_shifts_between_the_factors_of_a_cut_are_the_power_chains():
-    # the lemma of _candidate_splits, checked by definition: with u = z^j and v = y^m,
+    # the power-split lemma of _cuts, checked by definition: with u = z^j and v = y^m,
     # the shifts strictly between X = (uv)^inf and Y = (vu)^inf are z^(j-i)Y
     # and y^(m-i)X, so the successor of X starts at x+|z|, x+n-|y| or x+l
     for word in _two_letter_lyndon_words(10):
@@ -244,28 +298,29 @@ def _census_words():
 
 
 def test_lazy_cuts_match_the_full_list():
-    # the cut search walks the candidates lazily; its verdict is the full list's
+    # the cut search draws the cuts lazily; its verdict is the full list's
     for k, w in _census_words():
         cutless = census._cutless([w], k) == [w]
         assert cutless == (not any(is_admissible_cut(c, k) for c in enumerate_cuts(w)))
 
 
 def test_admissible_cut_search_stops_at_the_first(monkeypatch):
-    validated = [0]
-    valid = crossing._is_valid_cut
+    drawn = [0]
+    cuts = crossing._cuts
 
-    def counted(*args):
-        validated[0] += 1
-        return valid(*args)
+    def counted(w):
+        for cut in cuts(w):
+            drawn[0] += 1
+            yield cut
 
-    monkeypatch.setattr(crossing, "_is_valid_cut", counted)
+    monkeypatch.setattr(crossing, "_cuts", counted)
     t = Triple(3, 3, 4)
     k = kneading(t)
     w = CyclicWord("aababbabab")
     enumerate_cuts(w)
-    listed, validated[0] = validated[0], 0
+    listed, drawn[0] = drawn[0], 0
     assert census._cutless([w], k) == []
-    assert 0 < validated[0] < listed
+    assert 0 < drawn[0] < listed
 
 
 def test_cut_search_validates_few_of_the_letter_filtered_splits(monkeypatch):
