@@ -57,8 +57,9 @@ MAX_VERIFY_WORDS = 2_000
 MAX_LETTERS = 2**27
 
 # Cells of one column chunk of _crossing_matrix's prefix table and its gathered
-# rows, 4 bytes each: the largest chunk holds 1 MB.  verify_pairs forms its keys
-# in chunks of as many pairs.
+# rows, 4 bytes each: 1 MB, but past 2^18 shifts a chunk is one column of N + 1
+# cells, 1.5 MB at the verify limits (2,000 words of about 183 letters, N = 366 k).
+# verify_pairs forms its keys in chunks of as many pairs.
 _CHUNK_CELLS = 2**18
 
 
@@ -386,15 +387,20 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
     starts of :func:`_pair_starts`.  ``P`` is symmetric (proof in
     :func:`verify_pairs`), so the triangle is all of it.
 
-    One sweep in successor-rank order.  The successor ranks σx are distinct,
-    a permutation of the N shifts, so scattering the b-indicator by rank
-    sorts it with no argsort.  Its exclusive cumsum gives ``below[x]``, the
-    number of b-shifts whose successors rank below σx, for each a-shift x,
-    and each b-shift's place among the b-shifts in rank order.  Let
+    One sweep in successor-rank order.  For an a-shift x, ``below[x]`` counts
+    the b-shifts whose successors rank below σx; for a b-shift y, ``place[y]``
+    is its place among the b-shifts.  Lemma: ``below[x] = rank[σx] - rank[x]``
+    and ``place[y] = rank[y] - N_a`` for N_a a-shifts.  Proof: σ permutes the
+    N shifts, so ``rank[σx]`` counts the z with σz < σx.  Every a-shift sorts
+    below every b-shift, and shifts with one first letter sort as their
+    successors do (the lemma of :func:`verify_pairs`), so the a-shifts z with
+    σz < σx are the ``rank[x]`` with z < x, and the other z are b-shifts; y
+    ranks above the N_a a-shifts and its ``place[y]`` b-shifts.  Both
+    differences are at least 0, so they keep the ranks' unsigned dtype.  Let
     ``C[c, j]`` be the number of word j's b-shifts among the first c b-shifts
     in rank order, a one-hot table cumulated down its columns.  A b-shift y
-    has σy < σx iff it is among the first ``below[x]``, as the ranks are
-    distinct, so ``#{y in B_j : σy < σx} = C[below[x], j]`` and
+    has σy < σx iff it is among the first ``below[x]``, as b-shifts sort as
+    their successors do, so ``#{y in B_j : σy < σx} = C[below[x], j]`` and
 
         P[i, j] = sum over a-shifts x of word i of C[below[x], j],
 
@@ -416,15 +422,10 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
     rank = _shift_ranks(words)
     n, w = len(rank), len(words)
     starts, succ = _successors(words)
-    nxt = rank[succ]
     is_a = np.frombuffer("".join(words).encode(), dtype=np.uint8) == ord("a")
-    nxt_a, nxt_b = nxt[is_a], nxt[~is_a]
-    # ranked[r + 1] is 1 where rank r is a b-shift's successor; cumulated, ranked[r]
-    # counts the b-shifts whose successors rank below r, at most N as the ranks' dtype holds
-    ranked = np.zeros(n + 1, dtype=rank.dtype)
-    ranked[1:][nxt_b] = 1
-    np.cumsum(ranked, dtype=ranked.dtype, out=ranked)
-    below, place = ranked[nxt_a], ranked[nxt_b]
+    rank_a = rank[is_a]
+    below = rank[succ[is_a]] - rank_a
+    place = rank[~is_a] - len(rank_a)
     b_counts = [word.count("b") for word in words]
     b_starts = np.cumsum([0] + b_counts)
     b_word = np.repeat(np.arange(w), b_counts)
@@ -443,7 +444,7 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
         # segment sum is at most L^2 <= 2^26.  C would fit uint16, but reduceat
         # copies a block whole to sum it in another dtype, so the table is
         # uint32, the sums' dtype: no more bytes at the peak, and no copy.
-        table = np.zeros((len(nxt_b) + 1, hi - lo), dtype=np.uint32)
+        table = np.zeros((len(place) + 1, hi - lo), dtype=np.uint32)
         chunk = slice(b_starts[lo], b_starts[hi])
         table[1:][place[chunk], b_word[chunk] - lo] = 1
         np.cumsum(table, axis=0, dtype=np.uint32, out=table)

@@ -6,7 +6,7 @@ they validate.  The kneading data that only tests use, of the open and the
 Lorenz templates, are built here from their two stored bounds.
 """
 
-from itertools import product
+from itertools import groupby, product
 
 from templink.kneading import KneadingData
 from templink.words import PeriodicSequence, compare
@@ -40,6 +40,20 @@ def oracle_crossing_matrix(words: list[str]) -> list[list[int]]:
         [sum(compare(nx, ny) > 0 for nx in a_next[i] for ny in b_next[j]) for j in range(len(words))]
         for i in range(len(words))
     ]
+
+
+def reversed_code(word: str, p: int, q: int) -> str:
+    """The code ``w*`` of the reversed orbit: reversed, runs complemented, least rotation.
+
+    The word must have both letters and no cyclic ``a^p`` or ``b^q``.  Read
+    from a rotation that starts a run, so that its runs are its cyclic runs,
+    the reversed word's runs ``a^i`` become ``a^(p-i)`` and ``b^j`` become
+    ``b^(q-j)``; the result is its least rotation, by definition.
+    """
+    start = next(i for i in range(len(word)) if word[i] != word[i - 1])
+    runs = groupby(reversed(word[start:] + word[:start]))
+    out = "".join(c * ((p if c == "a" else q) - len(list(run))) for c, run in runs)
+    return min(out[i:] + out[:i] for i in range(len(out)))
 
 
 def kneading_unbounded(p: int, q: int) -> KneadingData:

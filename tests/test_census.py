@@ -6,7 +6,7 @@ import pickle
 import random
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from closed_forms import free_product_counts
-from oracles import oracle_crossing, oracle_crossing_matrix, shift_sequences
+from oracles import oracle_crossing, oracle_crossing_matrix, reversed_code, shift_sequences
 from templink.census import (
     MAX_VERIFY_WORDS,
     PairReport,
@@ -32,7 +32,7 @@ from templink.census import (
 )
 from templink.cli import run
 from templink.crossing import word_crossing
-from templink.kneading import Triple
+from templink.kneading import Triple, is_admissible, kneading
 from templink.linking import q_form, template_linking
 from templink.words import CyclicWord, canonicalize, compare
 
@@ -92,6 +92,66 @@ def test_run_limited_lyndon_words_match_the_free_product_count():
             by_length = collections.Counter(map(len, lyndon_words(14, runs=(p, q))))
             want = free_product_counts(p, q, 14)
             assert [by_length[n] for n in range(15)] == want, (p, q)
+
+
+def _complete_census_by_length(t, max_len):
+    # every admissible run-limited Lyndon word: no block screen, which drops
+    # admissible words (ROADMAP item 1)
+    k = kneading(t)
+    words = lyndon_words(max_len, runs=(t.p, t.q))
+    by_length = collections.Counter(len(w) for w in words if is_admissible(w, k))
+    return [by_length[n] for n in range(max_len + 1)]
+
+
+def _stable_bound(p, q, max_len):
+    # the free product count less the syllable words a^(p-1) b and a b^(q-1)
+    bound = free_product_counts(p, q, max_len)
+    bound[p] -= 1
+    bound[q] -= 1
+    return bound
+
+
+def test_complete_census_is_at_most_the_stable_bound():
+    triples = [
+        Triple(p, q, r)
+        for p in range(2, 7)
+        for q in range(p, 9)
+        for r in range(q, 12)
+        if p * q * r - p * q - q * r - p * r >= 1
+    ]
+    assert len(triples) == 139
+    for t in triples:
+        bound = _stable_bound(t.p, t.q, 12)
+        census = _complete_census_by_length(t, 12)
+        assert all(c <= b for c, b in zip(census, bound)), (t, census, bound)
+
+
+# (p, q) -> the first r of the final run of r where the census equals the
+# stable bound at every length, at max_len 10 and 12 (ROADMAP item 13)
+STABLE_FROM = {
+    (2, 3): (9, 11),
+    (2, 5): (9, 11),
+    (3, 3): (7, 9),
+    (3, 4): (7, 9),
+    (3, 5): (7, 9),
+    (4, 4): (6, 7),
+    (4, 5): (6, 7),
+    (5, 6): (6, 6),
+    (6, 8): (8, 8),
+}
+
+
+@pytest.mark.parametrize("pq", sorted(STABLE_FROM))
+def test_census_is_the_stable_bound_from_its_table_entry(pq):
+    p, q = pq
+    for max_len, r0 in zip((10, 12), STABLE_FROM[pq]):
+        bound = _stable_bound(p, q, max_len)
+        for r in range(r0, max_len + 6):
+            assert _complete_census_by_length(Triple(p, q, r), max_len) == bound, (pq, max_len, r)
+        # the entry is the first r of the run: one r lower the census falls short
+        if r0 > q:
+            below_r0 = _complete_census_by_length(Triple(p, q, r0 - 1), max_len)
+            assert below_r0 != bound, (pq, max_len)
 
 
 def test_oversized_census_refused_before_generating(monkeypatch):
@@ -695,6 +755,34 @@ def test_shift_ranks_match_definition(words):
     assert rank.tolist() == _ranks_by_definition(words)
 
 
+@given(st.lists(primitive_words | repeated_words, min_size=1, max_size=6, unique=True))
+@settings(max_examples=100, deadline=None)
+@example(["a" * 40 + "b", "a" * 41 + "b"])
+@example(["ab" * 40 + "b", "a" + "ab" * 40])
+@example(["a" * 70 + "b", "a" * 71 + "b"])
+@example(["a" * 100 + "b", "a" * 101 + "b"])
+def test_sweep_counts_are_rank_differences(words):
+    # The lemma of _crossing_matrix: for an a-shift x, rank[σx] - rank[x] is the
+    # number of b-shifts whose successors rank below σx, and for a b-shift y,
+    # rank[y] - N_a is its place among the b-shifts; both counted by definition.
+    import templink.census as census
+
+    rank = census._shift_ranks(words).tolist()
+    by_definition = _ranks_by_definition(words)
+    text = "".join(words)
+    starts = accumulate(map(len, words), initial=0)
+    succ = [s + (i + 1) % len(w) for s, w in zip(starts, words) for i in range(len(w))]
+    b_shifts = [y for y, letter in enumerate(text) if letter == "b"]
+    b_next = [by_definition[succ[y]] for y in b_shifts]
+    for x, letter in enumerate(text):
+        if letter == "a":
+            below = sum(r < by_definition[succ[x]] for r in b_next)
+            assert rank[succ[x]] - rank[x] == below, (words, x)
+    n_a = len(text) - len(b_shifts)
+    for place, y in enumerate(sorted(b_shifts, key=by_definition.__getitem__)):
+        assert rank[y] - n_a == place, (words, y)
+
+
 @pytest.mark.parametrize(
     "words",
     [
@@ -750,7 +838,7 @@ def test_crossing_matrix_memory_is_bounded(monkeypatch):
     # Beside its ranking the sweep holds the W(W + 1)/2 uint32 result, one
     # column chunk of at most _CHUNK_CELLS 4-byte cells, and a slack of 64 bytes
     # per shift for the O(N) index arrays and the chunk's row sums and their
-    # places: 1.71 MB here, where the sweep peaks at 1.45 MB.  An unchunked
+    # places: 1.71 MB here, where the sweep peaks at 1.42 MB.  An unchunked
     # (N + 1) x W table with its gathered rows peaks at 9.5 MB.
     import tracemalloc
 
@@ -822,6 +910,47 @@ def test_verify_pairs_memory_per_pair(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= len(table) + 2**16, peak
+
+
+# triples of time-reversal checks, p = 2 and p = q among them, with their
+# run-limited Lyndon words of up to 10 letters
+RUN_LIMITED = {
+    Triple(*pqr): lyndon_words(10, runs=pqr[:2])
+    for pqr in ((3, 3, 4), (3, 4, 5), (4, 5, 6), (3, 3, 7), (2, 3, 7), (2, 5, 5))
+}
+two_run_limited_words = st.sampled_from(list(RUN_LIMITED)).flatmap(
+    lambda t: st.tuples(
+        st.just(t), st.lists(st.sampled_from(RUN_LIMITED[t]), min_size=2, max_size=2, unique=True)
+    )
+)
+
+
+@given(two_run_limited_words)
+@settings(max_examples=100, deadline=None)
+@example((Triple(3, 4, 5), ["aab", "abbb"]))
+@example((Triple(2, 3, 7), ["ab", "abb"]))
+def test_time_reversal_keeps_linking(case):
+    # The flip (x, v) -> (x, -v) of the unit tangent bundle is isotopic to the
+    # identity and takes each orbit to its reverse, coded by reversed_code, so
+    # reversing both orbits keeps lk; cr and Q change on their own, so this ties
+    # the crossing sweep to the surgery form.  All three reports of each table
+    # (self-pairs included) and the reference engine agree.
+    t, words = case
+    reversed_words = [reversed_code(w, t.p, t.q) for w in words]
+    table, reversed_table = verify_pairs(t, words), verify_pairs(t, reversed_words)
+    assert [r.lk2d for r in reversed_table] == [r.lk2d for r in table], (words, reversed_words)
+    assert template_linking(t, *reversed_words) == template_linking(t, *words) == table[1].lk
+
+
+def test_time_reversal_moves_crossings():
+    # lk is kept above while cr changes on most pairs, so that test is not
+    # vacuous: over whole tables of words up to 7 letters, cr moves on more than half.
+    for t, words in RUN_LIMITED.items():
+        words = [w for w in words if len(w) <= 7]
+        table = verify_pairs(t, words)
+        reversed_table = verify_pairs(t, [reversed_code(w, t.p, t.q) for w in words])
+        assert np.array_equal(reversed_table.lk2d, table.lk2d), t
+        assert 2 * np.count_nonzero(reversed_table.cr != table.cr) > len(table), t
 
 
 def test_pair_reports_golden_largest_triple():
