@@ -423,9 +423,9 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
     n, w = len(rank), len(words)
     starts, succ = _successors(words)
     is_a = np.frombuffer("".join(words).encode(), dtype=np.uint8) == ord("a")
-    rank_a = rank[is_a]
-    below = rank[succ[is_a]] - rank_a
-    place = rank[~is_a] - len(rank_a)
+    below = rank[succ[is_a]] - rank[is_a]
+    place = rank[~is_a] - len(below)
+    del rank, succ, is_a  # the chunks read only below and place
     b_counts = [word.count("b") for word in words]
     b_starts = np.cumsum([0] + b_counts)
     b_word = np.repeat(np.arange(w), b_counts)

@@ -32,10 +32,12 @@ class Triple:
     delta = pqr - pq - qr - pr is the order of the first homology group of
     the surgered manifold.  Orbit codes are built from the two ``syllables``
     a^(p-1) b and a b^(q-1), at most ``max_repeats`` = floor((r-2)/2) copies
-    of one in a row.  ``delta`` and ``q_coefficients`` = (qr-q-r, r, pr-p-r),
-    the (a, b, c) of :func:`templink.linking.q_form`, are derived once, at
-    construction, and kept outside the dataclass fields, so equality, hash
-    and repr see p, q and r only.
+    of one in a row.  ``max_repeats``, ``delta`` and ``q_coefficients`` =
+    (qr-q-r, r, pr-p-r), the (a, b, c) of :func:`templink.linking.q_form`,
+    are derived once, at construction, and kept outside the dataclass
+    fields, so equality, hash and repr see p, q and r only.  The syllables
+    hold p + q letters, and the parameters may be far too large to spell
+    out, so they are built only when read, after a caller's size checks.
     """
 
     p: int
@@ -55,14 +57,11 @@ class Triple:
         # a frozen dataclass's own __setattr__ refuses, so set them on the object
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "q_coefficients", (q * r - q - r, r, p * r - p - r))
+        object.__setattr__(self, "max_repeats", (r - 2) // 2)
 
     @property
     def syllables(self) -> tuple[str, str]:
         return "a" * (self.p - 1) + "b", "a" + "b" * (self.q - 1)
-
-    @property
-    def max_repeats(self) -> int:
-        return (self.r - 2) // 2
 
     def __str__(self) -> str:
         return f"({self.p},{self.q},{self.r})"
@@ -75,27 +74,23 @@ class KneadingData:
     The validation ``u_L <= u_R`` and ``v_L <= v_R`` forces u_L to start with
     ``a`` (one that starts with ``b`` lies above every ``a``-sequence, such
     as u_R) and v_R to start with ``b`` (likewise below v_L).  Its fields are
-    u_L and v_R; ``reach`` and ``runs``, set at construction, lie outside them.
+    u_L and v_R; ``u_R``, ``v_L``, ``reach`` and ``runs``, set at
+    construction, lie outside them.
     """
 
     u_L: PeriodicSequence
     v_R: PeriodicSequence
 
     def __post_init__(self) -> None:
-        if compare(self.u_L, self.u_R) > 0 or compare(self.v_L, self.v_R) > 0:
+        u_L, v_R = self.u_L, self.v_R
+        object.__setattr__(self, "u_R", PeriodicSequence("a" + v_R.preperiod, v_R.period))
+        object.__setattr__(self, "v_L", PeriodicSequence("b" + u_L.preperiod, u_L.period))
+        if compare(u_L, self.u_R) > 0 or compare(self.v_L, v_R) > 0:
             raise ValueError("kneading bounds out of order")
-        reach = max(len(b.preperiod) + len(b.period) for b in (self.u_L, self.v_R))
-        runs = (self.u_L.prefix(reach).split("b")[0], self.v_R.prefix(reach).split("a")[0])
+        reach = max(len(b.preperiod) + len(b.period) for b in (u_L, v_R))
+        runs = (u_L.prefix(reach).split("b")[0], v_R.prefix(reach).split("a")[0])
         object.__setattr__(self, "reach", reach)
         object.__setattr__(self, "runs", runs)
-
-    @property
-    def u_R(self) -> PeriodicSequence:
-        return PeriodicSequence("a" + self.v_R.preperiod, self.v_R.period)
-
-    @property
-    def v_L(self) -> PeriodicSequence:
-        return PeriodicSequence("b" + self.u_L.preperiod, self.u_L.period)
 
 
 def kneading(t: Triple) -> KneadingData:

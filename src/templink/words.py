@@ -120,11 +120,7 @@ class PeriodicSequence:
 
     def prefix(self, n: int) -> str:
         """The first ``n`` letters."""
-        tail_len = n - len(self.preperiod)
-        if tail_len <= 0:
-            return self.preperiod[:n]
-        reps = tail_len // len(self.period) + 1
-        return self.preperiod + (self.period * reps)[:tail_len]
+        return (self.preperiod + self.period * (n // len(self.period) + 1))[:n]
 
 
 def compare(s: PeriodicSequence, t: PeriodicSequence) -> int:

@@ -838,7 +838,7 @@ def test_crossing_matrix_memory_is_bounded(monkeypatch):
     # Beside its ranking the sweep holds the W(W + 1)/2 uint32 result, one
     # column chunk of at most _CHUNK_CELLS 4-byte cells, and a slack of 64 bytes
     # per shift for the O(N) index arrays and the chunk's row sums and their
-    # places: 1.71 MB here, where the sweep peaks at 1.42 MB.  An unchunked
+    # places: 1.71 MB here, where the sweep peaks at 1.34 MB.  An unchunked
     # (N + 1) x W table with its gathered rows peaks at 9.5 MB.
     import tracemalloc
 
@@ -951,6 +951,29 @@ def test_time_reversal_moves_crossings():
         reversed_table = verify_pairs(t, [reversed_code(w, t.p, t.q) for w in words])
         assert np.array_equal(reversed_table.lk2d, table.lk2d), t
         assert 2 * np.count_nonzero(reversed_table.cr != table.cr) > len(table), t
+
+
+def test_odd_r_censuses_are_closed_under_time_reversal():
+    # Reversal maps orbits to orbits, so a census word's reversed code is
+    # admissible under the same table.  That holds for every odd-r triple with
+    # p >= 3 in the box; the even-r and p = 2 tables break it (README,
+    # criterion 10), as (3,3,4)'s aababab, the control, shows.  The census is
+    # the complete one, as the block screen drops admissible words of odd-r
+    # triples (ROADMAP item 1): 9 of these 22,159.
+    def complete_census(t):
+        k = kneading(t)
+        return k, [w for w in lyndon_words(12, runs=(t.p, t.q)) if is_admissible(w, k)]
+
+    k, census = complete_census(Triple(3, 3, 4))
+    assert "aababab" in census
+    assert not is_admissible(reversed_code("aababab", 3, 3), k)
+    triples = [t for t in range_triples(6, 8, 11, include_p2=False) if t.r % 2 == 1]
+    words = 0
+    for t in triples:
+        k, census = complete_census(t)
+        words += len(census)
+        assert [w for w in census if not is_admissible(reversed_code(w, t.p, t.q), k)] == [], t
+    assert (len(triples), words) == (56, 22_159)
 
 
 def test_pair_reports_golden_largest_triple():

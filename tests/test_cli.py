@@ -367,6 +367,22 @@ def test_extremal_lists_large_families_and_refuses_over_the_letter_budget(monkey
     assert "over the limit of 134,217,728 letters" in capsys.readouterr().err
 
 
+def test_huge_parameters_spell_out_no_syllables(monkeypatch, capsys):
+    from templink.kneading import Triple
+
+    def never(*args, **kwargs):
+        raise AssertionError("spelled out a syllable of 10^20 letters")
+
+    # lk never reads the syllables, and extremal refuses before it does
+    monkeypatch.setattr(Triple, "syllables", property(never))
+    huge = ["--p", "3", "--q", str(10**20), "--r", str(10**20)]
+    assert run(["lk", *huge, "ab", "aab"]) == 0
+    assert capsys.readouterr().out.strip() == "1/200000000000000000000"
+    for q in (10**9, 10**20):
+        assert run(["extremal", "--p", "3", "--q", str(q), "--r", str(q)]) == 2
+        assert "over the limit of 134,217,728 letters" in capsys.readouterr().err
+
+
 def test_oversized_kneading_table_exits_2_before_any_sequence_is_built(monkeypatch, capsys):
     import templink.kneading as kneading
 

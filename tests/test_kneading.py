@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,6 +138,15 @@ KNEADINGS = [
 ]
 
 
+@pytest.mark.parametrize("k", KNEADINGS)
+def test_bound_prefixes_read_letter_by_letter(k):
+    for bound in (k.u_L, k.u_R, k.v_L, k.v_R):
+        pre, per = bound.preperiod, bound.period
+        letters = [pre[i] if i < len(pre) else per[(i - len(pre)) % len(per)] for i in range(40)]
+        for n in range(41):
+            assert bound.prefix(n) == "".join(letters[:n]), (bound, n)
+
+
 @given(st.text(alphabet="ab", min_size=1, max_size=12), st.sampled_from(KNEADINGS))
 @settings(max_examples=300)
 def test_admissibility_matches_oracle_and_rotation_invariant(word, k):
@@ -256,9 +267,12 @@ def test_bound_prefix_store_leaves_identity_unchanged(pqr):
     fresh, used = kneading(t), kneading(t)
     for word in lyndon_words(10):
         is_admissible(word, used)
-    # reach and the runs are derived at construction and kept outside the dataclass fields
+    # u_R, v_L, reach and the runs are derived at construction and kept outside the dataclass fields
     bounds = (fresh.u_L, fresh.v_R)
     assert vars(fresh)["reach"] == max(len(b.preperiod) + len(b.period) for b in bounds)
+    for n in range(1, 41):
+        assert vars(fresh)["u_R"].prefix(n) == "a" + fresh.v_R.prefix(n - 1)
+        assert vars(fresh)["v_L"].prefix(n) == "b" + fresh.u_L.prefix(n - 1)
     # every table row starts u_L with a^(p-1) b and v_R with b^(q-1) a
     assert vars(fresh)["runs"] == ("a" * (t.p - 1), "b" * (t.q - 1))
     assert used.reach == fresh.reach and vars(used) == vars(fresh)
@@ -267,6 +281,45 @@ def test_bound_prefix_store_leaves_identity_unchanged(pqr):
     assert repr(used) == repr(fresh)
     unpickled = pickle.loads(pickle.dumps(used))
     assert unpickled == fresh and vars(unpickled) == vars(fresh)
+
+
+@pytest.mark.parametrize("pqr", VALUE_TRIPLES)
+def test_triple_derived_values_leave_identity_unchanged(pqr):
+    # verify_range's pool pickles triples, derived values and all
+    import dataclasses
+    import pickle
+
+    p, q, r = pqr
+    t = Triple(*pqr)
+    assert [f.name for f in dataclasses.fields(Triple)] == ["p", "q", "r"]
+    assert vars(t) == {
+        "p": p,
+        "q": q,
+        "r": r,
+        "delta": p * q * r - p * q - q * r - p * r,
+        "q_coefficients": (q * r - q - r, r, p * r - p - r),
+        "max_repeats": (r - 2) // 2,
+    }
+    assert t == Triple(p, q, r) and hash(t) == hash((p, q, r))
+    assert repr(t) == f"Triple(p={p}, q={q}, r={r})"
+    unpickled = pickle.loads(pickle.dumps(t))
+    assert unpickled == t and vars(unpickled) == vars(t)
+
+
+def test_triple_of_huge_parameters_spells_out_no_syllables():
+    # the syllables hold p + q letters, so they are built only when read: a
+    # Triple of q = r = 10^20 is cheap, and so is its linking number
+    from templink.crossing import word_crossing
+    from templink.linking import template_linking
+
+    p, n = 3, 10**20
+    t = Triple(p, n, n)
+    assert "syllables" not in vars(t) and t.max_repeats == (n - 2) // 2
+    # Q((1, 1), (2, 1)) with (a, b, c) = (qr - q - r, r, pr - p - r)
+    a, b, c = n * n - 2 * n, n, p * n - p - n
+    q_value = 2 * a - 3 * b + c
+    want = Fraction(-word_crossing("ab", "aab"), 2) + Fraction(q_value, t.delta)
+    assert template_linking(t, "ab", "aab") == want
 
 
 def test_only_shifts_starting_with_a_leading_run_are_compared():
