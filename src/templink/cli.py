@@ -21,10 +21,11 @@ from .words import canonicalize
 
 EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
 
-# Longest word accepted: engine cost grows with its square.  On a 2-vCPU KVM guest `cr w w` took
-# 1.2 s / 32 MB peak RSS at 2,000 letters and 6.5 s / 78 MB at 4,000, `cuts` 0.11-0.15 s / 28 MB on
-# a random 4,000-letter word with 989 cuts and 2.5 s / 64 MB on a^2000 b^2000, whose 3,999 cuts
-# print 16 M letters; word_crossing at 20,000 letters would hold 1.6 G characters of shift prefixes.
+# Longest word accepted: engine cost grows with its square.  On a 2-vCPU KVM guest `cr w w` on a
+# random word took 0.5 s / 32 MB peak RSS at 2,000 letters and 1.8 s / 78 MB at 4,000, `cuts`
+# 0.11-0.15 s / 28 MB on a random 4,000-letter word with 989 cuts and 2.5 s / 64 MB on
+# a^2000 b^2000, whose 3,999 cuts print 16 M letters; word_crossing at 20,000 letters would hold
+# 1.6 G characters of shift prefixes.
 MAX_WORD_LEN = 4_096
 
 # Most pairs single-triple `verify` reports: it holds every report as a record, a table of cells

@@ -20,10 +20,6 @@ from .kneading import KneadingData, is_admissible
 from .words import _check_letters
 
 
-def _sign(x: int) -> int:
-    return (x > 0) - (x < 0)
-
-
 def word_crossing(v: str, x: str) -> int:
     """Crossing number of the diagrams traced by the finite words v and x over {a, b}.
 
@@ -31,6 +27,14 @@ def word_crossing(v: str, x: str) -> int:
     orbit k times counts as k parallel strands (translated-copy convention),
     so ``word_crossing(w, w)`` is twice the number of double points of w's
     orbit and ``word_crossing(z*k, x) == k * word_crossing(z, x)``.
+
+    The count compares ranks with strict tests.  Lemma: two shifts have
+    equal ranks exactly when their successors do, so ``a < rx[j]`` and
+    ``a1 < rx[j+1]`` disagree exactly when the pair's order flips; a pair
+    tied on one side is tied on the other and counts on neither.  Proof:
+    equal ranks are equal shifts (horizon lemma), whose successors are
+    equal.  Equal successors lie in one orbit, a finite cycle of shifts on
+    which the shift map is injective, so they come from equal shifts.
     """
     if not v or not x:
         raise ValueError("crossing numbers need nonempty words")
@@ -50,7 +54,7 @@ def word_crossing(v: str, x: str) -> int:
     for i in range(n):
         a, a1 = rv[i], rv[(i + 1) % n]
         for j in range(m):
-            if _sign(a - rx[j]) != _sign(a1 - rx[(j + 1) % m]):
+            if (a < rx[j]) != (a1 < rx[(j + 1) % m]):
                 count += 1
     return count
 
@@ -96,8 +100,14 @@ def _cuts(w: str) -> Iterator[tuple[int, str, str]]:
     Each cut comes once, when the consumer asks for the next one: first the
     successor splits that the letters alone pick out, then, rotation by
     rotation, the other successor splits and the power splits that
-    :func:`_is_valid_cut` accepts.  Only power splits are checked.  Input
-    that is not a Lyndon word over {a, b} raises ``ValueError``.
+    :func:`_is_valid_cut` accepts.  Only power splits are checked.  The
+    ``"ba"`` splits come first because they cost no check and
+    :func:`templink.census._cutless` stops at a word's first admissible cut:
+    one pass in rank order, each rotation's successor split and then its
+    power splits, took census-crosscheck's benchmark operation from 0.156
+    to 0.177 s (in process, min of 9, four alternating rounds, 2-vCPU KVM
+    guest).  Input that is not a Lyndon word over {a, b} raises
+    ``ValueError``.
 
     Rank order.  ``w`` is strictly smaller than each proper suffix
     (equivalently, a primitive least rotation), so its shifts sort as its

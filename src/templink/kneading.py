@@ -96,10 +96,41 @@ class KneadingData:
 def kneading(t: Triple) -> KneadingData:
     """Kneading data of the template with parameters (p, q, r), r finite.
 
-    The p = 2 rows of the table need q > 2 and r > 4, both of which are
-    already forced by hyperbolicity, so every Triple has kneading data.  A
-    table whose four sequences may hold over ``MAX_TABLE_LETTERS`` letters,
+    A table whose four sequences may hold over ``MAX_TABLE_LETTERS`` letters,
     by the bound 2r(p+q), is refused before any sequence is built.
+
+    Rows.  The table is written in the syllables P = a^(p-1) b and
+    Q = b^(q-1) a (``t.syllables`` holds P and a rotation of Q), with
+    k = ``t.max_repeats`` = floor((r-2)/2).  One rule,
+    ``row(S) = S^k (S if r is odd else S[1:] S^k) S[-1]``, gives each purely
+    periodic row:
+
+    - u_L = row(P) for every p: P^(k+1) b for odd r, and
+      P^k a^(p-2) b P^k b for even r.
+    - v_R = row(Q) for p >= 3; for p = 2 it is the row
+      b^(q-1) | a Q^(k-1) b^(q-2) at both parities.
+
+    Letter by letter, with A = a^(p-1), the p >= 3 u_L is (Ab)^k A bb =
+    P^(k+1) b for odd r, where k = (r-3)/2, and (Ab)^k a^(p-2) (bA)^k bb for
+    even r, where (bA)^k bb = b P^k b; v_R is its mirror image, with a and
+    b, p and q swapped.  For p = 2 and odd r, u_L = (ab)^k abb is the odd
+    rule.  For even r, u_L = (ab)^(k-1) abb = P^k b, and as a periodic
+    sequence it is (P^k b)^2, the even rule.  The p = 2 v_R repeats its half
+    ``a b^(q-1)`` (r-5)/2 times for odd r and (r-4)/2 times for even r,
+    k - 1 both times.  The p = 2 rows need q > 2 and r > 4, both of which
+    are already forced by hyperbolicity, so every Triple has kneading data.
+
+    Lemma: for fixed (p, q), u_L(r+1) <= u_L(r) and v_R(r) <= v_R(r+1), so
+    the bounds widen with r.  Proof.  From even r to r + 1, k stays and the
+    tail a^(p-2) b ... after P^k becomes a^(p-1) b ...: u_L first differs
+    at a ``b`` that becomes an ``a``, so it gets smaller.  From odd r to
+    r + 1, k grows by one, and after P^(k+1) the row reads a^(p-2) b where it
+    read b: smaller for p >= 3, and for p = 2 the two rows are equal.  For
+    p >= 3, v_R is the mirror image, and swapping the letters reverses the
+    order.  The p = 2 v_R depends on k alone and is Q^k b^(q-2) a ...; with
+    k + 1 it is Q^k b^(q-2) b ..., so it reads ``b`` where it read ``a``.
+    A word is admissible exactly when every shift lies in [u_L, v_R]
+    (:func:`is_admissible`), so census(r) is contained in census(r + 1).
     """
     p, q, r = t.p, t.q, t.r
     letters = 2 * r * (p + q)
@@ -108,21 +139,13 @@ def kneading(t: Triple) -> KneadingData:
             f"the kneading table of {t} may hold {letters:,} letters, "
             f"over the limit of {MAX_TABLE_LETTERS:,}"
         )
-    A, B = "a" * (p - 1), "b" * (q - 1)
-    if p >= 3:
-        if r % 2 == 1:
-            u = (A + "b") * ((r - 3) // 2) + A + "bb"
-            v = (B + "a") * ((r - 3) // 2) + B + "aa"
-        else:
-            half = (r - 2) // 2
-            u = (A + "b") * half + "a" * (p - 2) + ("b" + A) * half + "bb"
-            v = (B + "a") * half + "b" * (q - 2) + ("a" + B) * half + "aa"
-        return KneadingData(PeriodicSequence("", u), PeriodicSequence("", v))
-    u_half = (r - 3) // 2 if r % 2 == 1 else (r - 4) // 2
-    v_half = (r - 5) // 2 if r % 2 == 1 else (r - 4) // 2
-    u = "ab" * u_half + "abb"
-    v_rep = ("a" + B) * v_half + "a" + "b" * (q - 2)
-    return KneadingData(PeriodicSequence("", u), PeriodicSequence(B, v_rep))
+    k, P, Q = t.max_repeats, "a" * (p - 1) + "b", "b" * (q - 1) + "a"
+
+    def row(S: str) -> PeriodicSequence:
+        return PeriodicSequence("", S * k + (S if r % 2 else S[1:] + S * k) + S[-1])
+
+    v_R = PeriodicSequence(Q[:-1], "a" + Q * (k - 1) + Q[1:-1]) if p == 2 else row(Q)
+    return KneadingData(row(P), v_R)
 
 
 def is_admissible(word: str, k: KneadingData) -> bool:

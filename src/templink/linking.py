@@ -54,6 +54,22 @@ def template_linking(t: Triple, w: str, w2: str) -> Fraction:
     evaluates any pair of formal Lorenz orbits, and only admissible pairs
     are guaranteed to link negatively.  Any rotation of a word codes its
     orbit; a k-th power traverses its orbit k times and links k times as much.
+
+    Surgery identity.  Let k = pq - p - q, and Psi = q·u - p·v for a word
+    with u a's and v b's.  Then at every r
+
+        lk_r(w, w') = lk_inf(w, w') + Psi(w)·Psi(w') / (k·delta_r),
+        lk_inf = -cr/2 + Q_inf / k,
+        Q_inf = (q-1)·uu' - (uv' + vu') + (p-1)·vv'.
+
+    Proof: Q_r = r·Q_inf - (q·uu' + p·vv') and delta_r = r·k - pq, so
+    k·Q_r - delta_r·Q_inf = pq·Q_inf - k·(q·uu' + p·vv'), which is
+    (qu - pv)(qu' - pv') term by term; cr does not depend on r.  A reading,
+    not proved here: r = inf is no surgery on the third Hopf component, so
+    lk_inf is linking in the manifold of surgery on the other two, with
+    |H_1| = k (S^3 for (2, 3)); that component is the cusp of the
+    (p, q, inf) orbifold, Psi is an orbit's linking with it, and the extra
+    term is the usual formula for linking after Dehn filling along it.
     """
     cr = word_crossing(w, w2)
     counts = (w.count("a"), w.count("b"))

@@ -14,6 +14,9 @@ and the tests pin which of them the pipeline confirms.
 superadditivity, a check that reads no triple.
 :func:`free_product_counts` counts the run-limited Lyndon words by length
 from a generating function, with no word built.
+:func:`limit_linking` is the r = infinity limit of template linking and
+:func:`cusp_winding` the factor of the rank-one term that the surgery
+identity of :func:`templink.linking.template_linking` adds at finite r.
 """
 
 import random
@@ -243,3 +246,15 @@ def free_product_counts(p: int, q: int, max_len: int) -> list[int]:
         sum(_mobius(n // d) * periodic[d] for d in range(1, n + 1) if n % d == 0) // n
         for n in range(1, max_len + 1)
     ]
+
+
+def cusp_winding(p: int, q: int, w: str) -> int:
+    """Psi(w) = q·u - p·v for a word with u a's and v b's."""
+    return q * w.count("a") - p * w.count("b")
+
+
+def limit_linking(p: int, q: int, w: str, w2: str) -> Fraction:
+    """lk_inf = -cr/2 + [(q-1)uu' - (uv' + vu') + (p-1)vv'] / k, with k = pq - p - q."""
+    u, v, u2, v2 = w.count("a"), w.count("b"), w2.count("a"), w2.count("b")
+    form = (q - 1) * u * u2 - (u * v2 + v * u2) + (p - 1) * v * v2
+    return Fraction(-word_crossing(w, w2), 2) + Fraction(form, p * q - p - q)

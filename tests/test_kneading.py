@@ -53,6 +53,70 @@ def test_kneading_table_rows(pqr, u_L, v_R):
     assert str(k.v_R) == v_R
 
 
+def test_kneading_table_golden_digest():
+    # every table of a 12,839-triple box, hashed: the rows are spelled as they were pinned
+    import hashlib
+
+    lines = []
+    for p in range(2, 10):
+        for q in range(p, 31):
+            for r in range(q, 81):
+                try:
+                    t = Triple(p, q, r)
+                except ValueError:  # not hyperbolic
+                    continue
+                k = kneading(t)
+                lines.append(f"{p},{q},{r} {k.u_L} {k.v_R}")
+    assert len(lines) == 12_839
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    assert digest == "f93d39dbb58e48fffc555a8fbb2c087fab96e4d5e4a15e57a5ed4db142f52c52"
+
+
+def test_kneading_bounds_widen_with_r():
+    # kneading()'s lemma, strictness included: u_L(r+1) < u_L(r) except from
+    # odd r for p = 2, and v_R(r) < v_R(r+1) except from even r for p = 2
+    steps = 0
+    for p in range(2, 9):
+        for q in range(p, 30):
+            tables = {}
+            for r in range(q, 120):
+                try:
+                    tables[r] = kneading(Triple(p, q, r))
+                except ValueError:  # not hyperbolic
+                    continue
+            for r, k in tables.items():
+                if r + 1 not in tables:
+                    continue
+                k1 = tables[r + 1]
+                assert compare(k1.u_L, k.u_L) == (0 if p == 2 and r % 2 else -1), (p, q, r)
+                assert compare(k.v_R, k1.v_R) == (0 if p == 2 and r % 2 == 0 else -1), (p, q, r)
+                steps += 1
+    assert steps == 17_741
+
+
+def test_complete_census_grows_with_r():
+    # the bounds widen, so census(r) is contained in census(r + 1): the
+    # complete census, with no block screen, odd and even r for every p
+    from templink.census import lyndon_words
+
+    steps = 0
+    for p in range(2, 7):
+        for q in range(p, 9):
+            words = lyndon_words(12, runs=(p, q))
+            census = {}
+            for r in range(q, 18):
+                try:
+                    k = kneading(Triple(p, q, r))
+                except ValueError:  # not hyperbolic
+                    continue
+                census[r] = {w for w in words if is_admissible(w, k)}
+            for r in census:
+                if r + 1 in census:
+                    assert census[r] <= census[r + 1], (p, q, r)
+                    steps += 1
+    assert steps == 259
+
+
 def test_kneading_structure_relations():
     # the bounds keep their strict orders, and the template contains its
     # boundary orbits: the period of each of the four bounds is admissible

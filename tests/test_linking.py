@@ -4,10 +4,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from closed_forms import qprime_form, surgery_linking
+from closed_forms import cusp_winding, limit_linking, qprime_form, surgery_linking
+from templink import census
 from templink.crossing import word_crossing
 from templink.kneading import Triple
 from templink.linking import homology_order, q_form, qprime_matrix, template_linking
@@ -184,6 +185,67 @@ def test_fiber_linking():
     for pqr in [(3, 3, 4), (2, 5, 9), (4, 6, 11)]:
         t = Triple(*pqr)
         assert surgery_linking(t, 1, fiber, fiber) == Fraction(t.p * t.q * t.r, t.delta)
+
+
+# (p, q) of the stable censuses and a p = 2 pair past them
+LIMIT_PAIRS = [(2, 3), (2, 5), (3, 3), (3, 4), (4, 5), (6, 8), (2, 7)]
+
+
+@given(
+    st.sampled_from(LIMIT_PAIRS),
+    st.integers(min_value=2, max_value=40) | st.integers(min_value=2, max_value=10**20),
+    st.text(alphabet="ab", min_size=1, max_size=10),
+    st.text(alphabet="ab", min_size=1, max_size=10),
+)
+@settings(max_examples=300)
+def test_surgery_identity(pq, r, w, w2):
+    # template_linking's lemma: lk_r = lk_inf + Psi(w)·Psi(w')/(k·delta_r), with
+    # delta_r = r·k - pq written out, so neither side reads Triple.delta
+    p, q = pq
+    k = p * q - p - q
+    assume(r >= q and r * k > p * q)
+    rank_one = Fraction(cusp_winding(p, q, w) * cusp_winding(p, q, w2), k * (r * k - p * q))
+    assert template_linking(Triple(p, q, r), w, w2) == limit_linking(p, q, w, w2) + rank_one
+
+
+# (p, q), max length and size of the stable census: the run-limited Lyndon
+# words but the two cusp words a^(p-1) b and a b^(q-1)
+STABLE_CENSUSES = [
+    ((2, 3), 24, 163),
+    ((2, 5), 16, 188),
+    ((3, 3), 14, 175),
+    ((3, 4), 13, 260),
+    ((4, 5), 12, 392),
+    ((6, 8), 11, 370),
+]
+
+
+@pytest.mark.parametrize("pq, max_len, size", STABLE_CENSUSES)
+def test_limit_linking_is_at_most_minus_one_over_k(pq, max_len, size):
+    # on every pair, self-pairs included, k·lk_inf is an integer <= -1 and -1
+    # is reached; lk_inf comes from the package's lk_r at one r through the
+    # surgery identity, so q_form and delta are both on the path
+    p, q = pq
+    k = p * q - p - q
+    cusps = ("a" * (p - 1) + "b", "a" + "b" * (q - 1))
+    assert [cusp_winding(p, q, w) for w in cusps] == [k, -k]
+    words = [w for w in census.lyndon_words(max_len, runs=pq) if w not in cusps]
+    assert len(words) == size
+    t = Triple(p, q, q + 5)
+    counts = [(w.count("a"), w.count("b")) for w in words]
+    psi = [cusp_winding(p, q, w) for w in words]
+    half_cr = iter(census._crossing_matrix(words).tolist())  # cr/2 in pair order
+    worst, worst_pair = None, None
+    for i, w in enumerate(words):
+        for j in range(i, len(words)):
+            # k·lk_inf = k·lk_r - Psi·Psi'/delta_r, with lk_r = -cr/2 + Q/delta_r
+            limit = k * q_form(t, counts[i], counts[j]) - psi[i] * psi[j]
+            assert limit % t.delta == 0, (w, words[j])
+            value = limit // t.delta - k * next(half_cr)
+            if worst is None or value > worst:
+                worst, worst_pair = value, (w, words[j])
+    assert worst == -1
+    assert k * limit_linking(p, q, *worst_pair) == -1
 
 
 def test_homology_order():
