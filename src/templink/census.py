@@ -396,7 +396,10 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
     successors do (the lemma of :func:`verify_pairs`), so the a-shifts z with
     σz < σx are the ``rank[x]`` with z < x, and the other z are b-shifts; y
     ranks above the N_a a-shifts and its ``place[y]`` b-shifts.  Both
-    differences are at least 0, so they keep the ranks' unsigned dtype.  Let
+    differences are at least 0, so they keep the ranks' unsigned dtype.  By
+    the same lemma the a-shifts are the N_a lowest ranks, ``rank < N_a`` with
+    N_a = N minus the words' b counts, so after the ranking the sweep reads
+    nothing of the words but their b counts.  Let
     ``C[c, j]`` be the number of word j's b-shifts among the first c b-shifts
     in rank order, a one-hot table cumulated down its columns.  A b-shift y
     has σy < σx iff it is among the first ``below[x]``, as b-shifts sort as
@@ -414,21 +417,22 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
     most ``_CHUNK_CELLS`` cells, one column when N is larger.  A chunk of
     columns [lo, hi) needs only the rows i < hi, whose a-shifts come first
     in ``below``, so the gathers cover the triangle, about half the square.
-    Beside the W(W + 1)/2 result memory is O(N) plus that budget; the ranking
-    of :func:`_shift_ranks` holds O(N) integers and no string.
+    Beside the W(W + 1)/2 result memory is O(N) plus that budget, with no
+    per-shift word index: each chunk repeats its own column numbers by its
+    words' b counts.  The ranking of :func:`_shift_ranks` holds O(N)
+    integers and no string.
     """
     import numpy as np
 
     rank = _shift_ranks(words)
     n, w = len(rank), len(words)
     starts, succ = _successors(words)
-    is_a = np.frombuffer("".join(words).encode(), dtype=np.uint8) == ord("a")
+    b_counts = [word.count("b") for word in words]
+    is_a = rank < n - sum(b_counts)
     below = rank[succ[is_a]] - rank[is_a]
     place = rank[~is_a] - len(below)
     del rank, succ, is_a  # the chunks read only below and place
-    b_counts = [word.count("b") for word in words]
     b_starts = np.cumsum([0] + b_counts)
-    b_word = np.repeat(np.arange(w), b_counts)
     a_counts = np.diff(starts) - b_counts
     a_ends = np.cumsum(a_counts)
     # reduceat sums an empty segment as one element, so only words with a-shifts are reduced
@@ -445,8 +449,8 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
         # copies a block whole to sum it in another dtype, so the table is
         # uint32, the sums' dtype: no more bytes at the peak, and no copy.
         table = np.zeros((len(place) + 1, hi - lo), dtype=np.uint32)
-        chunk = slice(b_starts[lo], b_starts[hi])
-        table[1:][place[chunk], b_word[chunk] - lo] = 1
+        column = np.repeat(np.arange(hi - lo), b_counts[lo:hi])  # j - lo for each b-shift of j
+        table[1:][place[b_starts[lo] : b_starts[hi]], column] = 1
         np.cumsum(table, axis=0, dtype=np.uint32, out=table)
         k = np.searchsorted(rows, hi)  # the words i < hi with a-shifts
         gathered = table.take(below[: a_ends[hi - 1]], axis=0)

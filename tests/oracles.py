@@ -3,10 +3,13 @@
 These deliberately reuse only the sequence-comparison primitive and count
 everything by definition, so they stay independent of the rank-based engines
 they validate.  The kneading data that only tests use, of the open and the
-Lorenz templates, are built here from their two stored bounds.
+Lorenz templates, are built here from their two stored bounds.  The
+modular-knot oracles for (2, 3, r) at the end share no code with the package.
 """
 
+from fractions import Fraction
 from itertools import groupby, product
+from math import floor
 
 from templink.kneading import KneadingData
 from templink.words import PeriodicSequence, compare
@@ -154,3 +157,98 @@ def oracle_block_constraints(word: str, t) -> bool:
         if _max_cyclic_run(blocks, syl) > max_rep:
             return False
     return True
+
+
+# Modular knots (É. Ghys, "Knots and dynamics", Proc. ICM 2006).  The orbits of
+# the (2, 3, inf) orbifold, the modular surface, are the modular knots of
+# T^1(PSL(2, Z)) = S^3 minus the trefoil, and they are Lorenz knots.  A (2, 3)
+# code word is a word in the syllables ab and abb; read as x < y, it is the
+# knot's Lorenz word, and as -R and -L it is the knot's element of SL(2, Z).
+
+
+def syllable_word(word: str) -> str:
+    """A (2, 3) word as its syllable word over x < y, with ``ab -> x`` and ``abb -> y``.
+
+    Read from an ``a`` that follows a ``b``, as :func:`syllables` reads; a word
+    with a cyclic ``aa`` or ``bbb``, or without both letters, raises ``ValueError``.
+    """
+    blocks = syllables(word)
+    if any(block not in ((1, 1), (1, 2)) for block in blocks):
+        raise ValueError(f"{word!r} is not a word in ab and abb")
+    return "".join("x" if j == 1 else "y" for _, j in blocks)
+
+
+def lorenz_linking(w1: str, w2: str) -> Fraction:
+    """Linking number of the Lorenz knots of two words over x < y (Birman-Williams 1983).
+
+    Every crossing of the Lorenz braid is positive, so the linking number is
+    half the crossings between the two knots' strands: the pairs (a shift of
+    w1, a shift of w2) whose order on the branch line differs from the order
+    of their successors.  Shifts of periods n and m that agree on n + m
+    letters are equal (Fine and Wilf), so prefixes of 2·(n + m) letters order
+    them.  For w1 == w2, a shift paired with itself never swaps: the
+    translated-copy convention.
+    """
+    horizon = 2 * (len(w1) + len(w2))
+
+    def prefixes(w):
+        # one per shift, and the first again as the last shift's successor
+        long = w * (horizon // len(w) + 2)
+        return [long[i : i + horizon] for i in range(len(w) + 1)]
+
+    s1, s2 = prefixes(w1), prefixes(w2)
+    swaps = sum(
+        (s1[i] < s2[j]) != (s1[i + 1] < s2[j + 1]) for i in range(len(w1)) for j in range(len(w2))
+    )
+    return Fraction(swaps, 2)
+
+
+def _product(m, n):
+    return tuple(tuple(m[i][0] * n[0][j] + m[i][1] * n[1][j] for j in range(2)) for i in range(2))
+
+
+def modular_matrix(word: str):
+    """A (2, 3) word's element of SL(2, Z): ``S·U`` for each ``ab``, ``S·U²`` for each ``abb``, in order.
+
+    S = [[0, -1], [1, 0]] and U = [[0, -1], [1, 1]] have orders 2 and 3 in
+    PSL(2, Z), and S·U = -R, S·U² = -L for R = [[1, 1], [0, 1]] and
+    L = [[1, 0], [1, 1]].  Another rotation of the word gives a conjugate.
+    """
+    u = ((0, -1), (1, 1))
+    su = _product(((0, -1), (1, 0)), u)
+    syllable = {"x": su, "y": _product(su, u)}
+    m = ((1, 0), (0, 1))
+    for letter in syllable_word(word):
+        m = _product(m, syllable[letter])
+    return m
+
+
+def _sawtooth(x: Fraction) -> Fraction:
+    """((x)) = x - floor(x) - 1/2, and 0 at an integer."""
+    return Fraction(0) if x.denominator == 1 else x - floor(x) - Fraction(1, 2)
+
+
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) = sum over 0 <= r < k of ((r/k))·((hr/k)), for k >= 1."""
+    return sum((_sawtooth(Fraction(r, k)) * _sawtooth(Fraction(h * r, k)) for r in range(k)), Fraction(0))
+
+
+def rademacher(m) -> Fraction:
+    """Rademacher's function Psi of ``m = ((a, b), (c, d))`` in SL(2, Z), exact.
+
+    In Rademacher and Grosswald's convention ("Dedekind Sums", 1972):
+    Phi = b/d if c = 0, otherwise (a + d)/c - 12·sign(c)·s(a, |c|), and
+    Psi = Phi - 3·sign(c·(a + d)).  Both are unchanged by m -> -m, since
+    s(-a, k) = -s(a, k).  Ghys proved that Psi(m) is the linking number of
+    m's modular knot with the trefoil.
+    """
+    (a, b), (c, d) = m
+
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+    if c == 0:
+        phi = Fraction(b, d)
+    else:
+        phi = Fraction(a + d, c) - 12 * sign(c) * dedekind_sum(a, abs(c))
+    return phi - 3 * sign(c * (a + d))

@@ -691,6 +691,8 @@ def test_pair_kernel_counts_past_a_byte():
 @settings(max_examples=100, deadline=None)
 @example(["a", "b"])
 @example(["b", "ab", "a", "aab"])
+@example(["ab", "aab", "b"])
+@example(["a", "aab", "ab"])
 def test_crossing_matrix_matches_definition(words):
     # Each cell P[i, j], i <= j, at its place in pair order, not only cr = 2·P[i, j],
     # so a count put in the wrong cell shows.  The lower triangle is not
@@ -779,6 +781,7 @@ def test_sweep_counts_are_rank_differences(words):
             below = sum(r < by_definition[succ[x]] for r in b_next)
             assert rank[succ[x]] - rank[x] == below, (words, x)
     n_a = len(text) - len(b_shifts)
+    assert [r < n_a for r in rank] == [c == "a" for c in text], words
     for place, y in enumerate(sorted(b_shifts, key=by_definition.__getitem__)):
         assert rank[y] - n_a == place, (words, y)
 
@@ -838,7 +841,7 @@ def test_crossing_matrix_memory_is_bounded(monkeypatch):
     # Beside its ranking the sweep holds the W(W + 1)/2 uint32 result, one
     # column chunk of at most _CHUNK_CELLS 4-byte cells, and a slack of 64 bytes
     # per shift for the O(N) index arrays and the chunk's row sums and their
-    # places: 1.71 MB here, where the sweep peaks at 1.34 MB.  An unchunked
+    # places: 1.71 MB here, where the sweep peaks at 1.32 MB.  An unchunked
     # (N + 1) x W table with its gathered rows peaks at 9.5 MB.
     import tracemalloc
 
