@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
-from itertools import accumulate, chain, repeat
+from itertools import accumulate
 from typing import NamedTuple
 
 from . import crossing
@@ -45,7 +45,7 @@ MAX_CENSUS_LEN = 24
 # Most words verify_pairs takes, and so the largest extremal family a triple or
 # a range may have: the pair table grows with its square, 16 bytes a pair.  On a
 # 2-vCPU KVM guest verify_triple(Triple(3, 3, 87)), 1,934 words and 1,871,145
-# pairs, took 1.9-2.1 s and 63.4 MiB peak RSS; (3, 3, 301) would hold about 260 M pairs.
+# pairs, took 1.4-1.9 s and 63-66 MiB peak RSS; (3, 3, 301) would hold about 260 M pairs.
 # Single-triple `templink verify` renders every report, so it takes far fewer
 # pairs, see cli.MAX_REPORT_PAIRS.
 MAX_VERIFY_WORDS = 2_000
@@ -566,9 +566,9 @@ def verify_pairs(t: Triple, words: list[str]) -> PairTable:
     cr *= 2
     counts = [(w.count("a"), w.count("b")) for w in words]
     # one q_form call per pair through this module's global, so a wrapper put
-    # there sees each; the rows walk the pair order (i, j >= i)
-    rows = (map(q_form, repeat(t), repeat(c), counts[i:]) for i, c in enumerate(counts))
-    lk2d = np.fromiter(chain.from_iterable(rows), dtype=dtype, count=len(cr))
+    # there sees each, walking the pair order (i, j >= i); the generator holds
+    # no list, so the key arrays stay the only per-pair memory
+    lk2d = np.fromiter((q_form(t, c, d) for i, c in enumerate(counts) for d in counts[i:]), dtype, len(cr))
     lk2d *= 2
     # lk2d = 2·Q - delta·cr in place, a chunk at a time, so no per-pair temporary
     for s in range(0, len(cr), _CHUNK_CELLS):

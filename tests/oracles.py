@@ -59,6 +59,39 @@ def reversed_code(word: str, p: int, q: int) -> str:
     return min(out[i:] + out[:i] for i in range(len(out)))
 
 
+def _reduce_runs(word: str, p: int, q: int) -> str:
+    """The cyclic runs reduced, ``a`` mod p and ``b`` mod q, until none changes, in least rotation."""
+    while len(set(word)) == 2:
+        start = next(i for i in range(len(word)) if word[i] != word[i - 1])
+        rot = word[start:] + word[:start]
+        out = "".join(c * (len(list(run)) % (p if c == "a" else q)) for c, run in groupby(rot))
+        if out == rot:
+            return min(out[i:] + out[:i] for i in range(len(out)))
+        word = out
+    # one cyclic run, or none
+    return word[:1] * (len(word) % (p if word[:1] == "a" else q))
+
+
+def tie_rewrite(w: str, p: int, q: int, r: int) -> set[str]:
+    """The words of even ``r``'s tie rewrite of ``w``, each in least rotation.
+
+    With P = a^(p-1)b and P⁻¹ = b^(q-1)a the relator's half, P^(r/2) =
+    (P⁻¹)^(r/2), codes one element two ways.  Each rotation of ``w`` that
+    starts with one half has it swapped for the other, and the runs are then
+    reduced cyclically, ``a`` mod p and ``b`` mod q, until none changes.  The
+    set is empty when ``w`` holds no cyclic run of either half.
+    """
+    half = r // 2
+    syllable, inverse = ("a" * (p - 1) + "b") * half, ("b" * (q - 1) + "a") * half
+    out = set()
+    for i in range(len(w)):
+        rot = w[i:] + w[:i]
+        for run, swap in ((syllable, inverse), (inverse, syllable)):
+            if rot.startswith(run):
+                out.add(_reduce_runs(swap + rot[len(run) :], p, q))
+    return out
+
+
 def kneading_unbounded(p: int, q: int) -> KneadingData:
     """Bounds of the open template with the top surgery removed: the pure
     syllable sequences (a^(p-1) b)^inf and (b^(q-1) a)^inf."""

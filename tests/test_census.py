@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from closed_forms import free_product_counts
-from oracles import oracle_crossing, oracle_crossing_matrix, reversed_code, shift_sequences
+from oracles import oracle_crossing, oracle_crossing_matrix, reversed_code, shift_sequences, tie_rewrite
 from templink.census import (
     MAX_VERIFY_WORDS,
     PairReport,
@@ -319,6 +319,58 @@ def test_even_r_families_are_the_next_odd_r_families():
         words, k = extremal_orbits(t), kneading(odd)
         assert words == extremal_orbits(odd), t
         assert all(is_admissible(w, k) for w in words), t
+
+
+def test_rejected_even_r_family_words_under_the_tie_rewrite():
+    # The even-r family words of the criterion-10 triples, up to 12 letters,
+    # that their own table rejects: 16 of the 30 rewrite across the relator's
+    # half P^(r/2) = (P⁻¹)^(r/2) to exactly one word, which the table accepts;
+    # the other 14 hold no cyclic run of r/2 copies of either syllable.
+    triples = range_triples(4, 5, 7, include_p2=False) + range_triples(2, 9, 13)
+    rewritten, untouched = {}, []
+    for t in (t for t in triples if t.r % 2 == 0):
+        k = kneading(t)
+        for w in (w for w in extremal_orbits(t) if len(w) <= 12 and not is_admissible(w, k)):
+            out = tie_rewrite(w, t.p, t.q, t.r)
+            if out:
+                assert len(out) == 1 and is_admissible(min(out), k), (t, w, out)
+                rewritten[(t.p, t.q, t.r), w] = min(out)
+            else:
+                untouched.append(((t.p, t.q, t.r), w))
+    assert rewritten == {
+        ((3, 3, 4), "aabaabb"): "aabb",
+        ((3, 3, 4), "aabbabb"): "aabb",
+        ((3, 3, 6), "aabaabaabb"): "aabbabb",
+        ((3, 3, 6), "aabbabbabb"): "aabaabb",
+        ((3, 4, 4), "aabaabb"): "aabbb",
+        ((3, 4, 4), "aabaabbb"): "ababbb",
+        ((3, 4, 4), "aabbbabbb"): "aabb",
+        ((3, 4, 6), "aabaabaabb"): "aabbbabbb",
+        ((3, 4, 6), "aabaabaabbb"): "ababbbabbb",
+        ((3, 5, 6), "aabaabaabb"): "aabbbbabbbb",
+        ((3, 5, 6), "aabaabaabbb"): "ababbbbabbbb",
+        ((3, 5, 6), "aabaabaabbbb"): "abbabbbbabbbb",
+        ((4, 4, 4), "aaabaaabb"): "aabbb",
+        ((4, 4, 4), "aabbbabbb"): "aaabb",
+        ((4, 4, 4), "aaabaaabbb"): "ababbb",
+        ((4, 4, 4), "aaabbbabbb"): "aaabab",
+    }
+    assert untouched == [
+        ((3, 3, 4), "aabab"),
+        ((3, 3, 4), "ababb"),
+        ((3, 3, 6), "aabaabab"),
+        ((3, 3, 6), "ababbabb"),
+        ((3, 4, 4), "aabab"),
+        ((3, 4, 4), "abbabbb"),
+        ((3, 4, 6), "aabaabab"),
+        ((3, 4, 6), "abbabbbabbb"),
+        ((3, 5, 6), "aabaabab"),
+        ((4, 4, 4), "aaabaab"),
+        ((4, 4, 4), "abbabbb"),
+        ((4, 4, 6), "aaabaaabaab"),
+        ((4, 4, 6), "abbabbbabbb"),
+        ((4, 5, 6), "aaabaaabaab"),
+    ]
 
 
 def test_verify_pairs_334_all_negative():
