@@ -293,7 +293,8 @@ def _successors(words: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Each word's first shift index, words concatenated, and each shift's successor.
 
     The successor of a shift is the next one in its word, wrapping at the
-    word's end.  ``starts`` has one more entry, the total length.
+    word's end.  ``starts`` has one more entry, the total length, so word
+    i's shifts are ``starts[i] : starts[i + 1]``.
     """
     import numpy as np
 
@@ -306,10 +307,9 @@ def _successors(words: list[str]) -> tuple[np.ndarray, np.ndarray]:
 def _shift_ranks(words: list[str]) -> np.ndarray:
     """Global branch-line ranks of every shift of every word, words concatenated.
 
-    One joint ranking serves every pair of words.  The ranks are
-    unsigned, so compare them rather than subtract them.  Empty words,
-    letters outside {a, b} and words over the ``MAX_LETTERS`` budget raise
-    ``ValueError`` before any array is built.
+    One joint ranking serves every pair of words, as intp indices.  Empty
+    words, letters outside {a, b} and words over the ``MAX_LETTERS`` budget
+    raise ``ValueError`` before any array is built.
 
     Prefix doubling on integers, with no string built.  Let ``jump[x]`` be
     the shift h letters on from x, wrapping inside its word.  With a = 0 and
@@ -332,7 +332,8 @@ def _shift_ranks(words: list[str]) -> np.ndarray:
     raises ``ValueError``.
 
     Memory: the keys are packed and ranked in place, so beside ``jump`` at
-    most three 8-byte arrays of N shifts are alive at once.
+    most three 8-byte arrays of N shifts are alive at once; the ranks invert
+    the last ``order`` once the keys and ``jump`` are freed.
     """
     import numpy as np
 
@@ -367,11 +368,10 @@ def _shift_ranks(words: list[str]) -> np.ndarray:
         del rank
         jump = jump[jump]
         h *= 2
-    # the narrowest dtype that holds the number of shifts keeps the index arrays
-    # of _crossing_matrix's sweep small; ranks are indices there, never compared in bulk
-    final = np.empty(n, dtype=np.min_scalar_type(n))
-    final[order] = np.arange(n, dtype=final.dtype)
-    return final
+    del key, rises, jump
+    rank = np.empty_like(order)
+    rank[order] = np.arange(n)
+    return rank
 
 
 def _pair_starts(w: int) -> tuple[int, ...]:
@@ -396,8 +396,8 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
     successors do (the lemma of :func:`verify_pairs`), so the a-shifts z with
     σz < σx are the ``rank[x]`` with z < x, and the other z are b-shifts; y
     ranks above the N_a a-shifts and its ``place[y]`` b-shifts.  Both
-    differences are at least 0, so they keep the ranks' unsigned dtype.  By
-    the same lemma the a-shifts are the N_a lowest ranks, ``rank < N_a`` with
+    differences are at least 0, so they index the table.  By the same
+    lemma the a-shifts are the N_a lowest ranks, ``rank < N_a`` with
     N_a = N minus the words' b counts, so after the ranking the sweep reads
     nothing of the words but their b counts.  Let
     ``C[c, j]`` be the number of word j's b-shifts among the first c b-shifts
@@ -408,8 +408,10 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
         P[i, j] = sum over a-shifts x of word i of C[below[x], j],
 
     the rows of ``C`` gathered at ``below`` and summed over each word's
-    a-shifts.  Words without b-shifts have zero columns in ``C``, words
-    without a-shifts empty segments and zero rows.
+    a-shifts, ``below[a_starts[i] : a_starts[i + 1]]`` for word i, as
+    ``below`` keeps the shifts' order and ``a_starts = starts - b_starts``.
+    Words without b-shifts have zero columns in ``C``, words without
+    a-shifts empty segments and zero rows.
 
     For W words that is at most (N + 1)·W table cells, N²/L̄ for mean length
     L̄, in place of the N_a·N_b ≈ N²/4 shift comparisons of the direct count.
@@ -433,11 +435,9 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
     place = rank[~is_a] - len(below)
     del rank, succ, is_a  # the chunks read only below and place
     b_starts = np.cumsum([0] + b_counts)
-    a_counts = np.diff(starts) - b_counts
-    a_ends = np.cumsum(a_counts)
+    a_starts = starts - b_starts
     # reduceat sums an empty segment as one element, so only words with a-shifts are reduced
-    rows = a_counts.nonzero()[0]
-    first = (a_ends - a_counts)[rows]
+    rows = np.diff(a_starts).nonzero()[0]
     # pos(i, 0), so that P[i, j] is at row_pos[i] + j
     row_pos = np.array(_pair_starts(w)) - np.arange(w)
     width = max(1, _CHUNK_CELLS // (n + 1))
@@ -453,9 +453,9 @@ def _crossing_matrix(words: list[str]) -> np.ndarray:
         table[1:][place[b_starts[lo] : b_starts[hi]], column] = 1
         np.cumsum(table, axis=0, dtype=np.uint32, out=table)
         k = np.searchsorted(rows, hi)  # the words i < hi with a-shifts
-        gathered = table.take(below[: a_ends[hi - 1]], axis=0)
+        gathered = table.take(below[: a_starts[hi]], axis=0)
         del table  # before the sums are allocated
-        block = np.add.reduceat(gathered, first[:k], axis=0, dtype=np.uint32)
+        block = np.add.reduceat(gathered, a_starts[rows[:k]], axis=0, dtype=np.uint32)
         del gathered  # before the next chunk's table is allocated
         i, j = rows[:k, None], np.arange(lo, hi)
         upper = j >= i

@@ -4,12 +4,16 @@ These deliberately reuse only the sequence-comparison primitive and count
 everything by definition, so they stay independent of the rank-based engines
 they validate.  The kneading data that only tests use, of the open and the
 Lorenz templates, are built here from their two stored bounds.  The
-modular-knot oracles for (2, 3, r) at the end share no code with the package.
+modular-knot oracles for (2, 3, r) and the triangle-group oracle at the end
+share no code with the package.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import groupby, product
-from math import floor
+from math import ceil, floor, lcm
+
+import numpy as np
 
 from templink.kneading import KneadingData
 from templink.words import PeriodicSequence, compare
@@ -285,3 +289,166 @@ def rademacher(m) -> Fraction:
     else:
         phi = Fraction(a + d, c) - 12 * sign(c) * dedekind_sum(a, abs(c))
     return phi - 3 * sign(c * (a + d))
+
+
+# The triangle group (ROADMAP item 15).  The (p, q, r) orbifold's group is
+# generated by elliptic A and B with tr A = 2cos(π/p), tr B = 2cos(π/q) and
+# tr AB = -2cos(π/r), so that AB has order r in PSL(2, R); a ↦ A⁻¹ and b ↦ B
+# send the syllable a^(p-1)b to -AB, as A^p = -I.  The orbifold's closed
+# geodesics are the hyperbolic conjugacy classes, |tr| > 2.  The entries lie
+# in Z[ζ], ζ = e^(iπ/N) for N = lcm(p, q, r), written as integer coefficient
+# vectors modulo x^(2N) - 1; two are equal iff their residues modulo Φ_2N,
+# ζ's minimal polynomial, are.
+# Nothing here uses a float or the kneading tables.
+
+
+@cache
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Φ_n's integer coefficients, lowest first: x^n - 1 divided by Φ_d for every d | n, d < n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            g = _cyclotomic(d)
+            quotient = [0] * (len(poly) - len(g) + 1)
+            for i in reversed(range(len(quotient))):  # g is monic
+                quotient[i] = top = poly[i + len(g) - 1]
+                for j, gj in enumerate(g):
+                    poly[i + j] -= top * gj
+            assert not any(poly), (n, d)
+            poly = quotient
+    return tuple(poly)
+
+
+@cache
+def _powers_mod_cyclotomic(n: int) -> np.ndarray:
+    """Row k holds the coefficients of x^k mod Φ_2n, for k < n."""
+    phi = _cyclotomic(2 * n)
+    degree = len(phi) - 1
+    rows, row = [], [1] + [0] * (degree - 1)
+    for _ in range(n):
+        rows.append(row)
+        top, row = row[-1], [0] + row[:-1]  # times x, then x^degree = -(phi's lower terms)
+        row = [c - top * f for c, f in zip(row, phi)]
+    powers = np.array(rows, dtype=np.int64)
+    powers.flags.writeable = False  # shared by every caller through the cache
+    return powers
+
+
+def _halve(v: np.ndarray) -> np.ndarray:
+    """v modulo x^N + 1, which Φ_2N divides, as ζ^N = -1: N coefficients."""
+    n = len(v) // 2
+    return v[:n] - v[n:]
+
+
+def cyclotomic_residue(v: np.ndarray) -> tuple[int, ...]:
+    """The residue of a 2N-coefficient vector modulo Φ_2N: equal residues, equal elements of Z[ζ]."""
+    u = _halve(v)
+    powers = _powers_mod_cyclotomic(len(u))
+    # each residue coefficient is at most |u|_1 · max|powers| in size
+    assert int(np.abs(u).sum()) * int(np.abs(powers).max()) < 2**63
+    return tuple((u @ powers).tolist())
+
+
+def triangle_matrix(word: str, p: int, q: int, r: int) -> np.ndarray:
+    """The word's element of the (p, q, r) triangle group, a ↦ A⁻¹ and b ↦ B, as a (2, 2, 2N) array.
+
+    With λ = ζ^(N/p), μ = ζ^(N/q) and ν = ζ^(N/r), A⁻¹ = [[λ⁻¹, -1], [0, λ]]
+    and B = [[μ, 0], [c, μ⁻¹]] with c = -(ν + ν⁻¹ + λμ + λ⁻¹μ⁻¹): then
+    tr A = λ + λ⁻¹ = 2cos(π/p), tr B = 2cos(π/q) and tr AB = λμ + c + λ⁻¹μ⁻¹
+    = -2cos(π/r).  Each letter multiplies the columns by monomials, which
+    are cyclic shifts, and by the four-term c.  A letter a at most doubles
+    the largest |coefficient|_1 of an entry and a letter b at most quintuples
+    it, so the int64 entries hold while 2^(#a)·5^(#b) < 2^62.
+    """
+    if 2 ** word.count("a") * 5 ** word.count("b") >= 2**62:
+        raise ValueError(f"{word!r} is too long for int64 coefficients")
+    n = lcm(p, q, r)
+    lam, mu, nu = n // p, n // q, n // r
+    m = np.zeros((2, 2, 2 * n), dtype=np.int64)
+    m[0, 0, 0] = m[1, 1, 0] = 1
+    for letter in word:
+        left, right = m[:, 0], m[:, 1]
+        if letter == "a":
+            m = np.stack([np.roll(left, -lam, axis=1), np.roll(right, lam, axis=1) - left], axis=1)
+        else:
+            c_right = -sum(np.roll(right, s, axis=1) for s in (nu, -nu, lam + mu, -lam - mu))
+            m = np.stack([np.roll(left, mu, axis=1) + c_right, np.roll(right, -mu, axis=1)], axis=1)
+    return m
+
+
+def triangle_trace(word: str, p: int, q: int, r: int) -> np.ndarray:
+    """The trace of :func:`triangle_matrix`, 2N integer coefficients: a class function of the word."""
+    m = triangle_matrix(word, p, q, r)
+    return m[0, 0] + m[1, 1]
+
+
+def _pi_bounds(bits: int) -> tuple[int, int]:
+    """Integers lo <= 2^bits·π <= hi, from Machin's formula π = 16·arctan(1/5) - 4·arctan(1/239).
+
+    Each arctan(1/x) = Σ (-1)^k / ((2k + 1)·x^(2k + 1)) alternates with
+    decreasing terms, so its last two partial sums bracket it.
+    """
+
+    def arctan_inverse(x: int) -> tuple[Fraction, Fraction]:
+        before, total, k = Fraction(0), Fraction(0), 0
+        while k == 0 or abs(total - before) * (1 << bits) >= 1:
+            before, total = total, total + Fraction((-1) ** k, (2 * k + 1) * x ** (2 * k + 1))
+            k += 1
+        return min(before, total), max(before, total)
+
+    (lo5, hi5), (lo239, hi239) = arctan_inverse(5), arctan_inverse(239)
+    return floor((16 * lo5 - 4 * hi239) * (1 << bits)), ceil((16 * hi5 - 4 * lo239) * (1 << bits))
+
+
+def _cos_bound(y: int, scale: int, bits: int, upper: bool) -> int:
+    """An integer below (or above) 2^bits·cos(y/2^scale), for 0 <= y/2^scale < √12.
+
+    The Taylor series Σ (-1)^m y^(2m)/(2m)! alternates, and for y² < 12 its
+    terms decrease from the first on, so a partial sum that ends on a positive
+    term lies above cos and one that ends on a negative term below.  A sum is
+    taken once the next term is under 2^-bits; ``num/den`` is it exactly.
+    """
+    num = den = power = 1  # the partial sum S_0 = 1 and the term y^0
+    m = 0
+    while True:
+        step = (2 * m + 1) * (2 * m + 2) << 2 * scale  # the next term is power·y²/(den·step)
+        power *= y * y
+        if (m % 2 == 0) == upper and power << bits < den * step:
+            return -(-(num << bits) // den) if upper else (num << bits) // den
+        num, den, m = num * step + (-1) ** (m + 1) * power, den * step, m + 1
+
+
+@cache
+def _cos_bounds(n: int, bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Integers lo[k] <= 2^bits·cos(kπ/n) <= hi[k] for k < n."""
+    scale = bits + 8
+    pi_lo, pi_hi = _pi_bounds(scale)
+    lo, hi = [], []
+    for k in range(n):
+        # kπ/n lies in [y_lo, y_hi]·2^-scale inside [0, π], where cos decreases
+        y_lo, y_hi = k * pi_lo // n, -(-k * pi_hi // n)
+        lo.append(_cos_bound(y_hi, scale, bits, upper=False))
+        hi.append(_cos_bound(y_lo, scale, bits, upper=True))
+    return tuple(lo), tuple(hi)
+
+
+def is_hyperbolic(trace: np.ndarray) -> bool:
+    """|tr| > 2 for a real trace of 2N coefficients with tr ≠ ±2, from exact rational enclosures.
+
+    Modulo x^N + 1 the trace is Σ u_k ζ^k, k < N, whose real part, the trace,
+    is Σ u_k cos(kπ/N).  It is enclosed between integer bounds at 2^-bits, and
+    the bits double until the enclosure lies inside (-2, 2) or outside
+    [-2, 2], as it does at last since tr ≠ ±2.
+    """
+    u = _halve(trace).tolist()
+    bits = 64
+    while True:
+        lo, hi = _cos_bounds(len(u), bits)
+        t_lo = sum(c * (lo[k] if c > 0 else hi[k]) for k, c in enumerate(u))
+        t_hi = sum(c * (hi[k] if c > 0 else lo[k]) for k, c in enumerate(u))
+        two = 2 << bits
+        if t_lo > two or t_hi < -two:
+            return True
+        if -two < t_lo and t_hi < two:
+            return False
+        bits *= 2

@@ -745,6 +745,7 @@ def test_pair_kernel_counts_past_a_byte():
 @example(["b", "ab", "a", "aab"])
 @example(["ab", "aab", "b"])
 @example(["a", "aab", "ab"])
+@example(["ab", "b", "aab"])  # b, with no a-shift, is an empty segment between two words
 def test_crossing_matrix_matches_definition(words):
     # Each cell P[i, j], i <= j, at its place in pair order, not only cr = 2·P[i, j],
     # so a count put in the wrong cell shows.  The lower triangle is not
@@ -805,7 +806,7 @@ def test_shift_ranks_match_definition(words):
     import templink.census as census
 
     rank = census._shift_ranks(words)
-    assert rank.dtype == np.min_scalar_type(len(rank))
+    assert rank.dtype == np.intp
     assert rank.tolist() == _ranks_by_definition(words)
 
 
