@@ -8,7 +8,6 @@ an ``--out`` path that cannot be written, which is refused before any work.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -22,8 +21,8 @@ from .words import canonicalize
 EXIT_OK, EXIT_VIOLATION, EXIT_USAGE = 0, 1, 2
 
 # Longest word accepted: engine cost grows with its square.  On a 2-vCPU KVM guest `cr w w` on a
-# random word took 0.5 s / 32 MB peak RSS at 2,000 letters and 1.8 s / 78 MB at 4,000, `cuts`
-# 0.11-0.15 s / 28 MB on a random 4,000-letter word with 989 cuts and 2.5 s / 64 MB on
+# random word took 0.25-0.29 s / 32 MB peak RSS at 2,000 letters and 1.0-1.1 s / 78 MB at 4,000,
+# `cuts` 0.11-0.15 s / 28 MB on a random 4,000-letter word with 989 cuts and 2.5 s / 64 MB on
 # a^2000 b^2000, whose 3,999 cuts print 16 M letters; word_crossing at 20,000 letters would hold
 # 1.6 G characters of shift prefixes.
 MAX_WORD_LEN = 4_096
@@ -132,8 +131,7 @@ def _cmd_cuts(args) -> int:
     if args.format == "text":
         text = "".join(f"{c.u}|{c.v} (rotation {c.rotation}, split {c.split})\n" for c in cuts)
     else:
-        fields = [f.name for f in dataclasses.fields(Cut)]
-        text = _render([dataclasses.asdict(c) for c in cuts], args.format, fields=fields)
+        text = _render([c._asdict() for c in cuts], args.format, fields=Cut._fields)
     _emit(text, args.out)
     return EXIT_OK
 

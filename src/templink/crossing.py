@@ -14,7 +14,7 @@ pairs of distinct shifts of ``w``.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .kneading import KneadingData, is_admissible
 from .words import _check_letters
@@ -28,20 +28,20 @@ def word_crossing(v: str, x: str) -> int:
     so ``word_crossing(w, w)`` is twice the number of double points of w's
     orbit and ``word_crossing(z*k, x) == k * word_crossing(z, x)``.
 
-    The count compares ranks with strict tests.  Lemma: two shifts have
-    equal ranks exactly when their successors do, so ``a < rx[j]`` and
-    ``a1 < rx[j+1]`` disagree exactly when the pair's order flips; a pair
-    tied on one side is tied on the other and counts on neither.  Proof:
-    equal ranks are equal shifts (horizon lemma), whose successors are
-    equal.  Equal successors lie in one orbit, a finite cycle of shifts on
-    which the shift map is injective, so they come from equal shifts.
+    The count pairs each rank with its successor's and compares with strict
+    tests.  Lemma: two shifts have equal ranks exactly when their successors
+    do, so ``a < b`` and ``a1 < b1`` disagree exactly when the pair's order
+    flips; a pair tied on one side is tied on the other and counts on
+    neither.  Proof: equal ranks are equal shifts (horizon lemma), whose
+    successors are equal.  Equal successors lie in one orbit, a finite cycle
+    of shifts on which the shift map is injective, so they come from equal
+    shifts.
     """
     if not v or not x:
         raise ValueError("crossing numbers need nonempty words")
     _check_letters(v + x)
-    n, m = len(v), len(x)
-    # shifts of periods n and m compare as their first n + m letters (horizon lemma in words.py)
-    horizon = n + m
+    # shifts of v and x compare as their first len(v) + len(x) letters (horizon lemma in words.py)
+    horizon = len(v) + len(x)
     shifts = []
     for w in (v, x):
         reps = w * (horizon // len(w) + 2)
@@ -50,17 +50,11 @@ def word_crossing(v: str, x: str) -> int:
     rank = {s: i for i, s in enumerate(sorted(set(sv) | set(sx)))}
     rv = [rank[s] for s in sv]
     rx = [rank[s] for s in sx]
-    count = 0
-    for i in range(n):
-        a, a1 = rv[i], rv[(i + 1) % n]
-        for j in range(m):
-            if (a < rx[j]) != (a1 < rx[(j + 1) % m]):
-                count += 1
-    return count
+    steps = list(zip(rx, rx[1:] + rx[:1]))
+    return sum((a < b) != (a1 < b1) for a, a1 in zip(rv, rv[1:] + rv[:1]) for b, b1 in steps)
 
 
-@dataclass(frozen=True)
-class Cut:
+class Cut(NamedTuple):
     """A splitting of a cyclic word into factors u (ending in a) and v (ending in b).
 
     ``u + v`` is the rotation of the cut word starting ``rotation`` letters into
@@ -225,8 +219,7 @@ def enumerate_cuts(w: str) -> list[Cut]:
     :func:`is_admissible_cut`.  The cuts are those of :func:`_cuts`.  Input
     that is not a primitive least rotation over {a, b} raises ``ValueError``.
     """
-    cuts = sorted((k, len(u), u, v) for k, u, v in _cuts(w))
-    return [Cut(u=u, v=v, rotation=k, split=split) for k, split, u, v in cuts]
+    return sorted((Cut(u, v, k, len(u)) for k, u, v in _cuts(w)), key=lambda c: (c.rotation, c.split))
 
 
 def is_admissible_cut(c: Cut, k: KneadingData) -> bool:

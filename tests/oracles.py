@@ -355,12 +355,15 @@ def triangle_matrix(word: str, p: int, q: int, r: int) -> np.ndarray:
     With λ = ζ^(N/p), μ = ζ^(N/q) and ν = ζ^(N/r), A⁻¹ = [[λ⁻¹, -1], [0, λ]]
     and B = [[μ, 0], [c, μ⁻¹]] with c = -(ν + ν⁻¹ + λμ + λ⁻¹μ⁻¹): then
     tr A = λ + λ⁻¹ = 2cos(π/p), tr B = 2cos(π/q) and tr AB = λμ + c + λ⁻¹μ⁻¹
-    = -2cos(π/r).  Each letter multiplies the columns by monomials, which
-    are cyclic shifts, and by the four-term c.  A letter a at most doubles
-    the largest |coefficient|_1 of an entry and a letter b at most quintuples
-    it, so the int64 entries hold while 2^(#a)·5^(#b) < 2^62.
+    = -2cos(π/r).  The letters ``A`` and ``B`` stand for a⁻¹ and b⁻¹, so
+    they map to A = [[λ, 1], [0, λ⁻¹]] and B⁻¹ = [[μ⁻¹, 0], [-c, μ]].  Each
+    letter multiplies the columns by monomials, which are cyclic shifts, and
+    by the four-term c.  A letter a or A at most doubles the largest
+    |coefficient|_1 of an entry and a letter b or B at most quintuples it, so
+    the int64 entries hold while 2^(#a + #A)·5^(#b + #B) < 2^62.
     """
-    if 2 ** word.count("a") * 5 ** word.count("b") >= 2**62:
+    letters = word.lower()
+    if 2 ** letters.count("a") * 5 ** letters.count("b") >= 2**62:
         raise ValueError(f"{word!r} is too long for int64 coefficients")
     n = lcm(p, q, r)
     lam, mu, nu = n // p, n // q, n // r
@@ -368,12 +371,20 @@ def triangle_matrix(word: str, p: int, q: int, r: int) -> np.ndarray:
     m[0, 0, 0] = m[1, 1, 0] = 1
     for letter in word:
         left, right = m[:, 0], m[:, 1]
-        if letter == "a":
-            m = np.stack([np.roll(left, -lam, axis=1), np.roll(right, lam, axis=1) - left], axis=1)
+        sign = 1 if letter.islower() else -1  # a letter or its inverse
+        if letter in "aA":
+            shift = sign * lam
+            m = np.stack([np.roll(left, -shift, axis=1), np.roll(right, shift, axis=1) - sign * left], axis=1)
         else:
+            shift = sign * mu
             c_right = -sum(np.roll(right, s, axis=1) for s in (nu, -nu, lam + mu, -lam - mu))
-            m = np.stack([np.roll(left, mu, axis=1) + c_right, np.roll(right, -mu, axis=1)], axis=1)
+            m = np.stack([np.roll(left, shift, axis=1) + sign * c_right, np.roll(right, -shift, axis=1)], axis=1)
     return m
+
+
+def inverse_word(word: str) -> str:
+    """The word of the inverse element: the letters reversed, with their case swapped."""
+    return word[::-1].swapcase()
 
 
 def triangle_trace(word: str, p: int, q: int, r: int) -> np.ndarray:

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 
@@ -75,7 +74,7 @@ def test_cuts_command_csv_and_json(capsys):
         "baa,b,3,3",
     ]
     assert run(["cuts", "aabb", "--format", "json"]) == 0
-    cuts = [dataclasses.asdict(c) for c in enumerate_cuts("aabb")]
+    cuts = [c._asdict() for c in enumerate_cuts("aabb")]
     assert json.loads(capsys.readouterr().out) == cuts
     assert run(["cuts", "a", "--format", "csv"]) == 0
     assert capsys.readouterr().out == "u,v,rotation,split\n"  # no cuts, still a header

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import itertools
 import random
 from functools import cmp_to_key
@@ -129,7 +128,7 @@ def test_cut_invariants_hold_for_enumerated_cuts():
 
 
 def _cut_tuples(w: CyclicWord) -> list[tuple]:
-    return [dataclasses.astuple(c) for c in enumerate_cuts(w)]
+    return [tuple(c) for c in enumerate_cuts(w)]
 
 
 @given(st.text(alphabet="ab", min_size=2, max_size=14))

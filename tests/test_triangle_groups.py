@@ -9,8 +9,15 @@ from math import lcm
 
 import numpy as np
 
-from oracles import cyclotomic_residue, is_hyperbolic, reversed_code, triangle_matrix, triangle_trace
-from templink.census import lyndon_words, range_triples
+from oracles import (
+    cyclotomic_residue,
+    inverse_word,
+    is_hyperbolic,
+    reversed_code,
+    triangle_matrix,
+    triangle_trace,
+)
+from templink.census import extremal_orbits, lyndon_words, range_triples
 from templink.kneading import Triple, is_admissible, kneading
 
 CRITERION_10 = range_triples(4, 5, 7, include_p2=False) + range_triples(2, 9, 13)
@@ -26,6 +33,20 @@ def _monomial(n: int, k: int, c: int = 1) -> np.ndarray:
 def _complete_census(t: Triple, max_len: int) -> list[str]:
     k = kneading(t)
     return [w for w in lyndon_words(max_len, runs=(t.p, t.q)) if is_admissible(w, k)]
+
+
+def _residues(m: np.ndarray) -> tuple:
+    """The four entries of a triangle-group matrix as residues modulo Φ_2N."""
+    return tuple(cyclotomic_residue(m[i, j]) for i in range(2) for j in range(2))
+
+
+def test_inverse_letters_cancel():
+    # A and B stand for a⁻¹ and b⁻¹: each letter times its inverse is I
+    for t in CRITERION_10:
+        identity = _residues(triangle_matrix("", t.p, t.q, t.r))
+        for w in ("aA", "Aa", "bB", "Bb", "abAB" + inverse_word("abAB")):
+            assert _residues(triangle_matrix(w, t.p, t.q, t.r)) == identity, (t, w)
+    assert inverse_word("aabAb") == "BaBAA"
 
 
 def test_relator_is_minus_identity():
@@ -94,3 +115,66 @@ def test_untouched_even_r_family_words_match_census_traces():
         matches = [m for sign in (1, -1) for m in by_trace.get((pqr, cyclotomic_residue(sign * trace)), [])]
         assert sorted(matches) == expected, (pqr, w, matches)
         assert sorted(reversed_code(m, *pqr[:2]) for m in matches) == expected, (pqr, w)
+
+
+def test_rejected_family_words_are_second_codes_of_census_orbits():
+    """Every family word that criterion 10's own table rejects codes a census orbit.
+
+    For each of the 33 family words w of up to 12 letters that the table
+    rejects (30 on even r, and one each on (2,3,7), (2,3,9) and (2,5,5)),
+    a reduced conjugator c of at most 4 letters and a complete-census word x
+    of at most 13 letters have M(c·w·c⁻¹) = ±M(x), entry by entry modulo
+    Φ_2N.  The representation is the faithful one of the triangle group
+    (its generators' traces fix it up to conjugacy), so equal matrices up to
+    sign are equal elements of the group in PSL(2, R).  So w is conjugate to
+    x, and codes the oriented closed geodesic that x codes: the tables are
+    consistent on these words, and the families hold second codes.  The
+    certificates came from a search over the 161 reduced conjugators of up
+    to 4 letters; the test checks them and runs no search.
+    """
+    certificates = {
+        ((3, 3, 4), "aabab"): ("bAb", "ab"),
+        ((3, 3, 4), "ababb"): ("AbA", "ab"),
+        ((3, 3, 4), "aabaabb"): ("ab", "aabb"),
+        ((3, 3, 4), "aabbabb"): ("BA", "aabb"),
+        ((3, 3, 6), "aabaabab"): ("aBAb", "ababb"),
+        ((3, 3, 6), "ababbabb"): ("BabA", "aabab"),
+        ((3, 3, 6), "aabaabaabb"): ("ab", "aabbabb"),
+        ((3, 3, 6), "aabbabbabb"): ("BA", "aabaabb"),
+        ((3, 4, 4), "aabab"): ("bAb", "abb"),
+        ((3, 4, 4), "aabaabb"): ("ab", "aabbb"),
+        ((3, 4, 4), "abbabbb"): ("AbA", "ab"),
+        ((3, 4, 4), "aabaabbb"): ("abb", "ababbb"),
+        ((3, 4, 4), "aabbbabbb"): ("BA", "aabb"),
+        ((3, 4, 6), "aabaabab"): ("aBAb", "abbabbb"),
+        ((3, 4, 6), "aabaabaabb"): ("ab", "aabbbabbb"),
+        ((3, 4, 6), "aabaabaabbb"): ("abb", "ababbbabbb"),
+        ((3, 4, 6), "abbabbbabbb"): ("BabA", "aabab"),
+        ((3, 5, 6), "aabaabab"): ("aBAb", "abbbabbbb"),
+        ((3, 5, 6), "aabaabaabb"): ("ab", "aabbbbabbbb"),
+        ((3, 5, 6), "aabaabaabbb"): ("abb", "ababbbbabbbb"),
+        ((3, 5, 6), "aabaabaabbbb"): ("aBB", "abbabbbbabbbb"),
+        ((4, 4, 4), "aaabaab"): ("bAb", "abb"),
+        ((4, 4, 4), "abbabbb"): ("AbA", "aab"),
+        ((4, 4, 4), "aaabaaabb"): ("ab", "aabbb"),
+        ((4, 4, 4), "aabbbabbb"): ("BA", "aaabb"),
+        ((4, 4, 4), "aaabaaabbb"): ("abb", "ababbb"),
+        ((4, 4, 4), "aaabbbabbb"): ("AbA", "aaabab"),
+        ((4, 4, 6), "aaabaaabaab"): ("aBAb", "abbabbb"),
+        ((4, 4, 6), "abbabbbabbb"): ("BabA", "aaabaab"),
+        ((4, 5, 6), "aaabaaabaab"): ("aBAb", "abbbabbbb"),
+        ((2, 3, 7), "ababbabb"): ("Baba", "ababb"),
+        ((2, 3, 9), "ababbabbabb"): ("Baba", "abababb"),
+        ((2, 5, 5), "abbbabbbb"): ("Baba", "abb"),
+    }
+    rejected = []
+    for t in CRITERION_10:
+        k = kneading(t)
+        rejected += [((t.p, t.q, t.r), w) for w in extremal_orbits(t) if len(w) <= 12 and not is_admissible(w, k)]
+    assert sorted(rejected) == sorted(certificates)
+    census = {pqr: set(_complete_census(Triple(*pqr), 13)) for pqr in {pqr for pqr, _ in certificates}}
+    for (pqr, w), (c, x) in certificates.items():
+        assert len(c) <= 4 and all(c[i].swapcase() != c[i + 1] for i in range(len(c) - 1)), c
+        assert x in census[pqr], (pqr, x)
+        m, mx = triangle_matrix(c + w + inverse_word(c), *pqr), triangle_matrix(x, *pqr)
+        assert _residues(m) in (_residues(mx), _residues(-mx)), (pqr, w, c, x)
